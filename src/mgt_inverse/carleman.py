@@ -264,8 +264,7 @@ def carleman_lhs_rhs(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanG
     rhs_boundary = 0.0
     for side in geometry.gamma0_sides:
         col = 0 if side == "left" else grid.nx - 1
-        dyn = np.array([boundary_normal_derivative(y[n], grid, side)
-                        for n in range(grid.nt)])
+        dyn = boundary_normal_derivative(y, grid, side)
         dytn = d1 @ dyn
         rhs_boundary += s * lam * float(qt @ (weight[:, col] * (dytn ** 2 + c4 * dyn ** 2)))
 

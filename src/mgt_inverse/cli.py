@@ -31,7 +31,7 @@ from .carleman import (CarlemanGeometry, CarlemanScales, CarlemanSetup,
 from .experiments import (carleman_constant_sweep, draw_coefficient_sample,
                           stability_two_sided, steep_weight_preset,
                           weight_ratio_report)
-from .grid import build_grid, time_difference
+from .grid import build_grid, time_difference, trapezoid_weights
 from .observation import extract_observation, hidden_regularity_check
 from .reconstruct import (ReconstructionConfig, ReconstructionError,
                           run_reconstruction)
@@ -224,8 +224,7 @@ def command_forward(doc: dict, out_dir: str) -> int:
         name = f"trace_{side}.csv"
         write_csv(os.path.join(out_dir, name), ("t", "dudn", "dudtn"),
                   zip(grid.t, obs.samples, dudtn))
-        qt = np.full(grid.nt, grid.dt)
-        qt[0] = qt[-1] = 0.5 * grid.dt
+        qt = trapezoid_weights(grid.nt, grid.dt)
         trace_files[side] = {"file": name,
                              "l2_norm": float(np.sqrt(qt @ obs.samples ** 2))}
 

@@ -104,22 +104,25 @@ def apply_laplacian(field: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     return laplacian_matrix(grid) @ field
 
 
-def boundary_normal_derivative(field: np.ndarray, grid: SpaceTimeGrid, side: str) -> float:
+def boundary_normal_derivative(field: np.ndarray, grid: SpaceTimeGrid,
+                               side: str) -> float | np.ndarray:
     """Outward normal derivative at one endpoint, one-sided second order.
 
     Exact for polynomials up to degree two.  At the right endpoint the outward
     normal is +1 and the stencil is (3 f[-1] - 4 f[-2] + f[-3]) / (2 h); at the
     left endpoint the mirrored stencil already carries the sign of the outward
-    normal -1.
+    normal -1.  A field of shape (nx,) gives one value; a space-time field of
+    shape (nt, nx) gives the series over its time levels.
     """
     field = np.asarray(field, dtype=float)
-    if field.shape != (grid.nx,):
-        raise ValueError(f"field has shape {field.shape}, expected ({grid.nx},)")
+    if field.ndim not in (1, 2) or field.shape[-1] != grid.nx:
+        raise ValueError(f"field has shape {field.shape}, expected ({grid.nx},) "
+                         f"or (nt, {grid.nx})")
     h = grid.h
     if side == "right":
-        return (3.0 * field[-1] - 4.0 * field[-2] + field[-3]) / (2.0 * h)
+        return (3.0 * field[..., -1] - 4.0 * field[..., -2] + field[..., -3]) / (2.0 * h)
     if side == "left":
-        return (3.0 * field[0] - 4.0 * field[1] + field[2]) / (2.0 * h)
+        return (3.0 * field[..., 0] - 4.0 * field[..., 1] + field[..., 2]) / (2.0 * h)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 

@@ -53,8 +53,7 @@ def extract_observation(traj: Trajectory, side: str) -> ObservationData:
     that part for its exact normal derivative.  The stencil cannot resolve
     the corner fronts, which are narrower than a cell at the first levels.
     """
-    samples = np.array([boundary_normal_derivative(traj.u[n], traj.grid, side)
-                        for n in range(traj.grid.nt)])
+    samples = boundary_normal_derivative(traj.u, traj.grid, side)
     correction = traj.flux_correction.get(side)
     if correction is not None:
         samples = samples + correction

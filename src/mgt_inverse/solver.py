@@ -71,15 +71,19 @@ class InitialData:
     u0 and u1 must vanish at the endpoints; u2 need not.  The mismatch between
     a nonzero u2 and the Dirichlet condition launches a front from each
     corner along which u_tt jumps; :func:`solve_forward` carries it in the
-    closed-form corner part instead of resolving it on the grid.  When
-    eta > 0 the acceleration profile must satisfy |u2| >= eta everywhere,
-    which the reconstruction update divides by.
+    closed-form corner part instead of resolving it on the grid.  That part
+    does not depend on gamma, so the first solve keeps it here, keyed by
+    everything it depends on, and later solves from the same instance reuse
+    it.  When eta > 0 the acceleration profile must satisfy |u2| >= eta
+    everywhere, which the reconstruction update divides by.
     """
 
     u0: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
     eta: float = 0.0
+    _corner_parts: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self) -> None:
         self.u0 = np.asarray(self.u0, dtype=float)
@@ -151,17 +155,18 @@ def _relaxation(tau: np.ndarray, k: float, order: int) -> np.ndarray:
     tp = tau[arrived]
     x = k * tp
     small = np.abs(x) < 0.5
-    xs = np.where(small, x, 0.0)
-    term = np.full(tp.shape, 1.0 / math.factorial(order))
-    series = np.zeros(tp.shape)
+    values = np.empty(tp.shape)
+    xs = x[small]
+    term = np.full(xs.shape, 1.0 / math.factorial(order))
+    series = np.zeros(xs.shape)
     for m in range(18):
         series += term
         term = term * (-xs) / (order + m + 1)
-    values = tp ** order * series
+    values[small] = tp[small] ** order * series
     if not small.all():
-        xl = np.where(small, 1.0, x)
+        xl = x[~small]
         taylor = sum((-xl) ** m / math.factorial(m) for m in range(order))
-        values = np.where(small, values, (np.exp(-xl) - taylor) / (-k) ** order)
+        values[~small] = (np.exp(-xl) - taylor) / (-k) ** order
     out[arrived] = values
     return out
 
@@ -181,13 +186,15 @@ def _corner_images(left: float, right: float, length: float, xi: np.ndarray, cou
         yield (left if n % 2 == 0 else -right), n * length + xi, 1.0
 
 
-def _hat_average(antiderivative, tau: np.ndarray, width: float) -> np.ndarray:
-    """Hat-weighted average over tau +- width, from a second antiderivative."""
-    return (antiderivative(tau + width) - 2.0 * antiderivative(tau)
-            + antiderivative(tau - width)) / width ** 2
+def _hat_average(tau: np.ndarray, k: float, order: int, width: float,
+                 centre: np.ndarray) -> np.ndarray:
+    """Hat-weighted average over tau +- width of E_{order-2}, from its second
+    antiderivative E_order; ``centre`` is E_order(tau)."""
+    return (_relaxation(tau + width, k, order) - 2.0 * centre
+            + _relaxation(tau - width, k, order)) / width ** 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class CornerPart:
     """Closed-form part of a solution whose u2 does not vanish at the ends.
 
@@ -195,7 +202,10 @@ class CornerPart:
     ``source`` is (L + reference d_tt) applied to u, with L the operator at
     gamma = 0; ``utt_average`` averages u_tt over each node's two cells with
     hat weights; ``normal_derivative`` maps a side to the outward normal
-    derivative in closed form.  Fields are (nt, nx) arrays unless noted.
+    derivative in closed form, and ``flux_correction`` to that derivative
+    minus the one-sided stencil applied to u.  Fields are (nt, nx) arrays
+    unless noted.  All arrays are read-only, because one part serves every
+    solve from the same initial data.
     """
 
     reference: float
@@ -206,6 +216,7 @@ class CornerPart:
     source: np.ndarray
     utt_average: np.ndarray
     normal_derivative: dict
+    flux_correction: dict
 
 
 def corner_part(c: float, b: float, reference: float, left: float, right: float,
@@ -235,6 +246,8 @@ def corner_part(c: float, b: float, reference: float, left: float, right: float,
     count = int(speed * grid.t_final / length) + 2
     cell_time = grid.h / speed
     front_rate = k - 0.5 * reference     # a_j E_0(tau) = exp(-reference t / 2) exp(-front_rate tau)
+    decay = np.exp(-0.5 * reference * t)
+    free = {order: _relaxation(t, k, order) for order in (1, 2, 3)}
 
     u = np.zeros((nt, nx))
     ut = np.zeros((nt, nx))
@@ -244,50 +257,56 @@ def corner_part(c: float, b: float, reference: float, left: float, right: float,
     dudx = np.zeros((nt, nx))
 
     profile = left + (right - left) * xi / length
-    u += profile * _relaxation(t, k, 2)
-    ut += profile * _relaxation(t, k, 1)
+    u += profile * free[2]
+    ut += profile * free[1]
     utt += profile * np.exp(-k * t)
     average += profile * np.exp(-k * t)
-    dudx += (right - left) / length * _relaxation(t, k, 2)
+    dudx += (right - left) / length * free[2]
     for strength, distance, slope in _corner_images(left, right, length, xi, count):
         if strength == 0.0:
             continue
         tau = t - distance / speed
         jump = strength * np.exp(-0.5 * reference * distance / speed)
-        u -= jump * _relaxation(tau, k, 2)
-        ut -= jump * _relaxation(tau, k, 1)
+        e2, e1 = _relaxation(tau, k, 2), _relaxation(tau, k, 1)
+        u -= jump * e2
+        ut -= jump * e1
         utt -= jump * _relaxation(tau, k, 0)
         source += jump * (0.25 * reference ** 2 * np.maximum(tau, 0.0)
                            + reference * (tau > 0.0))
-        dudx += slope * jump * (0.5 * reference * _relaxation(tau, k, 2)
-                                 + _relaxation(tau, k, 1)) / speed
-        average -= strength * np.exp(-0.5 * reference * t) * _hat_average(
-            lambda s: _relaxation(s, front_rate, 2), tau, cell_time)
+        dudx += slope * jump * (0.5 * reference * e2 + e1) / speed
+        average -= strength * decay * _hat_average(
+            tau, front_rate, 2, cell_time, _relaxation(tau, front_rate, 2))
 
     left3, right3 = -reference * left, -reference * right
     profile3 = left3 + (right3 - left3) * xi / length
-    u += profile3 * _relaxation(t, k, 3)
-    ut += profile3 * _relaxation(t, k, 2)
-    utt += profile3 * _relaxation(t, k, 1)
-    average += profile3 * _relaxation(t, k, 1)
+    u += profile3 * free[3]
+    ut += profile3 * free[2]
+    utt += profile3 * free[1]
+    average += profile3 * free[1]
     source += profile3
-    dudx += (right3 - left3) / length * _relaxation(t, k, 3)
+    dudx += (right3 - left3) / length * free[3]
     for strength, distance, slope in _corner_images(left3, right3, length, xi, count):
         if strength == 0.0:
             continue
         tau = t - distance / speed
-        u -= strength * _relaxation(tau, k, 3)
-        ut -= strength * _relaxation(tau, k, 2)
+        e3, e2 = _relaxation(tau, k, 3), _relaxation(tau, k, 2)
+        u -= strength * e3
+        ut -= strength * e2
         utt -= strength * _relaxation(tau, k, 1)
-        dudx += slope * strength * _relaxation(tau, k, 2) / speed
-        average -= strength * _hat_average(lambda s: _relaxation(s, k, 3), tau, cell_time)
+        dudx += slope * strength * e2 / speed
+        average -= strength * _hat_average(tau, k, 3, cell_time, e3)
 
     source += reference * utt
     for arr in (u, ut, source, average):
         arr[:, 0] = 0.0          # the fronts cancel exactly at the ends, and the
         arr[:, -1] = 0.0         # boundary rows of the scheme take no corner source
-    return CornerPart(reference, profile, u, ut, utt, source, average,
-                      {"right": dudx[:, -1], "left": -dudx[:, 0]})
+    # a copy, so a kept part does not hold on to all of dudx
+    exact = {"right": dudx[:, -1].copy(), "left": -dudx[:, 0]}
+    correction = {side: value - boundary_normal_derivative(u, grid, side)
+                  for side, value in exact.items()}
+    for arr in (profile, u, ut, utt, source, average, *exact.values(), *correction.values()):
+        arr.flags.writeable = False
+    return CornerPart(reference, profile, u, ut, utt, source, average, exact, correction)
 
 
 def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
@@ -309,6 +328,10 @@ def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
     the weighting for which the three-point Laplacian is exact.  The
     returned fields are u_c + u_r, and ``flux_correction`` lets trace
     extraction take the normal derivative of u_c in closed form.
+
+    u_c does not depend on gamma, so it is computed once per initial data,
+    grid, c, b and M, and kept on ``data`` for every later solve: solves
+    that differ only in gamma share one ``InitialData``.
     """
     nx, nt = grid.nx, grid.nt
     f = np.zeros((nt, nx)) if f is None else np.asarray(f, dtype=float)
@@ -324,8 +347,11 @@ def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
     # same tolerance as InitialData applies to u0 and u1 at the ends
     scale = max(np.abs(data.u2).max(initial=0.0), 1.0)
     if max(abs(data.u2[0]), abs(data.u2[-1])) > 1e-9 * scale:
-        corner = corner_part(coeffs.c, coeffs.b, 0.5 * coeffs.box_bound,
-                             float(data.u2[0]), float(data.u2[-1]), grid)
+        key = (coeffs.c, coeffs.b, 0.5 * coeffs.box_bound,
+               float(data.u2[0]), float(data.u2[-1]), grid)
+        corner = data._corner_parts.get(key)
+        if corner is None:
+            corner = data._corner_parts[key] = corner_part(*key)
         f = f - corner.source - (coeffs.gamma - corner.reference) * corner.utt_average
         u2 = data.u2 - corner.profile
 
@@ -367,12 +393,7 @@ def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
     ut += corner.ut
     utt += corner.utt
     utt[0] = data.u2
-    correction = {}
-    for side, exact in corner.normal_derivative.items():
-        stencil = np.array([boundary_normal_derivative(corner.u[n], grid, side)
-                            for n in range(nt)])
-        correction[side] = exact - stencil
-    return Trajectory(grid, u, ut, utt, correction)
+    return Trajectory(grid, u, ut, utt, dict(corner.flux_correction))
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,16 @@ def test_normal_derivative_exact_on_linear_and_quadratic():
     assert boundary_normal_derivative(g.x, g, "left") == pytest.approx(-1.0)
     assert boundary_normal_derivative(g.x ** 2, g, "right") == pytest.approx(2.0)
     assert boundary_normal_derivative(g.x ** 2, g, "left") == pytest.approx(0.0, abs=1e-12)
+    # a space-time field gives the series over its levels, row by row the same
+    levels = np.outer([1.0, -2.0, 0.5], g.x ** 2) + np.outer([0.0, 1.0, 3.0], g.x)
+    assert boundary_normal_derivative(levels, g, "right") == pytest.approx([2.0, -3.0, 4.0])
+    assert boundary_normal_derivative(levels, g, "left") == pytest.approx([0.0, -1.0, -3.0],
+                                                                        abs=1e-12)
+    for side in ("left", "right"):
+        assert np.array_equal(boundary_normal_derivative(levels, g, side),
+                              [boundary_normal_derivative(row, g, side) for row in levels])
+    with pytest.raises(ValueError):
+        boundary_normal_derivative(np.zeros((3, g.nx + 1)), g, "right")
 
 
 def test_normal_derivative_sine_second_order():

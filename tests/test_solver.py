@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mgt_inverse import solver
 from mgt_inverse.grid import build_grid, discrete_norms
 from mgt_inverse.observation import extract_observation
 from mgt_inverse.solver import (InitialData, MGTCoefficients, Trajectory, corner_part,
@@ -150,6 +153,54 @@ def test_corner_part_solves_reference_equation_with_exact_flux():
     for side, (i0, i1, i2) in (("right", (-1, -2, -3)), ("left", (0, 1, 2))):
         stencil = (3.0 * u[:, i0] - 4.0 * u[:, i1] + u[:, i2]) / (2.0 * h)
         assert np.abs(stencil - part.normal_derivative[side]).max() < 5e-3
+
+
+def test_corner_part_is_computed_once_per_initial_data(monkeypatch):
+    # the corner part does not depend on gamma: solves from one InitialData
+    # share it, and match solves that each start from a fresh copy
+    calls = []
+    original = solver.corner_part
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(solver, "corner_part", counted)
+    grid = build_grid(0.0, 1.0, 41, 1.25, 81)
+    data = InitialData(np.zeros(grid.nx), np.zeros(grid.nx), np.ones(grid.nx), eta=1.0)
+    gammas = (0.4 + 0.3 * np.sin(np.pi * grid.x), np.full(grid.nx, 0.9))
+    shared = [solve_forward(MGTCoefficients(1.0, 1.0, gamma, 1.0), data, None, grid)
+              for gamma in gammas]
+    assert len(calls) == 1
+    for gamma, traj in zip(gammas, shared):
+        copy = InitialData(data.u0.copy(), data.u1.copy(), data.u2.copy(), eta=1.0)
+        fresh = solve_forward(MGTCoefficients(1.0, 1.0, gamma, 1.0), copy, None, grid)
+        for name in ("u", "ut", "utt"):
+            assert np.array_equal(getattr(traj, name), getattr(fresh, name))
+        assert list(traj.flux_correction) == list(fresh.flux_correction) == ["right", "left"]
+        for side, series in fresh.flux_correction.items():
+            assert np.array_equal(traj.flux_correction[side], series)
+    assert len(calls) == 3
+
+    (part,) = data._corner_parts.values()
+    arrays = [getattr(part, f.name) for f in dataclasses.fields(part)
+              if isinstance(getattr(part, f.name), np.ndarray)]
+    arrays += [*part.normal_derivative.values(), *part.flux_correction.values()]
+    assert len(arrays) == 10
+    for arr in arrays:
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        part.u[1, 1] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        part.u = np.zeros_like(part.u)
+
+    # a different box bound or grid on the same instance recomputes
+    solve_forward(MGTCoefficients(1.0, 1.0, gammas[0], 2.0), data, None, grid)
+    other = build_grid(0.0, 1.0, 41, 1.0, 81)
+    solve_forward(MGTCoefficients(1.0, 1.0, gammas[0], 1.0), data, None, other)
+    assert len(calls) == 5
+    assert calls[3][2] == 1.0 and calls[4][5] == other
+    assert len(data._corner_parts) == 3
 
 
 def test_energy_e_values():
