@@ -36,8 +36,8 @@ from .observation import extract_observation, hidden_regularity_check
 from .reconstruct import (ReconstructionConfig, ReconstructionError,
                           run_reconstruction)
 from .solver import (ForwardSolveError, InitialData, MGTCoefficients,
-                     energy_e, manufactured_solution, solve_forward,
-                     total_energy, verify_energy_bound, verify_laplacian_bound)
+                     energy_series, manufactured_solution, solve_forward,
+                     verify_energy_bound, verify_laplacian_bound)
 
 VERIFY_SUITES = ("carleman", "stability", "weights", "energy")
 
@@ -199,16 +199,6 @@ def _observed_sides(doc, grid):
 # commands
 # ---------------------------------------------------------------------------
 
-def _energy_rows(traj, b):
-    grid = traj.grid
-    rows = []
-    for n in range(grid.nt):
-        rows.append((grid.t[n],
-                     energy_e(traj.u[n], traj.ut[n], b, grid),
-                     total_energy(traj, n, b)))
-    return rows
-
-
 def command_forward(doc: dict, out_dir: str) -> int:
     grid = _config_grid(doc)
     coeffs = _config_coeffs(doc, grid)
@@ -228,8 +218,9 @@ def command_forward(doc: dict, out_dir: str) -> int:
         trace_files[side] = {"file": name,
                              "l2_norm": float(np.sqrt(qt @ obs.samples ** 2))}
 
+    level_e, level_total = energy_series(traj, coeffs.b)
     write_csv(os.path.join(out_dir, "energy.csv"), ("t", "E_e", "E_total"),
-              _energy_rows(traj, coeffs.b))
+              zip(grid.t, level_e, level_total))
 
     summary = {
         "grid": dict(doc["grid"]),
@@ -237,7 +228,7 @@ def command_forward(doc: dict, out_dir: str) -> int:
         "source": doc.get("source", "none"),
         "observed_sides": list(sides),
         "max_abs_u": float(np.abs(traj.u).max()),
-        "final_total_energy": float(total_energy(traj, grid.nt - 1, coeffs.b)),
+        "final_total_energy": float(level_total[-1]),
         "traces": trace_files,
     }
     write_json(os.path.join(out_dir, "summary.json"), summary)
@@ -397,7 +388,7 @@ def _verify_energy(doc, out_dir, seed):
         "observed_sides": list(sides),
     })
     write_csv(os.path.join(out_dir, "energy_report.csv"), ("t", "E_e", "E_total"),
-              _energy_rows(traj, coeffs.b))
+              zip(grid.t, energy_report.level_e, energy_report.level_total))
     return 0
 
 

@@ -5,9 +5,14 @@ level, zero on the boundary columns, with a ghost convention that encodes a
 vanishing initial velocity.  The quadratic objective couples the weighted
 operator residual against an interior target with weighted boundary-trace
 mismatches, and is minimized through its sparse normal equations by
-conjugate gradients with a diagonal preconditioner (applied as an explicit
-symmetric rescaling, which is the same iteration in exact arithmetic but
-keeps the stored matrix entries near unit scale).
+preconditioned conjugate gradients.  The normal matrix is first equilibrated
+by an explicit symmetric diagonal rescaling, which keeps the stored entries
+near unit scale and defines the residual the solver reports.  The
+preconditioner is then block diagonal: one block per interior node, made of
+that node's time series.  Each block is banded (the operator couples at most
+four time levels), so all blocks are stored as one node-major band, factored
+once per assembly by banded Cholesky and applied by one banded solve per
+iteration.
 
 All weighted sums use weights normalized by the global minimum exponent, a
 positive rescaling of the objective that does not move the minimizer; every
@@ -22,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .carleman import (CarlemanSetup, admissible_geometry, check_weight_range,
                        log_weight_table)
@@ -29,6 +35,11 @@ from .grid import (SpaceTimeGrid, laplacian_matrix,
                    time_derivative_matrix_zero_start, trapezoid_weights)
 from .observation import MuPair, zero_mu
 from .solver import MGTCoefficients
+
+
+# Farthest time-level coupling within a node's series in the normal matrix:
+# the third difference spans five levels, so its Gram product spans +-4.
+_TIME_BANDWIDTH = 4
 
 
 class MinimizationError(RuntimeError):
@@ -124,7 +135,8 @@ class CarlemanLeastSquares:
     """Assembled quadratic objective for one (coefficients, weights, grid).
 
     Holds the sparse residual blocks, the diagonal weight vectors, the
-    normal matrix and its diagonal rescaling.  The operator block depends on
+    normal matrix, its diagonal rescaling and the banded Cholesky factor of
+    its node-wise time-series blocks.  The operator block depends on
     the zeroth-order coefficient through alpha; ``update_gamma`` swaps it
     without rebuilding the rest, which is what the reconstruction loop needs.
 
@@ -202,6 +214,26 @@ class CarlemanLeastSquares:
         self._normal_scaled = (d @ normal @ d).tocsr()
         self._n_unknowns = n
 
+        # Node-major lower band: row k holds the coupling of each node's
+        # level t with its own level t + k (zero past the last level).
+        nt1, m = self.grid.nt - 1, self.grid.nx - 2
+        band = np.zeros((_TIME_BANDWIDTH + 1, n))
+        for k in range(_TIME_BANDWIDTH + 1):
+            series = np.zeros(n)
+            series[:n - k * m] = self._normal_scaled.diagonal(k * m)
+            band[k] = series.reshape(nt1, m).T.ravel()
+        self._block_factor, info = dpbtrf(band, lower=1)
+        if info != 0:
+            raise MinimizationError(
+                f"node time-series preconditioner is not positive definite "
+                f"(banded Cholesky info {info})")
+
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
+        """Solve the node-wise time-series blocks for a time-major vector."""
+        nt1, m = self.grid.nt - 1, self.grid.nx - 2
+        z, _ = dpbtrs(self._block_factor, r.reshape(nt1, m).T.ravel(), lower=1)
+        return z.reshape(m, nt1).T.ravel()
+
     def rhs_vector(self, mu, g: Optional[np.ndarray]) -> np.ndarray:
         grid = self.grid
         mu_list = _as_mu_list(mu, self.geometry.gamma0_sides, grid.nt, grid.dt)
@@ -222,11 +254,13 @@ class CarlemanLeastSquares:
     def solve_normal_equations(self, rhs: np.ndarray, tol: float,
                                x0: Optional[np.ndarray] = None,
                                max_iterations: Optional[int] = None):
-        """Conjugate gradients on the symmetrically rescaled normal matrix.
+        """Preconditioned conjugate gradients on the rescaled normal matrix.
 
-        Returns (solution, iterations, relative residual).  The recursion
-        residual is cross-checked against the true residual before the
-        method is allowed to stop, so the reported residual is genuine.
+        The preconditioner is the node-wise time-series block diagonal
+        factored in ``_factor``.  Returns (solution, iterations, relative
+        residual), the residual being that of the rescaled system.  The
+        recursion residual is cross-checked against the true residual before
+        the method is allowed to stop, so the reported residual is genuine.
         """
         n = self._n_unknowns
         cap = 10 * n if max_iterations is None else max_iterations
@@ -238,28 +272,31 @@ class CarlemanLeastSquares:
 
         x = np.zeros(n) if x0 is None else x0 / self._scale
         r = b - mat @ x
-        p = r.copy()
-        rs = float(r @ r)
+        z = self._precondition(r)
+        p = z.copy()
+        rz = float(r @ z)
         iterations = 0
         while iterations < cap:
-            if np.sqrt(rs) <= tol * bnorm:
+            if np.linalg.norm(r) <= tol * bnorm:
                 r = b - mat @ x        # trust only the recomputed residual
-                rs = float(r @ r)
-                if np.sqrt(rs) <= tol * bnorm:
+                if np.linalg.norm(r) <= tol * bnorm:
                     break
-                p = r.copy()
+                z = self._precondition(r)
+                rz = float(r @ z)
+                p = z.copy()
             q = mat @ p
             curvature = float(p @ q)
             if curvature <= 0.0 or not np.isfinite(curvature):
                 raise MinimizationError(
                     f"conjugate gradient breakdown at iteration {iterations}: "
                     f"direction curvature {curvature}")
-            step = rs / curvature
+            step = rz / curvature
             x += step * p
             r -= step * q
-            rs_next = float(r @ r)
-            p = r + (rs_next / rs) * p
-            rs = rs_next
+            z = self._precondition(r)
+            rz_next = float(r @ z)
+            p = z + (rz_next / rz) * p
+            rz = rz_next
             iterations += 1
         rel = float(np.linalg.norm(b - mat @ x) / bnorm)
         if rel > tol:

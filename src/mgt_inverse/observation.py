@@ -140,7 +140,7 @@ def _initial_data_energy(data: InitialData, f: Optional[np.ndarray],
                   + qx @ (data.u1 ** 2 + u1x ** 2)
                   + qx @ (data.u2 ** 2))
     if f is not None:
-        total += discrete_norms(np.asarray(f, dtype=float), grid, "l2_l2")
+        total += discrete_norms(np.asarray(f, dtype=float), grid, "l2_l2") ** 2
     return total
 
 
@@ -163,7 +163,7 @@ def hidden_regularity_check(traj: Trajectory, data: InitialData,
     for obs in observations:
         if obs.samples.size != traj.grid.nt:
             raise ValueError("observation length does not match the grid")
-        trace_energy += discrete_norms(obs.samples, traj.grid, "h1_trace")
+        trace_energy += discrete_norms(obs.samples, traj.grid, "h1_trace") ** 2
     data_energy = _initial_data_energy(data, f, traj.grid)
     ratio = trace_energy / data_energy if data_energy > 0 else 0.0
     return HiddenRegularityReport(float(trace_energy), float(data_energy), float(ratio))

@@ -415,6 +415,14 @@ def total_energy(traj: Trajectory, n: int, b: float) -> float:
             + energy_e(traj.u[n], traj.ut[n], b, traj.grid))
 
 
+def energy_series(traj: Trajectory, b: float):
+    """Per-level E(u) and E_total = E(u_t) + E(u), each energy evaluated once."""
+    grid = traj.grid
+    e_u = np.array([energy_e(traj.u[n], traj.ut[n], b, grid) for n in range(grid.nt)])
+    e_ut = np.array([energy_e(traj.ut[n], traj.utt[n], b, grid) for n in range(grid.nt)])
+    return e_u, e_ut + e_u
+
+
 @dataclass
 class EnergyBoundReport:
     max_energy: float
@@ -422,13 +430,15 @@ class EnergyBoundReport:
     source_norm_sq: float
     ratio: float
     growth_flag: bool
+    level_e: np.ndarray          # E(u) per time level
+    level_total: np.ndarray      # E_total per time level
 
 
 def verify_energy_bound(traj: Trajectory, f: np.ndarray, b: float,
                         growth_threshold: float = 1e6) -> EnergyBoundReport:
     """Empirical constant in  max_t E_total(t) <= C (E_total(0) + ||f||^2)."""
     grid = traj.grid
-    energies = np.array([total_energy(traj, n, b) for n in range(grid.nt)])
+    level_e, energies = energy_series(traj, b)
     fsq = discrete_norms(f, grid, "l2_l2") ** 2
     denom = energies[0] + fsq
     if denom == 0.0:
@@ -436,7 +446,7 @@ def verify_energy_bound(traj: Trajectory, f: np.ndarray, b: float,
     else:
         ratio = float(energies.max() / denom)
     return EnergyBoundReport(float(energies.max()), float(energies[0]), float(fsq),
-                             ratio, bool(ratio > growth_threshold))
+                             ratio, bool(ratio > growth_threshold), level_e, energies)
 
 
 @dataclass

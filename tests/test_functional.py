@@ -277,3 +277,29 @@ def test_data_validation_and_iteration_cap():
     with pytest.raises(MinimizationError):
         engine.solve_normal_equations(engine.rhs_vector(mu, g), 1e-9,
                                       max_iterations=5)
+
+
+def test_preconditioner_inverts_each_node_time_series_block():
+    grid, coeffs, setup = make_problem(31, 61, s=1.0)
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    nt1, m = grid.nt - 1, grid.nx - 2
+    mat = engine._normal_scaled
+    # a node's series couples at most four levels apart
+    assert not np.any(mat.diagonal(5 * m))
+    rng = np.random.default_rng(29)
+    for node in (0, m // 2, m - 1):
+        on_node = np.zeros((nt1, m), dtype=bool)
+        on_node[:, node] = True
+        on_node = on_node.ravel()
+        v = np.where(on_node, rng.normal(size=nt1 * m), 0.0)
+        block_image = np.where(on_node, mat @ v, 0.0)
+        assert np.allclose(engine._precondition(block_image), v, rtol=0.0, atol=1e-10)
+
+
+def test_block_preconditioner_at_least_halves_cg_iterations():
+    grid, coeffs, setup = make_problem(31, 61, s=1.0)
+    mu, g = random_data(grid, 1)
+    _, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-6)
+    assert diag.el_residual <= 1e-6
+    # CG with the diagonal preconditioner alone needed 4,039 iterations here
+    assert diag.solver_iterations <= 4039 // 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgt_inverse.grid import build_grid, time_difference
 from mgt_inverse.observation import (ObservationData, build_mu,
@@ -171,6 +173,27 @@ def test_hidden_regularity_accepts_single_observation_and_adds():
     assert left.data_energy == right.data_energy
     with pytest.raises(ValueError):
         hidden_regularity_check(traj, data, None, [])
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.floats(min_value=1e-3, max_value=1e3), seed=st.integers(0, 2 ** 16))
+def test_hidden_regularity_ratio_is_invariant_under_data_scaling(k, seed):
+    # a norm divided by a squared norm would scale the ratio by 1/k
+    grid = canonical_grid(21, 41)
+    coeffs = constant_coeffs(grid)
+    rng = np.random.default_rng(seed)
+    modes = np.array([np.sin((m + 1) * np.pi * grid.x) for m in range(3)])
+    u0, u1 = rng.normal(size=3) @ modes, rng.normal(size=3) @ modes
+    u2 = rng.normal() + rng.normal(size=3) @ modes
+    f = rng.normal(size=(grid.nt, grid.nx))
+
+    def ratio(scale):
+        data = InitialData(scale * u0, scale * u1, scale * u2)
+        traj = solve_forward(coeffs, data, scale * f, grid)
+        return hidden_regularity_check(traj, data, scale * f,
+                                       both_endpoint_observations(traj)).ratio
+
+    assert ratio(k) == pytest.approx(ratio(1.0), rel=1e-9)
 
 
 def test_zero_trajectory_has_zero_trace_energy():

@@ -255,9 +255,13 @@ def test_energy_bound_at_box_top():
     g = canonical_grid(41, 81, T=1.25)
     co = MGTCoefficients(1.0, 1.0, np.ones(g.nx), 1.0)
     data = InitialData(np.zeros(g.nx), np.zeros(g.nx), np.ones(g.nx), eta=1.0)
-    rep = verify_energy_bound(solve_forward(co, data, np.zeros((g.nt, g.nx)), g),
-                              np.zeros((g.nt, g.nx)), co.b)
+    traj = solve_forward(co, data, np.zeros((g.nt, g.nx)), g)
+    rep = verify_energy_bound(traj, np.zeros((g.nt, g.nx)), co.b)
     assert np.isfinite(rep.ratio) and rep.ratio > 0 and not rep.growth_flag
+    # the per-level series are bit-identical to the level-by-level energies
+    assert rep.level_e.tolist() == [energy_e(traj.u[n], traj.ut[n], co.b, g)
+                                    for n in range(g.nt)]
+    assert rep.level_total.tolist() == [total_energy(traj, n, co.b) for n in range(g.nt)]
 
 
 def test_laplacian_bound_manufactured_value():
