@@ -2,6 +2,6 @@
 dimension: forward solver, Carleman-weighted least-squares functional and the
 iterative reconstruction of the damping coefficient from boundary traces."""
 
-from .grid import SpaceTimeGrid, TraceSeries, build_grid
+from .grid import SpaceTimeGrid, build_grid
 
-__all__ = ["SpaceTimeGrid", "TraceSeries", "build_grid"]
+__all__ = ["SpaceTimeGrid", "build_grid"]

@@ -7,20 +7,20 @@ and a quadrature evaluation of both sides of the weighted observability
 estimate.  Weights enter all computations normalized by their global minimum,
 a positive rescaling that cancels in every reported ratio; the practical
 limit on the surviving exponent range is guarded explicitly because
-exp(lambda * phi) sits inside another exponential.
+exp(lambda * phi) sits inside another exponential.  The guard and the
+normalization live in ``normalized_weight``; ``normalized_weight_table``, its
+whole-grid form, also weights the objective in ``functional``.  The estimate
+applies L through ``solver.apply_operator``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
-
 import numpy as np
 
 from .grid import (SpaceTimeGrid, boundary_normal_derivative, interior_weights,
-                   laplacian_matrix, time_derivative_matrix_zero_start,
-                   trapezoid_weights)
-from .solver import MGTCoefficients
+                   time_derivative_matrix_zero_start, trapezoid_weights)
+from .solver import MGTCoefficients, apply_operator
 
 LOG_RANGE_LIMIT = 700.0   # exp() overflows just above this in double precision
 
@@ -145,11 +145,6 @@ def log_weight_table(grid: SpaceTimeGrid, geometry: CarlemanGeometry,
     return log_weight(grid.x[None, :], grid.t[:, None], geometry, scales)
 
 
-def phi_lambda_table(grid: SpaceTimeGrid, geometry: CarlemanGeometry,
-                     scales: CarlemanScales) -> np.ndarray:
-    return np.exp(scales.lam * phi(grid.x[None, :], grid.t[:, None], geometry))
-
-
 @dataclass
 class WeightStatistics:
     log_min: float
@@ -171,23 +166,25 @@ def weight_statistics(grid: SpaceTimeGrid, geometry: CarlemanGeometry,
     return WeightStatistics(log_min, log_max, (log_max - log_min) / np.log(10.0))
 
 
-def check_weight_range(grid: SpaceTimeGrid, geometry: CarlemanGeometry,
-                       scales: CarlemanScales) -> WeightStatistics:
-    """Guard before exponentiating normalized weights."""
-    stats = weight_statistics(grid, geometry, scales)
-    span = stats.log_max - stats.log_min
+def normalized_weight(log_values: np.ndarray) -> np.ndarray:
+    """exp(log_values - min log_values): weights normalized by their minimum.
+
+    Guarded before exponentiating: a span of exponents above LOG_RANGE_LIMIT
+    would overflow the largest normalized entry.
+    """
+    log_min, log_max = float(log_values.min()), float(log_values.max())
+    span = log_max - log_min
     if span > LOG_RANGE_LIMIT:
         raise WeightOverflowError(
-            f"log_weight max {stats.log_max:.6g} exceeds the minimum {stats.log_min:.6g} "
+            f"log_weight max {log_max:.6g} exceeds the minimum {log_min:.6g} "
             f"by {span:.6g} > {LOG_RANGE_LIMIT:g}; lower s or lambda")
-    return stats
+    return np.exp(log_values - log_min)
 
 
 def normalized_weight_table(grid: SpaceTimeGrid, geometry: CarlemanGeometry,
                             scales: CarlemanScales) -> np.ndarray:
     """exp(log_weight - min log_weight) on the grid; minimum entry is one."""
-    stats = check_weight_range(grid, geometry, scales)
-    return np.exp(log_weight_table(grid, geometry, scales) - stats.log_min)
+    return normalized_weight(log_weight_table(grid, geometry, scales))
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +228,15 @@ def carleman_lhs_rhs(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanG
     c4 = coeffs.c ** 4
 
     weight = normalized_weight_table(grid, geometry, scales)
-    phil = phi_lambda_table(grid, geometry, scales)
+    phil = np.exp(lam * phi(grid.x[None, :], grid.t[:, None], geometry))
 
     d1 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 1)
     d2 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 2)
-    d3 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 3)
-    lap = laplacian_matrix(grid)
-
     yt = d1 @ y
     ytt = d2 @ y
     yx = np.gradient(y, grid.h, axis=1, edge_order=2)
     yxt = np.gradient(yt, grid.h, axis=1, edge_order=2)
-    ly = (d3 @ y + ytt * coeffs.alpha
-          - coeffs.c ** 2 * (lap @ y.T).T - coeffs.b * (lap @ yt.T).T)
+    ly = apply_operator(y, coeffs, grid, zero_start=True)
 
     qx = trapezoid_weights(grid.nx, grid.h)
     qt = trapezoid_weights(grid.nt, grid.dt)

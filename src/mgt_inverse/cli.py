@@ -273,7 +273,7 @@ def command_reconstruct(doc: dict, out_dir: str, seed) -> int:
         "stop_reason": report.stop_reason,
         "iterations": report.iterations,
         "noise_seed": noise_seed,
-        "ratios": list(report.ratios) if report.ratios is not None else None,
+        "ratios": list(report.ratios),
         "history": history,
     }
     write_json(os.path.join(out_dir, "report.json"), payload)

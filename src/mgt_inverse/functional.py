@@ -17,7 +17,10 @@ iteration.
 All weighted sums use weights normalized by the global minimum exponent, a
 positive rescaling of the objective that does not move the minimizer; every
 reported weighted value therefore carries the common factor
-exp(-log_weight_min).
+exp(-log_weight_min).  The table is ``carleman.normalized_weight_table``,
+built once per assembly and reused by the minimizer diagnostics.  Besides
+the sparse assembly the normal equations need, the objective evaluates the
+operator by the stencil ``solver.apply_operator``, far cheaper than an assembly.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-from .carleman import (CarlemanSetup, admissible_geometry, check_weight_range,
-                       log_weight_table)
+from .carleman import (CarlemanGeometry, CarlemanSetup, admissible_geometry,
+                       normalized_weight_table)
 from .grid import (SpaceTimeGrid, laplacian_matrix,
                    time_derivative_matrix_zero_start, trapezoid_weights)
 from .observation import MuPair, zero_mu
-from .solver import MGTCoefficients
+from .solver import MGTCoefficients, apply_operator
 
 
 # Farthest time-level coupling within a node's series in the normal matrix:
@@ -131,6 +134,15 @@ def _interior_trace_row(grid: SpaceTimeGrid, side: str) -> np.ndarray:
     return row
 
 
+def _weighting(carleman: CarlemanSetup, grid: SpaceTimeGrid, purpose: Optional[str] = None):
+    """Validated geometry and weight table; ``purpose`` demands positive scales."""
+    geometry = admissible_geometry(carleman.geometry, grid)
+    scales = carleman.scales
+    if purpose is not None and (scales.lam <= 0 or scales.s <= 0):
+        raise ValueError(f"{purpose} needs strictly positive weight scales")
+    return geometry, normalized_weight_table(grid, geometry, scales)
+
+
 class CarlemanLeastSquares:
     """Assembled quadratic objective for one (coefficients, weights, grid).
 
@@ -139,28 +151,18 @@ class CarlemanLeastSquares:
     its node-wise time-series blocks.  The operator block depends on
     the zeroth-order coefficient through alpha; ``update_gamma`` swaps it
     without rebuilding the rest, which is what the reconstruction loop needs.
-
-    ``extra_log_scale`` adds a constant to every weight exponent.  It exists
-    to test that the normalization offset cannot move the minimizer.
+    ``omega`` is the normalized weight table; the diagnostics of
+    :func:`minimize_J` reuse it.
     """
 
     def __init__(self, coeffs: MGTCoefficients, carleman: CarlemanSetup,
-                 grid: SpaceTimeGrid, extra_log_scale: float = 0.0):
-        geometry = admissible_geometry(carleman.geometry, grid)
-        scales = carleman.scales
-        if scales.lam <= 0 or scales.s <= 0:
-            raise ValueError("minimization needs strictly positive weight scales")
-        stats = check_weight_range(grid, geometry, scales)
+                 grid: SpaceTimeGrid):
+        self.geometry, self.omega = _weighting(carleman, grid, "minimization")
+        self.scales = carleman.scales
         self.grid = grid
         self.coeffs = coeffs
-        self.geometry = geometry
-        self.scales = scales
-        self.weight_stats = stats
 
         nt, nx, m = grid.nt, grid.nx, grid.nx - 2
-        omega = np.exp(log_weight_table(grid, geometry, scales)
-                       - stats.log_min + extra_log_scale)
-        self.omega = omega
 
         embed = sp.csr_matrix((np.ones(nt - 1), (np.arange(1, nt), np.arange(nt - 1))),
                               shape=(nt, nt - 1))
@@ -170,21 +172,22 @@ class CarlemanLeastSquares:
         lap_int = sp.csr_matrix(laplacian_matrix(grid)[1:-1, 1:-1])
         eye_m = sp.identity(m, format="csr")
 
-        self._embed, self._d1e, self._d2e = embed, d1e, d2e
+        self._d2e = d2e
         self._pde_base = (sp.kron(d3e, eye_m)
                           - coeffs.c ** 2 * sp.kron(embed, lap_int)
                           - coeffs.b * sp.kron(d1e, lap_int)).tocsr()
         self._build_pde_block(coeffs)
 
         qt = trapezoid_weights(nt, grid.dt)
-        self.w_pde = ((1.0 / scales.s) * qt[:, None] * grid.h * omega[:, 1:-1]).ravel()
+        self.w_pde = ((1.0 / self.scales.s) * qt[:, None] * grid.h
+                      * self.omega[:, 1:-1]).ravel()
         self.trace_blocks = []
-        for side in geometry.gamma0_sides:
+        for side in self.geometry.gamma0_sides:
             col = 0 if side == "left" else nx - 1
             row = sp.csr_matrix(_interior_trace_row(grid, side)[None, :])
             a_tr = sp.kron(embed, row).tocsr()
             a_trt = sp.kron(d1e, row).tocsr()
-            self.trace_blocks.append((side, a_tr, a_trt, qt * omega[:, col]))
+            self.trace_blocks.append((side, a_tr, a_trt, qt * self.omega[:, col]))
         self._factor()
 
     def _build_pde_block(self, coeffs: MGTCoefficients) -> None:
@@ -310,30 +313,17 @@ class CarlemanLeastSquares:
 # objective evaluation (stencil path; same quadrature as the assembled form)
 # ---------------------------------------------------------------------------
 
-def _weighted_terms(y: TrajectoryVariable, mu, g, coeffs: MGTCoefficients,
-                    carleman: CarlemanSetup, grid: SpaceTimeGrid):
+def _weighted_terms(y: TrajectoryVariable, mu, g, coeffs: MGTCoefficients, s: float,
+                    geometry: CarlemanGeometry, omega: np.ndarray, grid: SpaceTimeGrid):
     """PDE and trace mismatch energies entering the objective.
 
-    Returns (pde_term, trace_term) where the objective is half their sum;
-    pde_term carries the 1/s factor.
+    ``geometry`` and ``omega`` come from :func:`_weighting`.  Returns
+    (pde_term, trace_term) where the objective is half their sum; pde_term
+    carries the 1/s factor.
     """
-    geometry = admissible_geometry(carleman.geometry, grid)
-    scales = carleman.scales
-    if scales.lam <= 0 or scales.s <= 0:
-        raise ValueError("evaluation needs strictly positive weight scales")
-    stats = check_weight_range(grid, geometry, scales)
-    omega = np.exp(log_weight_table(grid, geometry, scales) - stats.log_min)
     mu_list = _as_mu_list(mu, geometry.gamma0_sides, grid.nt, grid.dt)
-
-    field = y.full_field()
     d1 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 1)
-    d2 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 2)
-    d3 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 3)
-    lap = laplacian_matrix(grid)
-    ly = (d3 @ field + (d2 @ field) * coeffs.alpha
-          - coeffs.c ** 2 * (lap @ field.T).T
-          - coeffs.b * (lap @ (d1 @ field).T).T)
-    resid = ly[:, 1:-1]
+    resid = apply_operator(y.full_field(), coeffs, grid, zero_start=True)[:, 1:-1]
     if g is not None:
         g = np.asarray(g, dtype=float)
         if g.shape != (grid.nt, grid.nx):
@@ -341,7 +331,7 @@ def _weighted_terms(y: TrajectoryVariable, mu, g, coeffs: MGTCoefficients,
         resid = resid - g[:, 1:-1]
 
     qt = trapezoid_weights(grid.nt, grid.dt)
-    pde_term = (1.0 / scales.s) * float(
+    pde_term = (1.0 / s) * float(
         (qt[:, None] * grid.h * omega[:, 1:-1] * resid ** 2).sum())
 
     by_side = {pair.side: pair for pair in mu_list}
@@ -360,14 +350,18 @@ def _weighted_terms(y: TrajectoryVariable, mu, g, coeffs: MGTCoefficients,
 def evaluate_J(y: TrajectoryVariable, mu, g, coeffs: MGTCoefficients,
                carleman: CarlemanSetup, grid: SpaceTimeGrid) -> float:
     """Value of the weighted least-squares objective at ``y``."""
-    pde_term, trace_term = _weighted_terms(y, mu, g, coeffs, carleman, grid)
+    geometry, omega = _weighting(carleman, grid, "evaluation")
+    pde_term, trace_term = _weighted_terms(y, mu, g, coeffs, carleman.scales.s,
+                                           geometry, omega, grid)
     return 0.5 * (pde_term + trace_term)
 
 
 def v_norm_sq(y: TrajectoryVariable, coeffs: MGTCoefficients,
               carleman: CarlemanSetup, grid: SpaceTimeGrid) -> float:
     """Squared weighted graph norm of ``y``: twice the objective at zero data."""
-    pde_term, trace_term = _weighted_terms(y, None, None, coeffs, carleman, grid)
+    geometry, omega = _weighting(carleman, grid, "evaluation")
+    pde_term, trace_term = _weighted_terms(y, None, None, coeffs, carleman.scales.s,
+                                           geometry, omega, grid)
     return pde_term + trace_term
 
 
@@ -377,9 +371,11 @@ def weighted_data_norms(mu, g, carleman: CarlemanSetup, grid: SpaceTimeGrid):
     Returns (g_norm_sq, mu_norm_sq) without the 1/s factor; these are the
     ingredients of the minimizer energy bound.
     """
-    geometry = admissible_geometry(carleman.geometry, grid)
-    stats = check_weight_range(grid, geometry, carleman.scales)
-    omega = np.exp(log_weight_table(grid, geometry, carleman.scales) - stats.log_min)
+    return _weighted_data_norms(mu, g, *_weighting(carleman, grid), grid)
+
+
+def _weighted_data_norms(mu, g, geometry: CarlemanGeometry, omega: np.ndarray,
+                         grid: SpaceTimeGrid):
     mu_list = _as_mu_list(mu, geometry.gamma0_sides, grid.nt, grid.dt)
     qt = trapezoid_weights(grid.nt, grid.dt)
     g_norm = 0.0
@@ -423,10 +419,14 @@ def minimize_J(mu, g, coeffs: MGTCoefficients, carleman: CarlemanSetup,
         rhs, solver_tol, x0=x0, max_iterations=max_iterations)
     y_star = TrajectoryVariable.from_vector(vec, grid)
 
-    j_value = evaluate_J(y_star, mu, g, coeffs, carleman, grid)
-    norm_sq = v_norm_sq(y_star, coeffs, carleman, grid)
-    g_norm, mu_norm = weighted_data_norms(mu, g, carleman, grid)
-    bound_rhs = (4.0 / carleman.scales.s) * g_norm + 4.0 * mu_norm
+    s, geometry, omega = engine.scales.s, engine.geometry, engine.omega
+    pde_term, trace_term = _weighted_terms(y_star, mu, g, coeffs, s, geometry, omega, grid)
+    j_value = 0.5 * (pde_term + trace_term)
+    pde_term, trace_term = _weighted_terms(y_star, None, None, coeffs, s, geometry, omega,
+                                           grid)
+    norm_sq = pde_term + trace_term
+    g_norm, mu_norm = _weighted_data_norms(mu, g, geometry, omega, grid)
+    bound_rhs = (4.0 / s) * g_norm + 4.0 * mu_norm
     diagnostics = MinimizerDiagnostics(
         j_value=float(j_value),
         v_norm_sq=float(norm_sq),
@@ -465,7 +465,8 @@ def minimizer_difference_check(g1, g2, mu, coeffs: MGTCoefficients,
     y2, diag2 = minimize_J(mu, g2, coeffs, carleman, grid, solver_tol, engine=engine,
                            warm_start=y1)
     d = TrajectoryVariable(grid, y1.values - y2.values)
-    pde_term, trace_term = _weighted_terms(d, None, None, coeffs, carleman, grid)
+    s, geometry, omega = engine.scales.s, engine.geometry, engine.omega
+    pde_term, trace_term = _weighted_terms(d, None, None, coeffs, s, geometry, omega, grid)
     difference_energy = 0.5 * pde_term + trace_term
 
     if g1 is None and g2 is None:
@@ -473,14 +474,14 @@ def minimizer_difference_check(g1, g2, mu, coeffs: MGTCoefficients,
     else:
         a = np.zeros((grid.nt, grid.nx)) if g1 is None else np.asarray(g1, dtype=float)
         b = np.zeros((grid.nt, grid.nx)) if g2 is None else np.asarray(g2, dtype=float)
-        delta_norm, _ = weighted_data_norms(None, a - b, carleman, grid)
-    bound = (2.0 / carleman.scales.s) * delta_norm
+        delta_norm, _ = _weighted_data_norms(None, a - b, geometry, omega, grid)
+    bound = (2.0 / s) * delta_norm
 
-    omega0 = engine.omega[0]
+    omega0 = omega[0]
     ytt_diff = (initial_second_derivative(y1, grid.dt)
                 - initial_second_derivative(y2, grid.dt))
     qx = trapezoid_weights(grid.nx, grid.h)
-    initial_term = np.sqrt(carleman.scales.s) * float(qx @ (omega0 * ytt_diff ** 2))
+    initial_term = np.sqrt(s) * float(qx @ (omega0 * ytt_diff ** 2))
     curvature_constant = initial_term / delta_norm if delta_norm > 0 else 0.0
 
     gap = float(np.abs(y1.values - y2.values).max())

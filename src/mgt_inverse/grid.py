@@ -50,21 +50,6 @@ class SpaceTimeGrid:
                              self.t_final, factor * (self.nt - 1) + 1)
 
 
-@dataclass
-class TraceSeries:
-    """Samples of a boundary quantity at one endpoint over all time levels."""
-
-    side: str                 # "left" or "right"
-    samples: np.ndarray       # shape (nt,)
-
-    def __post_init__(self) -> None:
-        if self.side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {self.side!r}")
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 1:
-            raise ValueError("trace samples must be one-dimensional")
-
-
 def build_grid(x_left: float, x_right: float, nx: int, t_final: float, nt: int) -> SpaceTimeGrid:
     """Validate and build a uniform space-time grid."""
     if not x_right > x_left:
@@ -237,8 +222,6 @@ def discrete_norms(values, grid: SpaceTimeGrid, which: str) -> float:
     * ``"h1_trace"``  -- adds the first time derivative
     * ``"h2_trace"``  -- adds first and second time derivatives
     """
-    if isinstance(values, TraceSeries):
-        values = values.samples
     values = np.asarray(values, dtype=float)
 
     if which == "l2":

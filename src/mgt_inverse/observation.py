@@ -6,9 +6,8 @@ traces are controlled by the data that generated them.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -58,10 +57,6 @@ def extract_observation(traj: Trajectory, side: str) -> ObservationData:
     if correction is not None:
         samples = samples + correction
     return ObservationData(side, samples, traj.grid.dt)
-
-
-def both_endpoint_observations(traj: Trajectory) -> list:
-    return [extract_observation(traj, side) for side in ("left", "right")]
 
 
 def perturb_with_noise(obs: ObservationData, level: float,
@@ -168,23 +163,3 @@ def hidden_regularity_check(traj: Trajectory, data: InitialData,
     ratio = trace_energy / data_energy if data_energy > 0 else 0.0
     return HiddenRegularityReport(float(trace_energy), float(data_energy), float(ratio))
 
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-def write_observation_csv(obs: ObservationData, path) -> None:
-    """Two columns, time and sample, full double precision."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", f"normal_derivative_{obs.side}"])
-        for n, value in enumerate(obs.samples):
-            writer.writerow([format(n * obs.dt, ".17g"), format(value, ".17g")])
-
-
-def read_observation_csv(path, side: str) -> ObservationData:
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    times = np.array([float(row[0]) for row in rows[1:]])
-    samples = np.array([float(row[1]) for row in rows[1:]])
-    return ObservationData(side, samples, float(times[1] - times[0]))

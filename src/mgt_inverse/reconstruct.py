@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .carleman import (CarlemanSetup, LOG_RANGE_LIMIT, WeightOverflowError,
-                       log_weight_table, validate_admissibility)
+from .carleman import (CarlemanSetup, WeightOverflowError, log_weight_table,
+                       normalized_weight, validate_admissibility)
 from .functional import (CarlemanLeastSquares, MinimizationError,
                          MinimizerDiagnostics, initial_second_derivative,
                          minimize_J)
@@ -58,7 +58,6 @@ class ReconstructionConfig:
     box_bound: float
     init: InitialData
     carleman: CarlemanSetup
-    sweep_s: tuple = ()
     max_iterations: int = 20
     stop_tol: float = 1e-6
     noise_level: float = 0.0
@@ -163,13 +162,7 @@ def weighted_coefficient_error(gamma_a, gamma_b, carleman: CarlemanSetup,
     peaks at the observed endpoint, so including the boundary nodes would pin
     e_k to an immovable term.
     """
-    row = log_weight_table(grid, carleman.geometry, carleman.scales)[0]
-    span = float(row.max() - row.min())
-    if span > LOG_RANGE_LIMIT:
-        raise WeightOverflowError(
-            f"log_weight max {row.max():.6g} exceeds the minimum {row.min():.6g} "
-            f"by {span:.6g} > {LOG_RANGE_LIMIT:g}; lower s or lambda")
-    omega = np.exp(row - row.min())
+    omega = normalized_weight(log_weight_table(grid, carleman.geometry, carleman.scales)[0])
     qx = interior_weights(grid.nx, grid.h)
     diff = np.asarray(gamma_a, dtype=float) - np.asarray(gamma_b, dtype=float)
     return float(qx @ (omega * diff ** 2))
@@ -356,18 +349,16 @@ def run_reconstruction(config: ReconstructionConfig, gamma_true=None,
 class SweepEntry:
     s: float
     report: ReconstructionReport
-    mean_ratio: float
 
 
 def run_scale_sweep(config: ReconstructionConfig, gamma_true,
-                    s_values: Optional[Sequence[float]] = None) -> list:
+                    s_values: Sequence[float]) -> list:
     """Rerun the reconstruction over a list of s values on shared data.
 
     The observations are synthesized once (same grid, same noise draw) so the
-    runs differ only through the weight scale; mean_ratio averages the defined
-    contraction ratios of each run.
+    runs differ only through the weight scale.
     """
-    values = tuple(s_values) if s_values is not None else tuple(config.sweep_s)
+    values = tuple(s_values)
     if not values:
         raise ValueError("no s values supplied for the sweep")
     rng = np.random.default_rng(config.noise_seed) if config.noise_level > 0 else None
@@ -378,7 +369,5 @@ def run_scale_sweep(config: ReconstructionConfig, gamma_true,
                               replace(config.carleman.scales, s=float(s)))
         run_config = replace(config, carleman=setup)
         report = run_reconstruction(run_config, gamma_true, data=data)
-        defined = [r for r in report.ratios if not math.isnan(r)]
-        mean_ratio = sum(defined) / len(defined) if defined else math.nan
-        entries.append(SweepEntry(float(s), report, mean_ratio))
+        entries.append(SweepEntry(float(s), report))
     return entries

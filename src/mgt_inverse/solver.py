@@ -25,7 +25,7 @@ import scipy.sparse.linalg as spla
 
 from .grid import (SpaceTimeGrid, apply_laplacian, boundary_normal_derivative,
                    discrete_norms, laplacian_matrix, time_derivative_matrix,
-                   trapezoid_weights)
+                   time_derivative_matrix_zero_start, trapezoid_weights)
 
 
 class ForwardSolveError(RuntimeError):
@@ -472,23 +472,32 @@ def verify_laplacian_bound(traj: Trajectory, data: InitialData, f: np.ndarray,
     return LaplacianBoundReport(float(lap_sq.max()), float(bound), ratio)
 
 
+def apply_operator(field: np.ndarray, coeffs: MGTCoefficients, grid: SpaceTimeGrid,
+                   zero_start: bool = False) -> np.ndarray:
+    """L y = y_ttt + alpha y_tt - c^2 y_xx - b y_txx on an (nt, nx) field.
+
+    ``zero_start`` selects the time stencils for series with y(0) = y_t(0) = 0
+    over the plain ones; boundary columns carry no Laplacian.  The only other
+    form of L is the sparse assembly in ``functional.CarlemanLeastSquares``.
+    """
+    stencil = time_derivative_matrix_zero_start if zero_start else time_derivative_matrix
+    d1, d2, d3 = (stencil(grid.nt, grid.dt, order) for order in (1, 2, 3))
+    lap = laplacian_matrix(grid)
+    return (d3 @ field + (d2 @ field) * coeffs.alpha
+            - coeffs.c ** 2 * (lap @ field.T).T
+            - coeffs.b * (lap @ (d1 @ field).T).T)
+
+
 def pde_residual(traj: Trajectory, coeffs: MGTCoefficients, f: np.ndarray) -> np.ndarray:
     """Pointwise stencil residual u_ttt + alpha u_tt - c^2 u_xx - b u_txx - f.
 
     Computed from the u snapshots alone with the grid's time and space
     stencils; entries at the two boundary columns are zero.
     """
-    grid = traj.grid
     f = np.asarray(f, dtype=float)
     if f.shape != traj.u.shape:
         raise ValueError(f"source has shape {f.shape}, expected {traj.u.shape}")
-    d1 = time_derivative_matrix(grid.nt, grid.dt, 1)
-    d2 = time_derivative_matrix(grid.nt, grid.dt, 2)
-    d3 = time_derivative_matrix(grid.nt, grid.dt, 3)
-    lap = laplacian_matrix(grid)
-    res = (d3 @ traj.u + (d2 @ traj.u) * coeffs.alpha
-           - coeffs.c ** 2 * (lap @ traj.u.T).T
-           - coeffs.b * (lap @ (d1 @ traj.u).T).T - f)
+    res = apply_operator(traj.u, coeffs, traj.grid) - f
     res[:, 0] = 0.0
     res[:, -1] = 0.0
     return res

@@ -5,7 +5,7 @@ import pytest
 
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
                                   WeightOverflowError, admissible_geometry,
-                                  carleman_lhs_rhs, check_weight_range,
+                                  carleman_lhs_rhs,
                                   log_weight, log_weight_table,
                                   normalized_weight_table, phi,
                                   validate_admissibility, weight_statistics)
@@ -123,9 +123,9 @@ def test_weight_range_doubles_exactly_with_s():
 def test_overflow_guard():
     grid = canonical_grid()
     # span at lam = 1 is 75.68 * s; s = 10 crosses the exp() limit
-    check_weight_range(grid, GEO, CarlemanScales(1.0, 9.0))
+    normalized_weight_table(grid, GEO, CarlemanScales(1.0, 9.0))
     with pytest.raises(WeightOverflowError) as err:
-        check_weight_range(grid, GEO, CarlemanScales(1.0, 10.0))
+        normalized_weight_table(grid, GEO, CarlemanScales(1.0, 10.0))
     assert "log_weight max" in str(err.value)
 
     table = normalized_weight_table(grid, GEO, CarlemanScales(1.0, 2.0))

@@ -1,10 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 
+from mgt_inverse import carleman
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
                                   CarlemanSetup)
 from mgt_inverse.functional import (CarlemanLeastSquares, MinimizationError,
-                                    TrajectoryVariable, evaluate_J,
+                                    TrajectoryVariable, _interior_trace_row,
+                                    evaluate_J,
                                     initial_second_derivative, minimize_J,
                                     minimizer_difference_check, v_norm_sq,
                                     weighted_data_norms)
@@ -12,7 +16,7 @@ from mgt_inverse.grid import (build_grid, laplacian_matrix,
                               time_derivative_matrix_zero_start,
                               trapezoid_weights)
 from mgt_inverse.observation import MuPair
-from mgt_inverse.solver import MGTCoefficients
+from mgt_inverse.solver import MGTCoefficients, apply_operator
 
 GEO = CarlemanGeometry(x0=-0.1, beta=0.9, m0=2.5)
 
@@ -217,7 +221,12 @@ def test_minimizer_invariant_under_weight_rescaling():
     mu, g = random_data(grid, 9)
     results = []
     for offset in (-3.0, 0.0, 3.0):
-        engine = CarlemanLeastSquares(coeffs, setup, grid, extra_log_scale=offset)
+        engine = CarlemanLeastSquares(coeffs, setup, grid)
+        factor = np.exp(offset)
+        engine.w_pde = factor * engine.w_pde
+        engine.trace_blocks = [(side, a_tr, a_trt, factor * w)
+                               for side, a_tr, a_trt, w in engine.trace_blocks]
+        engine._factor()
         y, _ = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-10, engine=engine)
         results.append(y)
     base = results[1]
@@ -303,3 +312,61 @@ def test_block_preconditioner_at_least_halves_cg_iterations():
     assert diag.el_residual <= 1e-6
     # CG with the diagonal preconditioner alone needed 4,039 iterations here
     assert diag.solver_iterations <= 4039 // 2
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0])
+def test_assembly_matches_operator_stencil(s):
+    # The normal equations use the sparse assembly, the objective the stencil;
+    # both must be the same operator, trace map and quadrature.
+    grid, coeffs, setup = make_problem(13, 25, s=s)
+    y = random_variable(grid, 31)
+    mu, g = random_data(grid, 37)
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    vec, field = y.to_vector(), y.full_field()
+
+    def assert_close(got, want):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    r_pde = engine.a_pde @ vec - g[:, 1:-1].ravel()
+    stencil = apply_operator(field, coeffs, grid, zero_start=True) - g
+    assert_close(r_pde, stencil[:, 1:-1].ravel())
+
+    d1 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 1)
+    weighted_sq = engine.w_pde @ r_pde ** 2
+    assert [side for side, *_ in engine.trace_blocks] == ["right"]
+    for side, a_tr, a_trt, w in engine.trace_blocks:
+        row = _interior_trace_row(grid, side)
+        trace = np.array([row @ field[n, 1:-1] for n in range(grid.nt)])
+        assert_close(a_tr @ vec, trace)
+        assert_close(a_trt @ vec, d1 @ trace)
+        weighted_sq += w @ ((a_tr @ vec - mu.mu) ** 2 + (a_trt @ vec - mu.mu_t) ** 2)
+    j_value = evaluate_J(y, mu, g, coeffs, setup, grid)
+    assert abs(0.5 * weighted_sq - j_value) <= 1e-12 * j_value
+
+
+def test_weight_table_is_built_once_per_assembly_or_evaluation(monkeypatch):
+    original = carleman.log_weight_table
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    # the package binds the function under several module names
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mgt_inverse") and getattr(module, "log_weight_table",
+                                                      None) is original:
+            monkeypatch.setattr(module, "log_weight_table", counted)
+
+    grid, coeffs, setup = make_problem(21, 41)
+    mu, g = random_data(grid, 41)
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    assert len(calls) == 1
+    calls.clear()
+    y_star, _ = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8, engine=engine)
+    assert len(calls) == 0
+    evaluate_J(y_star, mu, g, coeffs, setup, grid)
+    assert len(calls) == 1
+    calls.clear()
+    minimizer_difference_check(g, 2.0 * g, mu, coeffs, setup, grid, solver_tol=1e-8)
+    assert len(calls) == 1

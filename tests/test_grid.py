@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mgt_inverse.grid import (TraceSeries, apply_laplacian, boundary_normal_derivative,
-                              build_grid, discrete_norms, time_difference)
+from mgt_inverse.grid import (apply_laplacian, boundary_normal_derivative, build_grid,
+                              discrete_norms, time_difference)
 
 
 def test_build_grid_spacings():
@@ -129,8 +129,7 @@ def test_l2_norms_simple_fields():
     g = build_grid(0.0, 1.0, 101, 2.0, 101)
     assert discrete_norms(np.ones(g.nx), g, "l2") == pytest.approx(1.0)
     assert discrete_norms(np.ones((g.nt, g.nx)), g, "l2_l2") == pytest.approx(np.sqrt(2.0))
-    tr = TraceSeries("right", np.ones(g.nt))
-    assert discrete_norms(tr, g, "l2_trace") == pytest.approx(np.sqrt(2.0))
+    assert discrete_norms(np.ones(g.nt), g, "l2_trace") == pytest.approx(np.sqrt(2.0))
 
 
 def test_norm_homogeneity_and_triangle():

@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from mgt_inverse.grid import build_grid, time_difference
 from mgt_inverse.observation import (ObservationData, build_mu,
-                                     both_endpoint_observations,
                                      extract_observation,
                                      hidden_regularity_check,
-                                     perturb_with_noise, read_observation_csv,
-                                     write_observation_csv, zero_mu)
+                                     perturb_with_noise, zero_mu)
 from mgt_inverse.solver import (InitialData, MGTCoefficients, Trajectory,
                                 manufactured_solution, solve_forward)
 
@@ -154,7 +152,8 @@ def test_hidden_regularity_finite_and_refinement_stable():
                            u2=np.sin(np.pi * grid.x))
         traj = solve_forward(coeffs, data, None, grid)
         report = hidden_regularity_check(traj, data, None,
-                                         both_endpoint_observations(traj))
+                                         [extract_observation(traj, "left"),
+                                          extract_observation(traj, "right")])
         assert np.isfinite(report.ratio) and report.ratio > 0
         assert report.data_energy == pytest.approx(0.5, rel=1e-3)
         ratios.append(report.ratio)
@@ -167,7 +166,8 @@ def test_hidden_regularity_accepts_single_observation_and_adds():
     data = InitialData(u0=traj.u[0], u1=np.zeros(grid.nx), u2=np.zeros(grid.nx))
     left = hidden_regularity_check(traj, data, None, extract_observation(traj, "left"))
     right = hidden_regularity_check(traj, data, None, extract_observation(traj, "right"))
-    both = hidden_regularity_check(traj, data, None, both_endpoint_observations(traj))
+    both = hidden_regularity_check(traj, data, None, [extract_observation(traj, "left"),
+                                                      extract_observation(traj, "right")])
     assert both.trace_energy == pytest.approx(left.trace_energy + right.trace_energy,
                                               rel=1e-12)
     assert left.data_energy == right.data_energy
@@ -191,7 +191,8 @@ def test_hidden_regularity_ratio_is_invariant_under_data_scaling(k, seed):
         data = InitialData(scale * u0, scale * u1, scale * u2)
         traj = solve_forward(coeffs, data, scale * f, grid)
         return hidden_regularity_check(traj, data, scale * f,
-                                       both_endpoint_observations(traj)).ratio
+                                       [extract_observation(traj, "left"),
+                                        extract_observation(traj, "right")]).ratio
 
     assert ratio(k) == pytest.approx(ratio(1.0), rel=1e-9)
 
@@ -202,17 +203,7 @@ def test_zero_trajectory_has_zero_trace_energy():
     data = InitialData(np.zeros(grid.nx), np.zeros(grid.nx), np.zeros(grid.nx))
     traj = solve_forward(coeffs, data, None, grid)
     report = hidden_regularity_check(traj, data, None,
-                                     both_endpoint_observations(traj))
+                                     [extract_observation(traj, "left"),
+                                      extract_observation(traj, "right")])
     assert report.trace_energy == 0.0
     assert report.ratio == 0.0
-
-
-def test_observation_csv_roundtrip(tmp_path):
-    grid = canonical_grid(31, 61)
-    traj, _ = solved_manufactured(grid)
-    obs = extract_observation(traj, "right")
-    path = tmp_path / "trace.csv"
-    write_observation_csv(obs, path)
-    back = read_observation_csv(path, "right")
-    assert np.array_equal(back.samples, obs.samples)
-    assert back.dt == obs.dt
