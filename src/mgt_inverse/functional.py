@@ -8,11 +8,17 @@ mismatches, and is minimized through its sparse normal equations by
 preconditioned conjugate gradients.  The normal matrix is first equilibrated
 by an explicit symmetric diagonal rescaling, which keeps the stored entries
 near unit scale and defines the residual the solver reports.  The
-preconditioner is then block diagonal: one block per interior node, made of
-that node's time series.  Each block is banded (the operator couples at most
-four time levels), so all blocks are stored as one node-major band, factored
-once per assembly by banded Cholesky and applied by one banded solve per
-iteration.
+preconditioner is then block diagonal: one block per group of seven adjacent
+interior nodes (the last group may be shorter), made of those nodes' time
+series.  The normal matrix couples unknowns at most four time levels and two
+nodes apart, so with a group's unknowns ordered time-major each block is one
+band of half-width 4 * 7 + 2 = 30.  All blocks are stored as one band,
+shifted by 1e-10 on their unit diagonal (without it the steepest weights leave
+a block numerically indefinite), factored once per assembly by banded
+Cholesky and applied by one banded solve per iteration.  Seven nodes is the widest group
+whose band, 31 stored rows per unknown, stays below the about 32 nonzeros per
+row of the normal matrix, so the factor never needs more memory than the
+matrix it preconditions.
 
 All weighted sums use weights normalized by the global minimum exponent, a
 positive rescaling of the objective that does not move the minimizer; every
@@ -43,6 +49,17 @@ from .solver import MGTCoefficients, apply_operator
 # Farthest time-level coupling within a node's series in the normal matrix:
 # the third difference spans five levels, so its Gram product spans +-4.
 _TIME_BANDWIDTH = 4
+
+# Interior nodes per preconditioner block.  The normal matrix couples nodes at
+# most two apart, so a group of q nodes in time-major order is one band with
+# kd = 4q + 2: 4q + 3 = 31 stored rows per unknown, below the about 32
+# nonzeros per row of the normal matrix, so the factor never needs more
+# memory than the matrix it preconditions.
+_GROUP_NODES = 7
+
+# Added to the unit diagonal of the blocks before factoring: without it the
+# steepest weights (s = 4) leave a group block numerically indefinite.
+_BLOCK_SHIFT = 1e-10
 
 
 class MinimizationError(RuntimeError):
@@ -148,7 +165,7 @@ class CarlemanLeastSquares:
 
     Holds the sparse residual blocks, the diagonal weight vectors, the
     normal matrix, its diagonal rescaling and the banded Cholesky factor of
-    its node-wise time-series blocks.  The operator block depends on
+    its node-group time-series blocks.  The operator block depends on
     the zeroth-order coefficient through alpha; ``update_gamma`` swaps it
     without rebuilding the rest, which is what the reconstruction loop needs.
     ``omega`` is the normalized weight table; the diagnostics of
@@ -217,25 +234,43 @@ class CarlemanLeastSquares:
         self._normal_scaled = (d @ normal @ d).tocsr()
         self._n_unknowns = n
 
-        # Node-major lower band: row k holds the coupling of each node's
-        # level t with its own level t + k (zero past the last level).
+        # Groups of _GROUP_NODES adjacent interior nodes, the last one possibly
+        # shorter.  Within a group the unknowns run time-major: level t of node
+        # j sits at nt1 * start + t * width + j - start.  ``_group_order``
+        # lists the time-major indices in that order.  The coupling of level t
+        # with t + dt and node j with j + dj is the normal matrix's diagonal
+        # dt * m + dj and lands on row dt * width + dj of the lower band.
         nt1, m = self.grid.nt - 1, self.grid.nx - 2
-        band = np.zeros((_TIME_BANDWIDTH + 1, n))
-        for k in range(_TIME_BANDWIDTH + 1):
-            series = np.zeros(n)
-            series[:n - k * m] = self._normal_scaled.diagonal(k * m)
-            band[k] = series.reshape(nt1, m).T.ravel()
+        node = np.arange(m)
+        group = node // _GROUP_NODES
+        start = group * _GROUP_NODES
+        width = np.minimum(start + _GROUP_NODES, m) - start
+        position = (nt1 * start[None, :] + np.arange(nt1)[:, None] * width[None, :]
+                    + (node - start)[None, :]).ravel()
+        self._group_order = np.empty(n, dtype=np.intp)
+        self._group_order[position] = np.arange(n)
+        band = np.zeros((_TIME_BANDWIDTH * _GROUP_NODES + 3, n))
+        for dt in range(_TIME_BANDWIDTH + 1):
+            for dj in range(0 if dt == 0 else -2, 3):
+                entries = self._normal_scaled.diagonal(dt * m + dj)
+                j = np.arange(entries.size) % m
+                partner = j + dj
+                keep = (partner < m) & (partner // _GROUP_NODES == group[j])
+                rows = dt * width[j[keep]] + dj
+                band[rows, position[:entries.size][keep]] = entries[keep]
+        band[0] += _BLOCK_SHIFT
         self._block_factor, info = dpbtrf(band, lower=1)
         if info != 0:
             raise MinimizationError(
-                f"node time-series preconditioner is not positive definite "
+                f"node-group preconditioner is not positive definite "
                 f"(banded Cholesky info {info})")
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
-        """Solve the node-wise time-series blocks for a time-major vector."""
-        nt1, m = self.grid.nt - 1, self.grid.nx - 2
-        z, _ = dpbtrs(self._block_factor, r.reshape(nt1, m).T.ravel(), lower=1)
-        return z.reshape(m, nt1).T.ravel()
+        """Solve the node-group blocks for a time-major vector."""
+        z, _ = dpbtrs(self._block_factor, r[self._group_order], lower=1)
+        out = np.empty_like(z)
+        out[self._group_order] = z
+        return out
 
     def rhs_vector(self, mu, g: Optional[np.ndarray]) -> np.ndarray:
         grid = self.grid
@@ -259,7 +294,7 @@ class CarlemanLeastSquares:
                                max_iterations: Optional[int] = None):
         """Preconditioned conjugate gradients on the rescaled normal matrix.
 
-        The preconditioner is the node-wise time-series block diagonal
+        The preconditioner is the node-group time-series block diagonal
         factored in ``_factor``.  Returns (solution, iterations, relative
         residual), the residual being that of the rescaled system.  The
         recursion residual is cross-checked against the true residual before

@@ -6,8 +6,9 @@ import pytest
 from mgt_inverse import carleman
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
                                   CarlemanSetup)
-from mgt_inverse.functional import (CarlemanLeastSquares, MinimizationError,
-                                    TrajectoryVariable, _interior_trace_row,
+from mgt_inverse.functional import (_BLOCK_SHIFT, CarlemanLeastSquares,
+                                    MinimizationError, TrajectoryVariable,
+                                    _interior_trace_row,
                                     evaluate_J,
                                     initial_second_derivative, minimize_J,
                                     minimizer_difference_check, v_norm_sq,
@@ -285,23 +286,28 @@ def test_data_validation_and_iteration_cap():
         engine.rhs_vector(mu, g[:, :-1])
     with pytest.raises(MinimizationError):
         engine.solve_normal_equations(engine.rhs_vector(mu, g), 1e-9,
-                                      max_iterations=5)
+                                      max_iterations=1)
 
 
-def test_preconditioner_inverts_each_node_time_series_block():
+def test_preconditioner_inverts_each_node_group_block():
     grid, coeffs, setup = make_problem(31, 61, s=1.0)
     engine = CarlemanLeastSquares(coeffs, setup, grid)
     nt1, m = grid.nt - 1, grid.nx - 2
     mat = engine._normal_scaled
-    # a node's series couples at most four levels apart
-    assert not np.any(mat.diagonal(5 * m))
+    # unknowns couple at most four levels and two nodes apart
+    coo = mat.tocoo()
+    assert np.abs(coo.row // m - coo.col // m).max() == 4
+    assert np.abs(coo.row % m - coo.col % m).max() == 2
+    # m = 29: groups of 7, 7, 7, 7 and 1 nodes; first, middle and last group
+    assert m == 29
     rng = np.random.default_rng(29)
-    for node in (0, m // 2, m - 1):
-        on_node = np.zeros((nt1, m), dtype=bool)
-        on_node[:, node] = True
-        on_node = on_node.ravel()
-        v = np.where(on_node, rng.normal(size=nt1 * m), 0.0)
-        block_image = np.where(on_node, mat @ v, 0.0)
+    for first, last in ((0, 7), (14, 21), (28, 29)):
+        in_group = np.zeros((nt1, m), dtype=bool)
+        in_group[:, first:last] = True
+        in_group = in_group.ravel()
+        v = np.where(in_group, rng.normal(size=nt1 * m), 0.0)
+        # the factored block is the group's part of the matrix plus the shift
+        block_image = np.where(in_group, mat @ v, 0.0) + _BLOCK_SHIFT * v
         assert np.allclose(engine._precondition(block_image), v, rtol=0.0, atol=1e-10)
 
 
@@ -312,6 +318,15 @@ def test_block_preconditioner_at_least_halves_cg_iterations():
     assert diag.el_residual <= 1e-6
     # CG with the diagonal preconditioner alone needed 4,039 iterations here
     assert diag.solver_iterations <= 4039 // 2
+
+
+def test_group_preconditioner_halves_node_preconditioner_iterations():
+    grid, coeffs, setup = make_problem(31, 61, s=1.0)
+    mu, g = random_data(grid, 1)
+    _, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-6)
+    assert diag.el_residual <= 1e-6
+    # CG with one block per node needed 616 iterations here
+    assert diag.solver_iterations <= 616 // 2
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0])

@@ -2,17 +2,21 @@ import functools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
                                   CarlemanSetup, admissible_geometry)
+from mgt_inverse.functional import CarlemanLeastSquares
 from mgt_inverse.grid import build_grid, trapezoid_weights
+from mgt_inverse.observation import build_mu, extract_observation
 from mgt_inverse.reconstruct import (IterateRecord, ReconstructionConfig,
                                      ReconstructionError, contraction_ratios,
                                      oracle_reconstruction_step, project_to_box,
                                      reconstruction_step, run_reconstruction,
                                      run_scale_sweep, synthetic_observations,
                                      weighted_coefficient_error)
-from mgt_inverse.solver import InitialData
+from mgt_inverse.solver import InitialData, solve_forward
 
 GEO = CarlemanGeometry(-0.1, 0.9, 2.5)
 
@@ -27,6 +31,23 @@ def make_config(nx, nt, s=2.0, lam=0.5, **kwargs):
 
 def canonical_gamma(grid):
     return 0.4 + 0.3 * np.sin(np.pi * grid.x)
+
+
+def least_squares_backward_error(engine, mu, g, y):
+    """Normwise backward error ||M^T r|| / (||M||_F ||r||) of y as a least-squares
+    solution, M stacking sqrt(w_pde) A_pde and the sqrt(w)-weighted trace blocks."""
+    root = np.sqrt(engine.w_pde)
+    blocks = [sp.diags(root) @ engine.a_pde]
+    data = [root * g[:, 1:-1].ravel()]
+    by_side = {pair.side: pair for pair in mu}
+    for side, a_tr, a_trt, w in engine.trace_blocks:
+        root = np.sqrt(w)
+        blocks += [sp.diags(root) @ a_tr, sp.diags(root) @ a_trt]
+        data += [root * by_side[side].mu, root * by_side[side].mu_t]
+    stacked = sp.vstack(blocks).tocsr()
+    r = np.concatenate(data) - stacked @ y
+    return float(np.linalg.norm(stacked.T @ r)
+                 / (spla.norm(stacked, "fro") * np.linalg.norm(r)))
 
 
 def test_project_to_box_reference_values():
@@ -234,3 +255,20 @@ def test_scale_sweep_shares_data_and_reports_means():
         assert entry.report.iterations >= 1
     with pytest.raises(ValueError, match="no s values"):
         run_scale_sweep(config, gamma_true, s_values=())
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 4.0])
+def test_first_criterion_5_solve_has_small_backward_error(s):
+    # criterion 5's datum; its first outer step solves from gamma = 0
+    config = make_config(51, 101, s=s, lam=1.0, data_refinement=2, solver_tol=1e-6)
+    grid = config.grid
+    data = synthetic_observations(config, canonical_gamma(grid))
+    coeffs = config.coefficients(np.zeros(grid.nx))
+    traj = solve_forward(coeffs, config.init, None, grid)
+    mu = [build_mu(extract_observation(traj, obs.side), obs) for obs in data]
+    g = np.zeros((grid.nt, grid.nx))
+    engine = CarlemanLeastSquares(coeffs, config.carleman, grid)
+    y, _, rel = engine.solve_normal_equations(engine.rhs_vector(mu, g), config.solver_tol)
+    assert rel <= config.solver_tol
+    # node-by-node blocks left 2.3e-8 to 2.5e-8 at s = 2 and 4
+    assert least_squares_backward_error(engine, mu, g, y) <= 1e-8
