@@ -10,7 +10,8 @@ nan/inf text in CSV.
 
 Exit codes: 0 success (for reconstruct: stopped by the step-size test),
 1 configuration or computation error, 2 reconstruction hit the iteration
-cap, 3 reconstruction stopped on the rising-error guard.
+cap, 3 reconstruction stopped on the rising-error guard, which also trips on
+runs stalled at the data's error floor (three rises there are noise).
 """
 
 from __future__ import annotations

@@ -2,22 +2,23 @@
 
 The unknown lives in a constrained trajectory space: zero at the initial
 level, zero on the boundary columns, with a ghost convention that encodes a
-vanishing initial velocity.  The quadratic objective couples the weighted
-operator residual against an interior target with weighted boundary-trace
-mismatches, and is minimized through its sparse normal equations by
-preconditioned conjugate gradients.  The normal matrix is first equilibrated
-by an explicit symmetric diagonal rescaling, which keeps the stored entries
-near unit scale and defines the residual the solver reports.  The
-preconditioner is then block diagonal: one block per group of seven adjacent
-interior nodes (the last group may be shorter), made of those nodes' time
-series.  The normal matrix couples unknowns at most four time levels and two
-nodes apart, so with a group's unknowns ordered time-major each block is one
-band of half-width 4 * 7 + 2 = 30.  All blocks are stored as one band,
-shifted by 1e-10 on their unit diagonal (without it the steepest weights leave
+vanishing initial velocity.  The quadratic objective is half of |M y - b|^2:
+M stacks the operator rows and, per observed side, the trace and trace-rate
+rows, each times its square-root weight, and b is the weighted data
+[g; mu; mu_t].  It is minimized through the normal equations M^T M y = M^T b
+by preconditioned conjugate gradients.  M^T M is first equilibrated by an
+explicit symmetric diagonal rescaling, which keeps the stored entries near
+unit scale and defines the residual the solver reports.  The preconditioner
+is then block diagonal: one block per group of seven adjacent interior nodes
+(the last group may be shorter), made of those nodes' time series.  M^T M
+couples unknowns at most four time levels and two nodes apart, so with a
+group's unknowns ordered time-major each block is one band of half-width
+4 * 7 + 2 = 30, scattered from the rescaled matrix's entries in one pass,
+shifted by 1e-10 on its unit diagonal (without it the steepest weights leave
 a block numerically indefinite), factored once per assembly by banded
-Cholesky and applied by one banded solve per iteration.  Seven nodes is the widest group
-whose band, 31 stored rows per unknown, stays below the about 32 nonzeros per
-row of the normal matrix, so the factor never needs more memory than the
+Cholesky and applied by one banded solve per iteration.  Seven nodes is the
+widest group whose band, 31 stored rows per unknown, stays below the about 32
+nonzeros per row of M^T M, so the factor never needs more memory than the
 matrix it preconditions.
 
 All weighted sums use weights normalized by the global minimum exponent, a
@@ -163,12 +164,14 @@ def _weighting(carleman: CarlemanSetup, grid: SpaceTimeGrid, purpose: Optional[s
 class CarlemanLeastSquares:
     """Assembled quadratic objective for one (coefficients, weights, grid).
 
-    Holds the sparse residual blocks, the diagonal weight vectors, the
-    normal matrix, its diagonal rescaling and the banded Cholesky factor of
-    its node-group time-series blocks.  The operator block depends on
-    the zeroth-order coefficient through alpha; ``update_gamma`` swaps it
-    without rebuilding the rest, which is what the reconstruction loop needs.
-    ``omega`` is the normalized weight table; the diagnostics of
+    ``operator`` is the stacked weighted residual map M: square-root weights
+    times the operator rows and the value and rate trace rows of each
+    observed side, so the objective is half of |M y - weighted_data|^2.  The
+    engine also holds M^T M rescaled to a unit diagonal and the banded
+    Cholesky factor of its node-group time-series blocks.  M depends on the
+    zeroth-order coefficient only through alpha; ``update_gamma`` rebuilds M
+    and what is derived from it, which is what the reconstruction loop
+    needs.  ``omega`` is the normalized weight table; the diagnostics of
     :func:`minimize_J` reuse it.
     """
 
@@ -177,89 +180,84 @@ class CarlemanLeastSquares:
         self.geometry, self.omega = _weighting(carleman, grid, "minimization")
         self.scales = carleman.scales
         self.grid = grid
-        self.coeffs = coeffs
 
-        nt, nx, m = grid.nt, grid.nx, grid.nx - 2
-
-        embed = sp.csr_matrix((np.ones(nt - 1), (np.arange(1, nt), np.arange(nt - 1))),
-                              shape=(nt, nt - 1))
+        nt, nt1, m = grid.nt, grid.nt - 1, grid.nx - 2
+        n = self._n_unknowns = nt1 * m
+        embed = sp.csr_matrix((np.ones(nt1), (np.arange(1, nt), np.arange(nt1))),
+                              shape=(nt, nt1))
         d1e = sp.csr_matrix(time_derivative_matrix_zero_start(nt, grid.dt, 1)) @ embed
         d2e = sp.csr_matrix(time_derivative_matrix_zero_start(nt, grid.dt, 2)) @ embed
         d3e = sp.csr_matrix(time_derivative_matrix_zero_start(nt, grid.dt, 3)) @ embed
         lap_int = sp.csr_matrix(laplacian_matrix(grid)[1:-1, 1:-1])
         eye_m = sp.identity(m, format="csr")
 
-        self._d2e = d2e
-        self._pde_base = (sp.kron(d3e, eye_m)
-                          - coeffs.c ** 2 * sp.kron(embed, lap_int)
-                          - coeffs.b * sp.kron(d1e, lap_int)).tocsr()
-        self._build_pde_block(coeffs)
-
+        # Rows of M: the operator at every level and interior node (time-major),
+        # then per observed side the trace at every level and its rate.  They
+        # are held unweighted, split into the gamma-independent rows and the
+        # second-derivative rows whose columns alpha scales.
         qt = trapezoid_weights(nt, grid.dt)
-        self.w_pde = ((1.0 / self.scales.s) * qt[:, None] * grid.h
-                      * self.omega[:, 1:-1]).ravel()
-        self.trace_blocks = []
+        weights = [(1.0 / self.scales.s) * qt[:, None] * grid.h * self.omega[:, 1:-1]]
+        trace_rows = []
         for side in self.geometry.gamma0_sides:
-            col = 0 if side == "left" else nx - 1
+            col = 0 if side == "left" else grid.nx - 1
             row = sp.csr_matrix(_interior_trace_row(grid, side)[None, :])
-            a_tr = sp.kron(embed, row).tocsr()
-            a_trt = sp.kron(d1e, row).tocsr()
-            self.trace_blocks.append((side, a_tr, a_trt, qt * self.omega[:, col]))
-        self._factor()
+            trace_rows += [sp.kron(embed, row), sp.kron(d1e, row)]
+            weights += [qt * self.omega[:, col]] * 2
+        self._fixed_rows = sp.vstack(
+            [sp.kron(d3e, eye_m) - coeffs.c ** 2 * sp.kron(embed, lap_int)
+             - coeffs.b * sp.kron(d1e, lap_int)] + trace_rows, format="csr")
+        zero_rows = sp.csr_matrix((nt * len(trace_rows), n))
+        self._alpha_rows = sp.vstack([sp.kron(d2e, eye_m), zero_rows], format="csr")
+        self._root_weight = np.sqrt(np.concatenate([w.ravel() for w in weights]))
 
-    def _build_pde_block(self, coeffs: MGTCoefficients) -> None:
-        alpha_int = sp.diags(coeffs.alpha[1:-1])
-        self.a_pde = (self._pde_base + sp.kron(self._d2e, alpha_int)).tocsr()
+        # Groups of _GROUP_NODES adjacent interior nodes, the last one possibly
+        # shorter.  Within a group the unknowns run time-major: level t of node
+        # j sits at nt1 * start + t * width + j - start.  ``_position`` maps
+        # each time-major index there and ``_group_order`` back.
+        node = np.arange(m)
+        start = node // _GROUP_NODES * _GROUP_NODES
+        self._group = np.tile(start, nt1)      # each unknown's group, by first node
+        width = np.minimum(start + _GROUP_NODES, m) - start
+        self._position = (nt1 * start[None, :] + np.arange(nt1)[:, None] * width[None, :]
+                          + (node - start)[None, :]).ravel()
+        self._group_order = np.empty(n, dtype=np.intp)
+        self._group_order[self._position] = np.arange(n)
+        self._assemble(coeffs)
 
     def update_gamma(self, gamma: np.ndarray) -> None:
         """Swap the zeroth-order coefficient and refresh the normal matrix."""
-        self.coeffs = self.coeffs.with_gamma(gamma)
-        self._build_pde_block(self.coeffs)
-        self._factor()
+        self._assemble(self.coeffs.with_gamma(gamma))
 
-    def _factor(self) -> None:
-        n = self.a_pde.shape[1]
-        normal = (self.a_pde.T @ sp.diags(self.w_pde) @ self.a_pde)
-        for _, a_tr, a_trt, w in self.trace_blocks:
-            normal = normal + a_tr.T @ sp.diags(w) @ a_tr
-            normal = normal + a_trt.T @ sp.diags(w) @ a_trt
-        normal = normal.tocsr()
+    def _assemble(self, coeffs: MGTCoefficients) -> None:
+        """Build M, the rescaled M^T M and the factor of its group blocks."""
+        # release the previous coefficient's matrices before forming new ones
+        self.operator = self._normal_scaled = self._block_factor = None
+        self.coeffs = coeffs
+        n = self._n_unknowns
+        alpha = sp.diags(np.tile(coeffs.alpha[1:-1], self.grid.nt - 1))
+        self.operator = (sp.diags(self._root_weight)
+                         @ (self._fixed_rows + self._alpha_rows @ alpha)).tocsr()
+        normal = (self.operator.T @ self.operator).tocsr()
         diag = normal.diagonal()
         if not np.all(np.isfinite(normal.data)) or np.any(diag <= 0):
             raise MinimizationError(
                 "normal matrix has non-finite or non-positive diagonal entries; "
                 "the weight range is too extreme for this grid")
         self._scale = 1.0 / np.sqrt(diag)
-        d = sp.diags(self._scale)
-        self._normal_scaled = (d @ normal @ d).tocsr()
-        self._n_unknowns = n
+        col = normal.indices
+        row = np.repeat(np.arange(n, dtype=col.dtype), np.diff(normal.indptr))
+        normal.data *= self._scale[row]        # in place: no second copy of M^T M
+        normal.data *= self._scale[col]
+        self._normal_scaled = normal
 
-        # Groups of _GROUP_NODES adjacent interior nodes, the last one possibly
-        # shorter.  Within a group the unknowns run time-major: level t of node
-        # j sits at nt1 * start + t * width + j - start.  ``_group_order``
-        # lists the time-major indices in that order.  The coupling of level t
-        # with t + dt and node j with j + dj is the normal matrix's diagonal
-        # dt * m + dj and lands on row dt * width + dj of the lower band.
-        nt1, m = self.grid.nt - 1, self.grid.nx - 2
-        node = np.arange(m)
-        group = node // _GROUP_NODES
-        start = group * _GROUP_NODES
-        width = np.minimum(start + _GROUP_NODES, m) - start
-        position = (nt1 * start[None, :] + np.arange(nt1)[:, None] * width[None, :]
-                    + (node - start)[None, :]).ravel()
-        self._group_order = np.empty(n, dtype=np.intp)
-        self._group_order[position] = np.arange(n)
-        band = np.zeros((_TIME_BANDWIDTH * _GROUP_NODES + 3, n))
-        for dt in range(_TIME_BANDWIDTH + 1):
-            for dj in range(0 if dt == 0 else -2, 3):
-                entries = self._normal_scaled.diagonal(dt * m + dj)
-                j = np.arange(entries.size) % m
-                partner = j + dj
-                keep = (partner < m) & (partner // _GROUP_NODES == group[j])
-                rows = dt * width[j[keep]] + dj
-                band[rows, position[:entries.size][keep]] = entries[keep]
+        # Scatter the entries on or above the diagonal whose nodes share a
+        # group into the lower band of that group's time-major block.
+        keep = (col >= row) & (self._group[row] == self._group[col])
+        low, high = self._position[row[keep]], self._position[col[keep]]
+        band = np.zeros((_TIME_BANDWIDTH * _GROUP_NODES + 3, n), order="F")
+        band[high - low, low] = normal.data[keep]
         band[0] += _BLOCK_SHIFT
-        self._block_factor, info = dpbtrf(band, lower=1)
+        self._block_factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise MinimizationError(
                 f"node-group preconditioner is not positive definite "
@@ -272,22 +270,21 @@ class CarlemanLeastSquares:
         out[self._group_order] = z
         return out
 
-    def rhs_vector(self, mu, g: Optional[np.ndarray]) -> np.ndarray:
+    def weighted_data(self, mu, g: Optional[np.ndarray]) -> np.ndarray:
+        """Square-root weights times the data [g; mu; mu_t], row by row of M."""
         grid = self.grid
         mu_list = _as_mu_list(mu, self.geometry.gamma0_sides, grid.nt, grid.dt)
-        rhs = np.zeros(self._n_unknowns)
-        if g is not None:
-            g = np.asarray(g, dtype=float)
-            if g.shape != (grid.nt, grid.nx):
-                raise ValueError(f"target has shape {g.shape}, expected "
-                                 f"({grid.nt}, {grid.nx})")
-            rhs += self.a_pde.T @ (self.w_pde * g[:, 1:-1].ravel())
+        g = np.zeros((grid.nt, grid.nx)) if g is None else np.asarray(g, dtype=float)
+        if g.shape != (grid.nt, grid.nx):
+            raise ValueError(f"target has shape {g.shape}, expected ({grid.nt}, {grid.nx})")
+        parts = [g[:, 1:-1].ravel()]
         by_side = {pair.side: pair for pair in mu_list}
-        for side, a_tr, a_trt, w in self.trace_blocks:
-            pair = by_side[side]
-            rhs += a_tr.T @ (w * pair.mu)
-            rhs += a_trt.T @ (w * pair.mu_t)
-        return rhs
+        for side in self.geometry.gamma0_sides:
+            parts += [by_side[side].mu, by_side[side].mu_t]
+        return self._root_weight * np.concatenate(parts)
+
+    def rhs_vector(self, mu, g: Optional[np.ndarray]) -> np.ndarray:
+        return self.operator.T @ self.weighted_data(mu, g)
 
     def solve_normal_equations(self, rhs: np.ndarray, tol: float,
                                x0: Optional[np.ndarray] = None,
@@ -295,7 +292,7 @@ class CarlemanLeastSquares:
         """Preconditioned conjugate gradients on the rescaled normal matrix.
 
         The preconditioner is the node-group time-series block diagonal
-        factored in ``_factor``.  Returns (solution, iterations, relative
+        factored in ``_assemble``.  Returns (solution, iterations, relative
         residual), the residual being that of the rescaled system.  The
         recursion residual is cross-checked against the true residual before
         the method is allowed to stop, so the reported residual is genuine.

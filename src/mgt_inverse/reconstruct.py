@@ -218,7 +218,8 @@ def reconstruction_step(gamma_k: np.ndarray, data_obs: Sequence[ObservationData]
     """One outer iteration; returns (projected next coefficient, diagnostics).
 
     Passing ``engine`` reuses the assembled least-squares operator across
-    iterations; only the damping-dependent block is rebuilt.
+    iterations; it is reassembled only when gamma_k differs from its
+    coefficient.
     """
     grid = config.grid
     u2 = config.init.u2
@@ -238,7 +239,7 @@ def reconstruction_step(gamma_k: np.ndarray, data_obs: Sequence[ObservationData]
 
     if engine is None:
         engine = CarlemanLeastSquares(coeffs, config.carleman, grid)
-    else:
+    elif not np.array_equal(engine.coeffs.gamma, gamma_k):
         engine.update_gamma(gamma_k)
     y_star, diagnostics = minimize_J(mu, np.zeros((grid.nt, grid.nx)), engine.coeffs,
                                      config.carleman, grid,
@@ -361,8 +362,7 @@ def run_scale_sweep(config: ReconstructionConfig, gamma_true,
     values = tuple(s_values)
     if not values:
         raise ValueError("no s values supplied for the sweep")
-    rng = np.random.default_rng(config.noise_seed) if config.noise_level > 0 else None
-    data = synthetic_observations(config, gamma_true, rng)
+    data = synthetic_observations(config, gamma_true)
     entries = []
     for s in values:
         setup = CarlemanSetup(config.carleman.geometry,

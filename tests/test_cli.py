@@ -46,6 +46,14 @@ def test_missing_required_field_names_it(tmp_path, capsys):
     assert "grid" in err and "nx" in err
 
 
+def test_grid_too_coarse_for_the_stencils_is_rejected_before_any_output(tmp_path, capsys):
+    path = make_config(tmp_path, grid={"nx": 4})
+    out = tmp_path / "o"
+    assert run(["forward", "--config", path, "--out", out]) == 1
+    assert "nx" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_keys_are_rejected(tmp_path, capsys):
     path = make_config(tmp_path, mystery_knob=1.0)
     assert run(["forward", "--config", path, "--out", tmp_path / "o"]) == 1

@@ -223,11 +223,9 @@ def test_minimizer_invariant_under_weight_rescaling():
     results = []
     for offset in (-3.0, 0.0, 3.0):
         engine = CarlemanLeastSquares(coeffs, setup, grid)
-        factor = np.exp(offset)
-        engine.w_pde = factor * engine.w_pde
-        engine.trace_blocks = [(side, a_tr, a_trt, factor * w)
-                               for side, a_tr, a_trt, w in engine.trace_blocks]
-        engine._factor()
+        # every weight times exp(offset): the square-root weights of M
+        engine._root_weight = np.exp(0.5 * offset) * engine._root_weight
+        engine._assemble(engine.coeffs)
         y, _ = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-10, engine=engine)
         results.append(y)
     base = results[1]
@@ -246,13 +244,19 @@ def test_update_gamma_matches_fresh_assembly():
     engine = CarlemanLeastSquares(coeffs, setup, grid)
     new_gamma = np.clip(coeffs.gamma + 0.2, 0.0, 1.0)
     engine.update_gamma(new_gamma)
+    fresh = CarlemanLeastSquares(coeffs.with_gamma(new_gamma), setup, grid)
+    for got, want in ((engine.operator, fresh.operator),
+                      (engine._normal_scaled, fresh._normal_scaled)):
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+    assert np.array_equal(engine._scale, fresh._scale)
+    assert np.array_equal(engine._block_factor, fresh._block_factor)
     y_updated, _ = minimize_J(mu, g, engine.coeffs, setup, grid,
                               solver_tol=1e-10, engine=engine)
-    fresh = CarlemanLeastSquares(coeffs.with_gamma(new_gamma), setup, grid)
     y_fresh, _ = minimize_J(mu, g, fresh.coeffs, setup, grid,
                             solver_tol=1e-10, engine=fresh)
-    scale = max(np.abs(y_fresh.values).max(), 1e-30)
-    assert np.abs(y_updated.values - y_fresh.values).max() <= 1e-6 * scale
+    assert np.array_equal(y_updated.values, y_fresh.values)
 
 
 def test_difference_check_shared_target_and_random_targets():
@@ -342,19 +346,21 @@ def test_assembly_matches_operator_stencil(s):
     def assert_close(got, want):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    r_pde = engine.a_pde @ vec - g[:, 1:-1].ravel()
-    stencil = apply_operator(field, coeffs, grid, zero_start=True) - g
-    assert_close(r_pde, stencil[:, 1:-1].ravel())
+    # M's rows divided by their square-root weights: L y at every level and
+    # interior node, then the one observed side's trace and its rate
+    nt, m = grid.nt, grid.nx - 2
+    assert engine.operator.shape == (nt * m + 2 * nt, (nt - 1) * m)
+    unweighted = (engine.operator @ vec) / engine._root_weight
+    stencil = apply_operator(field, coeffs, grid, zero_start=True)
+    assert_close(unweighted[:nt * m], stencil[:, 1:-1].ravel())
 
-    d1 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 1)
-    weighted_sq = engine.w_pde @ r_pde ** 2
-    assert [side for side, *_ in engine.trace_blocks] == ["right"]
-    for side, a_tr, a_trt, w in engine.trace_blocks:
-        row = _interior_trace_row(grid, side)
-        trace = np.array([row @ field[n, 1:-1] for n in range(grid.nt)])
-        assert_close(a_tr @ vec, trace)
-        assert_close(a_trt @ vec, d1 @ trace)
-        weighted_sq += w @ ((a_tr @ vec - mu.mu) ** 2 + (a_trt @ vec - mu.mu_t) ** 2)
+    d1 = time_derivative_matrix_zero_start(nt, grid.dt, 1)
+    row = _interior_trace_row(grid, "right")
+    trace = np.array([row @ field[n, 1:-1] for n in range(nt)])
+    assert_close(unweighted[nt * m:nt * m + nt], trace)
+    assert_close(unweighted[nt * m + nt:], d1 @ trace)
+    residual = engine.operator @ vec - engine.weighted_data(mu, g)
+    weighted_sq = residual @ residual
     j_value = evaluate_J(y, mu, g, coeffs, setup, grid)
     assert abs(0.5 * weighted_sq - j_value) <= 1e-12 * j_value
 

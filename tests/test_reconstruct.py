@@ -2,7 +2,6 @@ import functools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
@@ -35,19 +34,10 @@ def canonical_gamma(grid):
 
 def least_squares_backward_error(engine, mu, g, y):
     """Normwise backward error ||M^T r|| / (||M||_F ||r||) of y as a least-squares
-    solution, M stacking sqrt(w_pde) A_pde and the sqrt(w)-weighted trace blocks."""
-    root = np.sqrt(engine.w_pde)
-    blocks = [sp.diags(root) @ engine.a_pde]
-    data = [root * g[:, 1:-1].ravel()]
-    by_side = {pair.side: pair for pair in mu}
-    for side, a_tr, a_trt, w in engine.trace_blocks:
-        root = np.sqrt(w)
-        blocks += [sp.diags(root) @ a_tr, sp.diags(root) @ a_trt]
-        data += [root * by_side[side].mu, root * by_side[side].mu_t]
-    stacked = sp.vstack(blocks).tocsr()
-    r = np.concatenate(data) - stacked @ y
-    return float(np.linalg.norm(stacked.T @ r)
-                 / (spla.norm(stacked, "fro") * np.linalg.norm(r)))
+    solution, M being the engine's stacked weighted operator."""
+    r = engine.weighted_data(mu, g) - engine.operator @ y
+    return float(np.linalg.norm(engine.operator.T @ r)
+                 / (spla.norm(engine.operator, "fro") * np.linalg.norm(r)))
 
 
 def test_project_to_box_reference_values():
@@ -182,6 +172,27 @@ def short_run():
                          max_iterations=6, solver_tol=1e-6, solver_cap=300000)
     gamma_true = canonical_gamma(config.grid)
     return config, gamma_true, run_reconstruction(config, gamma_true)
+
+
+def test_each_coefficient_is_assembled_once(monkeypatch):
+    counts = {"assemble": 0, "solve": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for attr, name in (("__init__", "assemble"), ("update_gamma", "assemble"),
+                       ("solve_normal_equations", "solve")):
+        monkeypatch.setattr(CarlemanLeastSquares, attr,
+                            counted(name, getattr(CarlemanLeastSquares, attr)))
+    config = make_config(31, 61, lam=0.3, data_refinement=1, max_iterations=3,
+                         solver_cap=300000)
+    report = run_reconstruction(config, canonical_gamma(config.grid))
+    assert report.iterations == 3
+    # one solve per outer step, one assembly per coefficient solved with
+    assert counts == {"assemble": 3, "solve": 3}
 
 
 def test_first_step_reduces_weighted_error():
