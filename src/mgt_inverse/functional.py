@@ -5,29 +5,32 @@ level, zero on the boundary columns, with a ghost convention that encodes a
 vanishing initial velocity.  The quadratic objective is half of |M y - b|^2:
 M stacks the operator rows and, per observed side, the trace and trace-rate
 rows, each times its square-root weight, and b is the weighted data
-[g; mu; mu_t].  It is minimized through the normal equations M^T M y = M^T b
-by preconditioned conjugate gradients.  M^T M is first equilibrated by an
-explicit symmetric diagonal rescaling, which keeps the stored entries near
-unit scale and defines the residual the solver reports.  The preconditioner
-is then block diagonal: one block per group of seven adjacent interior nodes
-(the last group may be shorter), made of those nodes' time series.  M^T M
+[g; mu; mu_t].  It is minimized by LSMR (Fong & Saunders, SIAM J. Sci.
+Comput. 33, 2011) on M R^-1; the normal equations are never formed.  R^T R
+is block diagonal: one block per group of seven adjacent interior nodes (the
+last group may be shorter), made of those nodes' time series in M^T M.  M^T M
 couples unknowns at most four time levels and two nodes apart, so with a
 group's unknowns ordered time-major each block is one band of half-width
-4 * 7 + 2 = 30, scattered from the rescaled matrix's entries in one pass,
-shifted by 1e-10 on its unit diagonal (without it the steepest weights leave
-a block numerically indefinite), factored once per assembly by banded
-Cholesky and applied by one banded solve per iteration.  Seven nodes is the
-widest group whose band, 31 stored rows per unknown, stays below the about 32
-nonzeros per row of M^T M, so the factor never needs more memory than the
-matrix it preconditions.
+4 * 7 + 2 = 30.  The bands are scattered in one pass from a temporary M^T M,
+their diagonal is scaled by 1 + 1e-10 (without it the steepest weights leave
+a block numerically indefinite), and they are factored once per assembly by
+banded Cholesky; R^-1 and R^-T are one banded triangular solve each.  Seven
+nodes is the widest group whose band, 31 stored rows per unknown, stays below
+the about 32 nonzeros per row of M^T M.
+
+Every solve is certified by the backward error of the preconditioned
+problem, |R^-T M^T r| / (sqrt(n) |r|) with r = b - M y recomputed from the
+returned y; sqrt(n) is |M R^-1|_F, since the trace of (R^T R)^-1 M^T M is n
+for a block-diagonal R^T R made of M^T M's own blocks.  It is invariant under
+scaling the data and the weights, and LSMR's stop test bounds it.
 
 All weighted sums use weights normalized by the global minimum exponent, a
 positive rescaling of the objective that does not move the minimizer; every
 reported weighted value therefore carries the common factor
 exp(-log_weight_min).  The table is ``carleman.normalized_weight_table``,
 built once per assembly and reused by the minimizer diagnostics.  Besides
-the sparse assembly the normal equations need, the objective evaluates the
-operator by the stencil ``solver.apply_operator``, far cheaper than an assembly.
+the sparse assembly of M, the objective evaluates the operator by the
+stencil ``solver.apply_operator``, far cheaper than an assembly.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dtbtrs
+from scipy.sparse.linalg import LinearOperator, lsmr
 
 from .carleman import (CarlemanGeometry, CarlemanSetup, admissible_geometry,
                        normalized_weight_table)
@@ -47,24 +51,23 @@ from .observation import MuPair, zero_mu
 from .solver import MGTCoefficients, apply_operator
 
 
-# Farthest time-level coupling within a node's series in the normal matrix:
+# Farthest time-level coupling within a node's series in M^T M:
 # the third difference spans five levels, so its Gram product spans +-4.
 _TIME_BANDWIDTH = 4
 
-# Interior nodes per preconditioner block.  The normal matrix couples nodes at
-# most two apart, so a group of q nodes in time-major order is one band with
+# Interior nodes per preconditioner block.  M^T M couples nodes at most two
+# apart, so a group of q nodes in time-major order is one band with
 # kd = 4q + 2: 4q + 3 = 31 stored rows per unknown, below the about 32
-# nonzeros per row of the normal matrix, so the factor never needs more
-# memory than the matrix it preconditions.
+# nonzeros per row of M^T M.
 _GROUP_NODES = 7
 
-# Added to the unit diagonal of the blocks before factoring: without it the
+# Relative shift of the blocks' diagonal before factoring: without it the
 # steepest weights (s = 4) leave a group block numerically indefinite.
 _BLOCK_SHIFT = 1e-10
 
 
 class MinimizationError(RuntimeError):
-    """Solver breakdown or failure to reach the requested residual."""
+    """Assembly breakdown or failure to reach the requested backward error."""
 
 
 @dataclass
@@ -167,12 +170,12 @@ class CarlemanLeastSquares:
     ``operator`` is the stacked weighted residual map M: square-root weights
     times the operator rows and the value and rate trace rows of each
     observed side, so the objective is half of |M y - weighted_data|^2.  The
-    engine also holds M^T M rescaled to a unit diagonal and the banded
-    Cholesky factor of its node-group time-series blocks.  M depends on the
-    zeroth-order coefficient only through alpha; ``update_gamma`` rebuilds M
-    and what is derived from it, which is what the reconstruction loop
-    needs.  ``omega`` is the normalized weight table; the diagnostics of
-    :func:`minimize_J` reuse it.
+    engine also holds the banded Cholesky factor of the node-group
+    time-series blocks of M^T M, the right preconditioner of the solve; M^T M
+    itself is not kept.  M depends on the zeroth-order coefficient only
+    through alpha; ``update_gamma`` rebuilds M and its preconditioner, which
+    is what the reconstruction loop needs.  ``omega`` is the normalized
+    weight table; the diagnostics of :func:`minimize_J` reuse it.
     """
 
     def __init__(self, coeffs: MGTCoefficients, carleman: CarlemanSetup,
@@ -225,50 +228,38 @@ class CarlemanLeastSquares:
         self._assemble(coeffs)
 
     def update_gamma(self, gamma: np.ndarray) -> None:
-        """Swap the zeroth-order coefficient and refresh the normal matrix."""
+        """Swap the zeroth-order coefficient and refresh M and its preconditioner."""
         self._assemble(self.coeffs.with_gamma(gamma))
 
     def _assemble(self, coeffs: MGTCoefficients) -> None:
-        """Build M, the rescaled M^T M and the factor of its group blocks."""
+        """Build M and the banded Cholesky factor of the group blocks of M^T M."""
         # release the previous coefficient's matrices before forming new ones
-        self.operator = self._normal_scaled = self._block_factor = None
+        self.operator = self._block_factor = None
         self.coeffs = coeffs
         n = self._n_unknowns
         alpha = sp.diags(np.tile(coeffs.alpha[1:-1], self.grid.nt - 1))
         self.operator = (sp.diags(self._root_weight)
                          @ (self._fixed_rows + self._alpha_rows @ alpha)).tocsr()
         normal = (self.operator.T @ self.operator).tocsr()
-        diag = normal.diagonal()
-        if not np.all(np.isfinite(normal.data)) or np.any(diag <= 0):
+        if not np.all(np.isfinite(normal.data)) or np.any(normal.diagonal() <= 0):
             raise MinimizationError(
                 "normal matrix has non-finite or non-positive diagonal entries; "
                 "the weight range is too extreme for this grid")
-        self._scale = 1.0 / np.sqrt(diag)
-        col = normal.indices
-        row = np.repeat(np.arange(n, dtype=col.dtype), np.diff(normal.indptr))
-        normal.data *= self._scale[row]        # in place: no second copy of M^T M
-        normal.data *= self._scale[col]
-        self._normal_scaled = normal
 
         # Scatter the entries on or above the diagonal whose nodes share a
         # group into the lower band of that group's time-major block.
+        col = normal.indices
+        row = np.repeat(np.arange(n, dtype=col.dtype), np.diff(normal.indptr))
         keep = (col >= row) & (self._group[row] == self._group[col])
         low, high = self._position[row[keep]], self._position[col[keep]]
         band = np.zeros((_TIME_BANDWIDTH * _GROUP_NODES + 3, n), order="F")
         band[high - low, low] = normal.data[keep]
-        band[0] += _BLOCK_SHIFT
+        band[0] *= 1.0 + _BLOCK_SHIFT
         self._block_factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise MinimizationError(
                 f"node-group preconditioner is not positive definite "
                 f"(banded Cholesky info {info})")
-
-    def _precondition(self, r: np.ndarray) -> np.ndarray:
-        """Solve the node-group blocks for a time-major vector."""
-        z, _ = dpbtrs(self._block_factor, r[self._group_order], lower=1)
-        out = np.empty_like(z)
-        out[self._group_order] = z
-        return out
 
     def weighted_data(self, mu, g: Optional[np.ndarray]) -> np.ndarray:
         """Square-root weights times the data [g; mu; mu_t], row by row of M."""
@@ -283,62 +274,61 @@ class CarlemanLeastSquares:
             parts += [by_side[side].mu, by_side[side].mu_t]
         return self._root_weight * np.concatenate(parts)
 
-    def rhs_vector(self, mu, g: Optional[np.ndarray]) -> np.ndarray:
-        return self.operator.T @ self.weighted_data(mu, g)
+    def _right_solve(self, v: np.ndarray, trans: str) -> np.ndarray:
+        """R^-1 v (``trans`` "T") or R^-T v ("N") for a time-major vector.
 
-    def solve_normal_equations(self, rhs: np.ndarray, tol: float,
+        R is the transpose of the group blocks' lower Cholesky factor.
+        """
+        x, _ = dtbtrs(self._block_factor, v[self._group_order], uplo="L", trans=trans)
+        out = np.empty_like(x)
+        out[self._group_order] = x
+        return out
+
+    def _backward_error(self, residual: np.ndarray) -> float:
+        """|R^-T M^T r| / (sqrt(n) |r|), sqrt(n) being |M R^-1|_F."""
+        rnorm = np.linalg.norm(residual)
+        if rnorm == 0.0:
+            return 0.0
+        gradient = self._right_solve(self.operator.T @ residual, "N")
+        return float(np.linalg.norm(gradient) / (np.sqrt(self._n_unknowns) * rnorm))
+
+    def solve_normal_equations(self, b: np.ndarray, tol: float,
                                x0: Optional[np.ndarray] = None,
                                max_iterations: Optional[int] = None):
-        """Preconditioned conjugate gradients on the rescaled normal matrix.
+        """Least-squares solution of M y = b by LSMR on M R^-1.
 
-        The preconditioner is the node-group time-series block diagonal
-        factored in ``_assemble``.  Returns (solution, iterations, relative
-        residual), the residual being that of the rescaled system.  The
-        recursion residual is cross-checked against the true residual before
-        the method is allowed to stop, so the reported residual is genuine.
+        ``b`` is ``weighted_data(mu, g)``; the normal equations are never
+        formed.  Returns (solution, iterations, backward error), the backward
+        error being that of the preconditioned problem, recomputed from the
+        returned solution; above ``tol`` the solve raises.  A warm start
+        ``x0`` that already meets ``tol`` is returned as it is; otherwise
+        LSMR solves for its correction.  ``max_iterations`` caps LSMR's
+        iterations (by default n).
         """
         n = self._n_unknowns
-        cap = 10 * n if max_iterations is None else max_iterations
-        mat = self._normal_scaled
-        b = self._scale * rhs
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
+        if np.linalg.norm(b) == 0.0:
             return np.zeros(n), 0, 0.0
+        y = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+        residual = b - self.operator @ y
+        if x0 is not None:
+            error = self._backward_error(residual)
+            if error <= tol:
+                return y, 0, error
 
-        x = np.zeros(n) if x0 is None else x0 / self._scale
-        r = b - mat @ x
-        z = self._precondition(r)
-        p = z.copy()
-        rz = float(r @ z)
-        iterations = 0
-        while iterations < cap:
-            if np.linalg.norm(r) <= tol * bnorm:
-                r = b - mat @ x        # trust only the recomputed residual
-                if np.linalg.norm(r) <= tol * bnorm:
-                    break
-                z = self._precondition(r)
-                rz = float(r @ z)
-                p = z.copy()
-            q = mat @ p
-            curvature = float(p @ q)
-            if curvature <= 0.0 or not np.isfinite(curvature):
-                raise MinimizationError(
-                    f"conjugate gradient breakdown at iteration {iterations}: "
-                    f"direction curvature {curvature}")
-            step = rz / curvature
-            x += step * p
-            r -= step * q
-            z = self._precondition(r)
-            rz_next = float(r @ z)
-            p = z + (rz_next / rz) * p
-            rz = rz_next
-            iterations += 1
-        rel = float(np.linalg.norm(b - mat @ x) / bnorm)
-        if rel > tol:
+        preconditioned = LinearOperator(
+            self.operator.shape, dtype=float,
+            matvec=lambda z: self.operator @ self._right_solve(z, "T"),
+            rmatvec=lambda r: self._right_solve(self.operator.T @ r, "N"))
+        # conlim=0: no stop on the condition estimate, only on the tolerance
+        z, _, iterations = lsmr(preconditioned, residual, atol=tol, btol=tol,
+                                conlim=0.0, maxiter=max_iterations)[:3]
+        y += self._right_solve(z, "T")
+        error = self._backward_error(b - self.operator @ y)
+        if error > tol:
             raise MinimizationError(
-                f"conjugate gradient stalled at relative residual {rel:.3e} "
-                f"after {iterations} iterations (target {tol:.1e}, cap {cap})")
-        return self._scale * x, iterations, rel
+                f"LSMR stopped at backward error {error:.3e} after {iterations} "
+                f"iterations (target {tol:.1e}, cap {max_iterations or n})")
+        return y, iterations, error
 
 
 # ---------------------------------------------------------------------------
@@ -438,17 +428,16 @@ def minimize_J(mu, g, coeffs: MGTCoefficients, carleman: CarlemanSetup,
                max_iterations: Optional[int] = None):
     """Minimizer of the weighted objective and its diagnostics.
 
-    ``engine`` allows reuse of an assembled normal matrix across calls with
-    the same coefficients, weights and grid.  The energy bound check uses
-    the exact factor 4: ||y*||^2 <= (4/s) |g|_w^2 + 4 |mu|_w^2, a discrete
-    inequality inherited from J(y*) <= J(0) plus Young's inequality.
+    ``engine`` allows reuse of an assembled operator and preconditioner
+    across calls with the same coefficients, weights and grid.  The energy
+    bound check uses the exact factor 4: ||y*||^2 <= (4/s) |g|_w^2 + 4 |mu|_w^2,
+    a discrete inequality inherited from J(y*) <= J(0) plus Young's inequality.
     """
     if engine is None:
         engine = CarlemanLeastSquares(coeffs, carleman, grid)
-    rhs = engine.rhs_vector(mu, g)
     x0 = None if warm_start is None else warm_start.to_vector()
     vec, iterations, rel = engine.solve_normal_equations(
-        rhs, solver_tol, x0=x0, max_iterations=max_iterations)
+        engine.weighted_data(mu, g), solver_tol, x0=x0, max_iterations=max_iterations)
     y_star = TrajectoryVariable.from_vector(vec, grid)
 
     s, geometry, omega = engine.scales.s, engine.geometry, engine.omega

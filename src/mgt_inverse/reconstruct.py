@@ -83,8 +83,15 @@ class ReconstructionConfig:
         if self.data_refinement < 1 or int(self.data_refinement) != self.data_refinement:
             raise ValueError(
                 f"data refinement must be a positive integer, got {self.data_refinement}")
+        if self.smooth_window < 0 or int(self.smooth_window) != self.smooth_window:
+            raise ValueError(
+                f"smooth_window must be a nonnegative integer, got {self.smooth_window}")
         if self.solver_tol <= 0:
             raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
+        if self.solver_cap is not None and (
+                self.solver_cap < 1 or int(self.solver_cap) != self.solver_cap):
+            raise ValueError(
+                f"solver_cap must be None or a positive integer, got {self.solver_cap}")
         report = validate_admissibility(self.carleman.geometry, self.grid)
         if not report.accepted:
             raise ValueError("; ".join(report.violations))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
                                   WeightOverflowError, admissible_geometry,
@@ -204,3 +206,21 @@ def test_estimate_ratio_does_not_grow_with_s():
               for s in (1.0, 2.0, 4.0)]
     for a, b in zip(ratios, ratios[1:]):
         assert b <= 1.2 * a
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.floats(min_value=1e-3, max_value=1e3), seed=st.integers(0, 2 ** 16))
+def test_estimate_ratio_is_invariant_under_field_scaling(k, seed):
+    # both sides are quadratic in y, so lhs / rhs must not see k
+    grid = canonical_grid(21, 41)
+    coeffs = constant_coeffs(grid)
+    scales = CarlemanScales(1.0, 2.0)
+    rng = np.random.default_rng(seed)
+    modes = np.array([np.sin((m + 1) * np.pi * grid.x) for m in range(3)])
+    powers = np.array([grid.t ** (p + 2) for p in range(3)])   # y = y_t = 0 at t = 0
+    y = powers.T @ rng.normal(size=(3, 3)) @ modes
+
+    def ratio(scale):
+        return carleman_lhs_rhs(scale * y, coeffs, GEO, scales, grid).ratio
+
+    assert ratio(k) == pytest.approx(ratio(1.0), rel=1e-12)

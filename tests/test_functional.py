@@ -1,7 +1,11 @@
+import functools
 import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgt_inverse import carleman
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
@@ -190,9 +194,14 @@ def test_optimality_system_residual_in_random_directions():
     mu, g = random_data(grid, 7)
     tol = 1e-9
     y, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=tol, engine=engine)
-    rhs = engine.rhs_vector(mu, g)
-    b_hat = engine._scale * rhs
-    r_hat = b_hat - engine._normal_scaled @ (y.to_vector() / engine._scale)
+    # the normal equations M^T M y = M^T b, rescaled to a unit diagonal:
+    # D M^T M D (y / D) = D M^T b
+    mat = engine.operator
+    normal = (mat.T @ mat).tocsr()
+    scale = 1.0 / np.sqrt(normal.diagonal())
+    normal_scaled = sp.diags(scale) @ normal @ sp.diags(scale)
+    b_hat = scale * (mat.T @ engine.weighted_data(mu, g))
+    r_hat = b_hat - normal_scaled @ (y.to_vector() / scale)
     bnorm = np.linalg.norm(b_hat)
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -238,6 +247,33 @@ def test_minimizer_invariant_under_weight_rescaling():
             base_j, rel=1e-12)
 
 
+@functools.lru_cache(maxsize=None)
+def rescaled_minimizer(k, offset):
+    """Minimizer and diagnostics for data times k and every weight times e^offset."""
+    grid, coeffs, setup = make_problem(31, 61)
+    mu, g = random_data(grid, 9)
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    engine._root_weight = np.exp(0.5 * offset) * engine._root_weight
+    engine._assemble(engine.coeffs)
+    mu = MuPair(mu.side, k * mu.mu, k * mu.mu_t, grid.dt)
+    return minimize_J(mu, k * g, coeffs, setup, grid, solver_tol=1e-10, engine=engine)
+
+
+@settings(max_examples=10, deadline=None)
+@given(k=st.floats(min_value=1e-3, max_value=1e3),
+       offset=st.floats(min_value=-3.0, max_value=3.0))
+def test_certificate_is_met_under_data_and_weight_rescaling(k, offset):
+    # the backward error is invariant under both rescalings, so every solve
+    # meets the tolerance and returns k times the unscaled minimizer
+    grid, coeffs, setup = make_problem(31, 61)
+    base, _ = rescaled_minimizer(1.0, 0.0)
+    y, diag = rescaled_minimizer(k, offset)
+    assert diag.el_residual <= 1e-10
+    gap = TrajectoryVariable(grid, y.values - k * base.values)
+    assert v_norm_sq(gap, coeffs, setup, grid) <= 1e-8 * k ** 2 * v_norm_sq(
+        base, coeffs, setup, grid)
+
+
 def test_update_gamma_matches_fresh_assembly():
     grid, coeffs, setup = make_problem(21, 41)
     mu, g = random_data(grid, 13)
@@ -245,12 +281,10 @@ def test_update_gamma_matches_fresh_assembly():
     new_gamma = np.clip(coeffs.gamma + 0.2, 0.0, 1.0)
     engine.update_gamma(new_gamma)
     fresh = CarlemanLeastSquares(coeffs.with_gamma(new_gamma), setup, grid)
-    for got, want in ((engine.operator, fresh.operator),
-                      (engine._normal_scaled, fresh._normal_scaled)):
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
-    assert np.array_equal(engine._scale, fresh._scale)
+    got, want = engine.operator, fresh.operator
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
     assert np.array_equal(engine._block_factor, fresh._block_factor)
     y_updated, _ = minimize_J(mu, g, engine.coeffs, setup, grid,
                               solver_tol=1e-10, engine=engine)
@@ -283,13 +317,13 @@ def test_data_validation_and_iteration_cap():
     engine = CarlemanLeastSquares(coeffs, setup, grid)
     mu, g = random_data(grid, 21)
     with pytest.raises(ValueError):
-        engine.rhs_vector(MuPair("left", mu.mu, mu.mu_t, grid.dt), None)
+        engine.weighted_data(MuPair("left", mu.mu, mu.mu_t, grid.dt), None)
     with pytest.raises(ValueError):
-        engine.rhs_vector(MuPair("right", mu.mu[:-1], mu.mu_t[:-1], grid.dt), None)
+        engine.weighted_data(MuPair("right", mu.mu[:-1], mu.mu_t[:-1], grid.dt), None)
     with pytest.raises(ValueError):
-        engine.rhs_vector(mu, g[:, :-1])
+        engine.weighted_data(mu, g[:, :-1])
     with pytest.raises(MinimizationError):
-        engine.solve_normal_equations(engine.rhs_vector(mu, g), 1e-9,
+        engine.solve_normal_equations(engine.weighted_data(mu, g), 1e-9,
                                       max_iterations=1)
 
 
@@ -297,7 +331,7 @@ def test_preconditioner_inverts_each_node_group_block():
     grid, coeffs, setup = make_problem(31, 61, s=1.0)
     engine = CarlemanLeastSquares(coeffs, setup, grid)
     nt1, m = grid.nt - 1, grid.nx - 2
-    mat = engine._normal_scaled
+    mat = (engine.operator.T @ engine.operator).tocsr()
     # unknowns couple at most four levels and two nodes apart
     coo = mat.tocoo()
     assert np.abs(coo.row // m - coo.col // m).max() == 4
@@ -310,9 +344,12 @@ def test_preconditioner_inverts_each_node_group_block():
         in_group[:, first:last] = True
         in_group = in_group.ravel()
         v = np.where(in_group, rng.normal(size=nt1 * m), 0.0)
-        # the factored block is the group's part of the matrix plus the shift
-        block_image = np.where(in_group, mat @ v, 0.0) + _BLOCK_SHIFT * v
-        assert np.allclose(engine._precondition(block_image), v, rtol=0.0, atol=1e-10)
+        # the factored block R^T R is the group's part of the matrix with its
+        # diagonal scaled by 1 + shift; R^-1 R^-T inverts it
+        block_image = (np.where(in_group, mat @ v, 0.0)
+                       + _BLOCK_SHIFT * mat.diagonal() * v)
+        solved = engine._right_solve(engine._right_solve(block_image, "N"), "T")
+        assert np.allclose(solved, v, rtol=0.0, atol=1e-10)
 
 
 def test_block_preconditioner_at_least_halves_cg_iterations():
@@ -320,7 +357,8 @@ def test_block_preconditioner_at_least_halves_cg_iterations():
     mu, g = random_data(grid, 1)
     _, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-6)
     assert diag.el_residual <= 1e-6
-    # CG with the diagonal preconditioner alone needed 4,039 iterations here
+    # conjugate gradients on the normal equations with the diagonal
+    # preconditioner alone needed 4,039 iterations here
     assert diag.solver_iterations <= 4039 // 2
 
 
@@ -329,7 +367,8 @@ def test_group_preconditioner_halves_node_preconditioner_iterations():
     mu, g = random_data(grid, 1)
     _, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-6)
     assert diag.el_residual <= 1e-6
-    # CG with one block per node needed 616 iterations here
+    # conjugate gradients on the normal equations with one block per node
+    # needed 616 iterations here
     assert diag.solver_iterations <= 616 // 2
 
 

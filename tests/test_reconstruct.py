@@ -247,6 +247,15 @@ def test_reconstruction_error_preserves_partial_history():
     assert history[0].iteration == 0
 
 
+@pytest.mark.parametrize("field, value", [("solver_cap", 0), ("solver_cap", 2.5),
+                                          ("solver_cap", -5), ("smooth_window", -4),
+                                          ("smooth_window", 1.5)])
+def test_config_rejects_bad_solver_cap_and_smooth_window(field, value):
+    # rejected before any forward solve, as the config schema rejects them
+    with pytest.raises(ValueError, match=field):
+        make_config(31, 61, **{field: value})
+
+
 def test_missing_side_and_data_requirements():
     config = make_config(31, 61, data_refinement=1)
     gamma_true = canonical_gamma(config.grid)
@@ -279,7 +288,7 @@ def test_first_criterion_5_solve_has_small_backward_error(s):
     mu = [build_mu(extract_observation(traj, obs.side), obs) for obs in data]
     g = np.zeros((grid.nt, grid.nx))
     engine = CarlemanLeastSquares(coeffs, config.carleman, grid)
-    y, _, rel = engine.solve_normal_equations(engine.rhs_vector(mu, g), config.solver_tol)
+    y, _, rel = engine.solve_normal_equations(engine.weighted_data(mu, g), config.solver_tol)
     assert rel <= config.solver_tol
     # node-by-node blocks left 2.3e-8 to 2.5e-8 at s = 2 and 4
     assert least_squares_backward_error(engine, mu, g, y) <= 1e-8

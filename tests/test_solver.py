@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mgt_inverse import solver
@@ -315,3 +317,25 @@ def test_variable_alpha_maintains_order():
                              f, g)
         errs.append(np.abs(traj.u - u_exact).max())
     assert np.log2(errs[0] / errs[1]) > 1.8
+
+
+@settings(max_examples=15, deadline=None)
+@given(k=st.floats(min_value=1e-3, max_value=1e3), seed=st.integers(0, 2 ** 16))
+def test_energy_and_laplacian_ratios_are_invariant_under_data_scaling(k, seed):
+    # the solution is linear in (u0, u1, u2, f) and both bounds compare
+    # squared norms, so neither ratio may see k
+    g = canonical_grid(21, 41, T=1.25)
+    co = MGTCoefficients(1.0, 1.0, np.full(g.nx, 0.25), 1.0)
+    rng = np.random.default_rng(seed)
+    modes = np.array([np.sin((m + 1) * np.pi * g.x) for m in range(3)])
+    u0, u1 = rng.normal(size=3) @ modes, rng.normal(size=3) @ modes
+    u2 = rng.normal() + rng.normal(size=3) @ modes
+    f = rng.normal(size=(g.nt, g.nx))
+
+    def ratios(scale):
+        data = InitialData(scale * u0, scale * u1, scale * u2)
+        traj = solve_forward(co, data, scale * f, g)
+        return (verify_energy_bound(traj, scale * f, co.b).ratio,
+                verify_laplacian_bound(traj, data, scale * f, co.b).ratio)
+
+    assert ratios(k) == pytest.approx(ratios(1.0), rel=1e-12)
