@@ -199,6 +199,79 @@ class CarlemanEvaluation:
     ratio: float
 
 
+@dataclass(frozen=True)
+class _EstimateTerms:
+    """Scale-independent integrands of the estimate for one field, on its
+    admissible geometry: the squared encoded initial acceleration; the
+    gradient terms c^4 (y_t^2 + y_x^2) + y_tt^2 + y_xt^2 and the value terms
+    c^4 y^2 + y_t^2, weighted with e^(lambda phi) and e^(3 lambda phi);
+    (L y)^2; and per observed side its column and y_nt^2 + c^4 y_n^2."""
+
+    geometry: CarlemanGeometry
+    acceleration: np.ndarray
+    gradients: np.ndarray
+    values: np.ndarray
+    residual: np.ndarray
+    fluxes: tuple
+
+
+def _estimate_terms(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGeometry,
+                    grid: SpaceTimeGrid) -> _EstimateTerms:
+    """Validate ``y`` and evaluate its stencils, once for any number of scales."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (grid.nt, grid.nx):
+        raise ValueError(f"field has shape {y.shape}, expected ({grid.nt}, {grid.nx})")
+    scale = max(np.abs(y).max(), 1e-300)
+    if max(np.abs(y[:, 0]).max(), np.abs(y[:, -1]).max()) > 1e-10 * scale:
+        raise ValueError("field must vanish at the boundary columns")
+    if np.abs(y[0]).max() > 1e-10 * scale:
+        raise ValueError("field must vanish at time level zero")
+    geometry = admissible_geometry(geometry, grid)
+    c4 = coeffs.c ** 4
+
+    d1 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 1)
+    yt = d1 @ y
+    ytt = time_derivative_matrix_zero_start(grid.nt, grid.dt, 2) @ y
+    yx = np.gradient(y, grid.h, axis=1, edge_order=2)
+    yxt = np.gradient(yt, grid.h, axis=1, edge_order=2)
+    ly = apply_operator(y, coeffs, grid, zero_start=True)
+    fluxes = []
+    for side in geometry.gamma0_sides:
+        dyn = boundary_normal_derivative(y, grid, side)
+        fluxes.append((0 if side == "left" else grid.nx - 1,
+                       (d1 @ dyn) ** 2 + c4 * dyn ** 2))
+    ytt0 = 2.0 * y[1] / grid.dt ** 2          # encoded initial acceleration
+    return _EstimateTerms(geometry, ytt0 ** 2,
+                          c4 * (yt ** 2 + yx ** 2) + ytt ** 2 + yxt ** 2,
+                          c4 * y ** 2 + yt ** 2, ly ** 2, tuple(fluxes))
+
+
+def _estimate_sides(terms: _EstimateTerms, weight: np.ndarray, scales: CarlemanScales,
+                    grid: SpaceTimeGrid) -> CarlemanEvaluation:
+    """Weighted quadrature of both sides at one scale pair; ``weight`` is its
+    weight table up to a positive factor, which cancels in the ratio."""
+    if scales.lam <= 0 or scales.s <= 0:
+        raise ValueError("estimate evaluation needs strictly positive scales")
+    lam, s = scales.lam, scales.s
+    phil = np.exp(lam * phi(grid.x[None, :], grid.t[:, None], terms.geometry))
+    qx = trapezoid_weights(grid.nx, grid.h)
+    qt = trapezoid_weights(grid.nt, grid.dt)
+
+    lhs = (np.sqrt(s) * float(qx @ (weight[0] * terms.acceleration))
+           + s * lam * float(qt @ ((weight * phil * terms.gradients) @ qx))
+           + s ** 3 * lam ** 3 * float(qt @ ((weight * phil ** 3 * terms.values) @ qx)))
+    rhs_interior = float(qt @ ((weight * terms.residual) @ interior_weights(grid.nx, grid.h)))
+    rhs_boundary = sum(s * lam * float(qt @ (weight[:, col] * flux))
+                       for col, flux in terms.fluxes)
+
+    rhs = rhs_interior + rhs_boundary
+    if rhs == 0.0:
+        ratio = 0.0 if lhs == 0.0 else float("inf")
+    else:
+        ratio = float(lhs / rhs)
+    return CarlemanEvaluation(float(lhs), rhs_interior, float(rhs_boundary), ratio)
+
+
 def carleman_lhs_rhs(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGeometry,
                      scales: CarlemanScales, grid: SpaceTimeGrid) -> CarlemanEvaluation:
     """Quadrature of both sides of the weighted estimate for one field.
@@ -212,58 +285,6 @@ def carleman_lhs_rhs(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanG
     lhs / rhs is the empirical estimate constant; it is invariant under the
     weight normalization used internally.
     """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (grid.nt, grid.nx):
-        raise ValueError(f"field has shape {y.shape}, expected ({grid.nt}, {grid.nx})")
-    scale = max(np.abs(y).max(), 1e-300)
-    if max(np.abs(y[:, 0]).max(), np.abs(y[:, -1]).max()) > 1e-10 * scale:
-        raise ValueError("field must vanish at the boundary columns")
-    if np.abs(y[0]).max() > 1e-10 * scale:
-        raise ValueError("field must vanish at time level zero")
-
-    geometry = admissible_geometry(geometry, grid)
-    if scales.lam <= 0 or scales.s <= 0:
-        raise ValueError("estimate evaluation needs strictly positive scales")
-    lam, s = scales.lam, scales.s
-    c4 = coeffs.c ** 4
-
-    weight = normalized_weight_table(grid, geometry, scales)
-    phil = np.exp(lam * phi(grid.x[None, :], grid.t[:, None], geometry))
-
-    d1 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 1)
-    d2 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 2)
-    yt = d1 @ y
-    ytt = d2 @ y
-    yx = np.gradient(y, grid.h, axis=1, edge_order=2)
-    yxt = np.gradient(yt, grid.h, axis=1, edge_order=2)
-    ly = apply_operator(y, coeffs, grid, zero_start=True)
-
-    qx = trapezoid_weights(grid.nx, grid.h)
-    qt = trapezoid_weights(grid.nt, grid.dt)
-    qx_int = interior_weights(grid.nx, grid.h)
-
-    def integrate(table):
-        return float(qt @ (table @ qx))
-
-    ytt0 = 2.0 * y[1] / grid.dt ** 2          # encoded initial acceleration
-    lhs = (np.sqrt(s) * float(qx @ (weight[0] * ytt0 ** 2))
-           + s * lam * c4 * integrate(weight * phil * (yt ** 2 + yx ** 2))
-           + s ** 3 * lam ** 3 * c4 * integrate(weight * phil ** 3 * y ** 2)
-           + s * lam * integrate(weight * phil * (ytt ** 2 + yxt ** 2))
-           + s ** 3 * lam ** 3 * integrate(weight * phil ** 3 * yt ** 2))
-
-    rhs_interior = float(qt @ ((weight * ly ** 2) @ qx_int))
-
-    rhs_boundary = 0.0
-    for side in geometry.gamma0_sides:
-        col = 0 if side == "left" else grid.nx - 1
-        dyn = boundary_normal_derivative(y, grid, side)
-        dytn = d1 @ dyn
-        rhs_boundary += s * lam * float(qt @ (weight[:, col] * (dytn ** 2 + c4 * dyn ** 2)))
-
-    rhs = rhs_interior + rhs_boundary
-    if rhs == 0.0:
-        ratio = 0.0 if lhs == 0.0 else float("inf")
-    else:
-        ratio = float(lhs / rhs)
-    return CarlemanEvaluation(float(lhs), rhs_interior, float(rhs_boundary), ratio)
+    terms = _estimate_terms(y, coeffs, geometry, grid)
+    weight = normalized_weight_table(grid, terms.geometry, scales)
+    return _estimate_sides(terms, weight, scales, grid)

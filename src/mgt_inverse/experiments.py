@@ -19,8 +19,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .carleman import (CarlemanGeometry, CarlemanScales, carleman_lhs_rhs,
-                       weight_statistics)
+from .carleman import (CarlemanGeometry, CarlemanScales, _estimate_sides,
+                       _estimate_terms, normalized_weight_table, weight_statistics)
 from .grid import SpaceTimeGrid, build_grid, time_difference, trapezoid_weights
 from .observation import extract_observation
 from .solver import InitialData, MGTCoefficients, solve_forward
@@ -213,8 +213,9 @@ def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
     The same ``sample_count`` fields (drawn once from ``seed``) are evaluated
     at every scale pair, so entries are comparable across scales; rerunning
     with the same seed on a refined grid evaluates the same underlying
-    functions.  ``carleman_lhs_rhs`` guards the weight range of each scale
-    pair before any exponentiation.
+    functions.  Each field's stencils are evaluated once and weighted at
+    every scale pair, as ``carleman_lhs_rhs`` does for one; the weight range
+    of each scale pair is guarded before any exponentiation.
     """
     if sample_count < 0:
         raise ValueError("sample_count must be nonnegative")
@@ -222,13 +223,17 @@ def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
     samples = [draw_field_sample(rng, x_modes, t_modes) for _ in range(sample_count)]
     if not samples:
         return CarlemanSweepReport(seed, 0, ())
-    fields = [sample.values(grid) for sample in samples]
+    scales_list = list(scales_list)
+    evals = [[] for _ in scales_list]
+    for sample in samples:
+        terms = _estimate_terms(sample.values(grid), coeffs, geometry, grid)
+        for scales, row in zip(scales_list, evals):
+            weight = normalized_weight_table(grid, terms.geometry, scales)
+            row.append(_estimate_sides(terms, weight, scales, grid))
     entries = []
-    for scales in scales_list:
-        evals = [carleman_lhs_rhs(field, coeffs, geometry, scales, grid)
-                 for field in fields]
-        ratios = tuple(ev.ratio for ev in evals)
-        rhs_values = tuple(ev.rhs_interior + ev.rhs_boundary for ev in evals)
+    for scales, row in zip(scales_list, evals):
+        ratios = tuple(ev.ratio for ev in row)
+        rhs_values = tuple(ev.rhs_interior + ev.rhs_boundary for ev in row)
         entries.append(ScaleEntry(scales, ratios, rhs_values, max(ratios)))
     return CarlemanSweepReport(seed, sample_count, tuple(entries))
 

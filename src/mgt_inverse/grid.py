@@ -82,11 +82,13 @@ def laplacian_matrix(grid: SpaceTimeGrid) -> sp.csr_matrix:
 
 
 def apply_laplacian(field: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
-    """Centered second difference of a scalar field; zero at the endpoints."""
+    """Centered second difference in x of an (nx,) or (nt, nx) field; zero at the ends."""
     field = np.asarray(field, dtype=float)
-    if field.shape != (grid.nx,):
-        raise ValueError(f"field has shape {field.shape}, expected ({grid.nx},)")
-    return laplacian_matrix(grid) @ field
+    if field.ndim not in (1, 2) or field.shape[-1] != grid.nx:
+        raise ValueError(f"field has shape {field.shape}, expected ({grid.nx},) or (nt, {grid.nx})")
+    out = np.zeros(field.shape)
+    out[..., 1:-1] = (field[..., :-2] - 2.0 * field[..., 1:-1] + field[..., 2:]) / grid.h ** 2
+    return out
 
 
 def boundary_normal_derivative(field: np.ndarray, grid: SpaceTimeGrid,

@@ -3,9 +3,11 @@
     u_ttt + alpha(x) u_tt - c^2 u_xx - b u_txx = f,   u = 0 on the boundary,
 
 with alpha parametrized by the damping offset gamma through
-alpha = gamma + c^2 / b.  The equation is advanced as a first-order system in
-(u, u_t, u_tt) by the trapezoidal (Crank-Nicolson) rule; the step matrix is
-factored once per solve.
+alpha = gamma + c^2 / b.  The equation is advanced by the trapezoidal
+(Crank-Nicolson) rule for the first-order system in (u, u_t, u_tt).  The
+step eliminates u and u_t, so each time level is one tridiagonal solve for
+u_tt, whose matrix is factored once per solve; u_t and u follow by the
+trapezoidal rule.
 
 An initial acceleration u2 that does not vanish at the Dirichlet ends launches
 a front from each corner of the space-time domain along which u_tt jumps.  The
@@ -20,11 +22,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grid import (SpaceTimeGrid, apply_laplacian, boundary_normal_derivative,
-                   discrete_norms, laplacian_matrix, time_derivative_matrix,
+                   discrete_norms, time_derivative_matrix,
                    time_derivative_matrix_zero_start, trapezoid_weights)
 
 
@@ -117,26 +118,6 @@ class Trajectory:
     ut: np.ndarray
     utt: np.ndarray
     flux_correction: dict = field(default_factory=dict)
-
-
-def _system_matrix(coeffs: MGTCoefficients, grid: SpaceTimeGrid) -> sp.csr_matrix:
-    """Generator of the first-order system d/dt (u, v, w) = A (u, v, w) + (0, 0, f).
-
-    Boundary rows of the u and v blocks are zero so homogeneous Dirichlet data
-    is preserved exactly; the boundary w rows keep only the damping term.
-    """
-    nx = grid.nx
-    lap = laplacian_matrix(grid)
-    interior = np.ones(nx)
-    interior[0] = interior[-1] = 0.0
-    eye_int = sp.diags(interior)
-    zero = sp.csr_matrix((nx, nx))
-    a = sp.bmat([
-        [zero, eye_int, zero],
-        [zero, zero, eye_int],
-        [coeffs.c ** 2 * lap, coeffs.b * lap, sp.diags(-coeffs.alpha)],
-    ], format="csr")
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +292,8 @@ def corner_part(c: float, b: float, reference: float, left: float, right: float,
 
 def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
                   grid: SpaceTimeGrid) -> Trajectory:
-    """Trapezoidal time stepping of the first-order system.
+    """Trapezoidal time stepping of the first-order system, one tridiagonal
+    solve for u_tt per level.
 
     ``f`` is the source sampled on the full grid, shape (nt, nx), or None for
     a source-free problem.  Returns the trajectory with snapshot 0 equal to
@@ -355,37 +337,46 @@ def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
         f = f - corner.source - (coeffs.gamma - corner.reference) * corner.utt_average
         u2 = data.u2 - corner.profile
 
-    a = _system_matrix(coeffs, grid)
-    eye = sp.identity(3 * nx, format="csr")
-    dt = grid.dt
-    try:
-        step = spla.splu((eye - 0.5 * dt * a).tocsc())
-    except RuntimeError as exc:
-        raise ForwardSolveError(f"step matrix factorization failed: {exc}") from exc
-    forward = (eye + 0.5 * dt * a).tocsr()
+    # (I + half alpha - half kappa Lap P) w+ = (I - half alpha) w
+    #     + half Lap (2 c^2 u + (c^2 dt + 2 b) v + kappa P w) + half (f_n + f_n+1),
+    # with P the interior projection and Lap the three-point Laplacian with
+    # zero boundary rows; the boundary rows of u and v are never written
+    half = 0.5 * grid.dt
+    c2 = coeffs.c ** 2
+    kappa = 0.25 * c2 * grid.dt ** 2 + half * coeffs.b
+    mix = c2 * grid.dt + 2.0 * coeffs.b
+    lap_scale = half / grid.h ** 2
+    diag = 1.0 + half * coeffs.alpha
+    diag[1:-1] += 2.0 * kappa * lap_scale
+    off = np.zeros(nx - 1)
+    off[1:-1] = -kappa * lap_scale
+    dl, d, du, du2, ipiv, info = dgttrf(off, diag, off)
+    if info != 0:
+        raise ForwardSolveError(f"step matrix factorization failed: dgttrf info {info}")
+    explicit = 1.0 - half * coeffs.alpha
+    source = half * (f[:-1] + f[1:])
 
-    state = np.concatenate([data.u0, data.u1, u2])
-    state[0] = state[nx - 1] = 0.0          # exact Dirichlet start on u and v
-    state[nx] = state[2 * nx - 1] = 0.0
-
-    u = np.empty((nt, nx))
-    ut = np.empty((nt, nx))
-    utt = np.empty((nt, nx))
-    u[0], ut[0], utt[0] = data.u0, data.u1, u2
-
-    rhs_buf = np.zeros(3 * nx)
-    for n in range(nt - 1):
-        rhs_buf[2 * nx:] = 0.5 * dt * (f[n] + f[n + 1])
-        state = step.solve(forward @ state + rhs_buf)
-        # boundary u and v rows are identity rows; scrub LU roundoff so the
-        # Dirichlet condition holds exactly
-        state[0] = state[nx - 1] = 0.0
-        state[nx] = state[2 * nx - 1] = 0.0
-        if not np.all(np.isfinite(state)):
-            raise ForwardSolveError(f"non-finite state at time step {n + 1}")
-        u[n + 1] = state[:nx]
-        ut[n + 1] = state[nx:2 * nx]
-        utt[n + 1] = state[2 * nx:]
+    u, ut, utt = np.zeros((nt, nx)), np.zeros((nt, nx)), np.empty((nt, nx))
+    u[0, 1:-1], ut[0, 1:-1], utt[0] = data.u0[1:-1], data.u1[1:-1], u2   # exact Dirichlet start
+    ui, vi, wi = u[:, 1:-1], ut[:, 1:-1], utt[:, 1:-1]
+    z = np.zeros(nx)                     # 2 c^2 u + mix v + kappa P w
+    lap = lap_scale * np.array([1.0, -2.0, 1.0])
+    # a non-finite state propagates to every later level; it is located after the loop
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in range(nt - 1):
+            np.multiply(2.0 * c2, ui[n], out=z[1:-1])
+            z[1:-1] += mix * vi[n] + kappa * wi[n]
+            w = utt[n + 1]
+            np.multiply(explicit, utt[n], out=w)
+            w += source[n]
+            w[1:-1] += np.convolve(z, lap, "valid")
+            utt[n + 1] = dgttrs(dl, d, du, du2, ipiv, w, overwrite_b=True)[0]
+            vi[n + 1] = vi[n] + half * (wi[n] + wi[n + 1])
+            ui[n + 1] = ui[n] + half * (vi[n] + vi[n + 1])
+    bad = ~(np.isfinite(u) & np.isfinite(ut) & np.isfinite(utt)).all(axis=1)[1:]
+    if bad.any():
+        raise ForwardSolveError(f"non-finite state at time step {int(np.argmax(bad)) + 1}")
+    u[0], ut[0] = data.u0, data.u1
     if corner is None:
         return Trajectory(grid, u, ut, utt)
 
@@ -400,13 +391,19 @@ def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
 # energies and verification ratios
 # ---------------------------------------------------------------------------
 
-def energy_e(y: np.ndarray, yt: np.ndarray, b: float, grid: SpaceTimeGrid) -> float:
-    """E(y) = (b/2) ||y_x||^2 + (1/2) ||y_t||^2 with centered gradients."""
-    y = np.asarray(y, dtype=float)
-    yt = np.asarray(yt, dtype=float)
-    grad = np.gradient(y, grid.h, edge_order=2)
+def energy_e(y: np.ndarray, yt: np.ndarray, b: float, grid: SpaceTimeGrid):
+    """E(y) = (b/2) ||y_x||^2 + (1/2) ||y_t||^2 with centered gradients.
+
+    Fields of shape (nx,) give one float; (nt, nx) fields give the array of
+    per-level energies, each the same dot products as for its row alone.
+    """
+    grad_sq = np.gradient(np.asarray(y, dtype=float), grid.h, axis=-1, edge_order=2) ** 2
+    rate_sq = np.asarray(yt, dtype=float) ** 2
     qx = trapezoid_weights(grid.nx, grid.h)
-    return float(0.5 * b * qx @ grad ** 2 + 0.5 * qx @ yt ** 2)
+    potential, kinetic = 0.5 * b * qx, 0.5 * qx
+    if grad_sq.ndim == 1:
+        return float(potential @ grad_sq + kinetic @ rate_sq)
+    return np.array([potential @ g + kinetic @ r for g, r in zip(grad_sq, rate_sq)])
 
 
 def total_energy(traj: Trajectory, n: int, b: float) -> float:
@@ -417,10 +414,8 @@ def total_energy(traj: Trajectory, n: int, b: float) -> float:
 
 def energy_series(traj: Trajectory, b: float):
     """Per-level E(u) and E_total = E(u_t) + E(u), each energy evaluated once."""
-    grid = traj.grid
-    e_u = np.array([energy_e(traj.u[n], traj.ut[n], b, grid) for n in range(grid.nt)])
-    e_ut = np.array([energy_e(traj.ut[n], traj.utt[n], b, grid) for n in range(grid.nt)])
-    return e_u, e_ut + e_u
+    e_u = energy_e(traj.u, traj.ut, b, traj.grid)
+    return e_u, energy_e(traj.ut, traj.utt, b, traj.grid) + e_u
 
 
 @dataclass
@@ -460,8 +455,7 @@ def verify_laplacian_bound(traj: Trajectory, data: InitialData, f: np.ndarray,
                            b: float) -> LaplacianBoundReport:
     """Empirical constant in  max_t ||u_xx(t)||^2 <= C (||f||^2 + E(0) + ||u0_xx||^2)."""
     grid = traj.grid
-    lap_sq = np.array([discrete_norms(apply_laplacian(traj.u[n], grid), grid, "l2") ** 2
-                       for n in range(grid.nt)])
+    lap_sq = apply_laplacian(traj.u, grid) ** 2 @ trapezoid_weights(grid.nx, grid.h)
     bound = (discrete_norms(f, grid, "l2_l2") ** 2
              + total_energy(traj, 0, b)
              + discrete_norms(apply_laplacian(data.u0, grid), grid, "l2") ** 2)
@@ -482,10 +476,8 @@ def apply_operator(field: np.ndarray, coeffs: MGTCoefficients, grid: SpaceTimeGr
     """
     stencil = time_derivative_matrix_zero_start if zero_start else time_derivative_matrix
     d1, d2, d3 = (stencil(grid.nt, grid.dt, order) for order in (1, 2, 3))
-    lap = laplacian_matrix(grid)
     return (d3 @ field + (d2 @ field) * coeffs.alpha
-            - coeffs.c ** 2 * (lap @ field.T).T
-            - coeffs.b * (lap @ (d1 @ field).T).T)
+            - apply_laplacian(coeffs.c ** 2 * field + coeffs.b * (d1 @ field), grid))
 
 
 def pde_residual(traj: Trajectory, coeffs: MGTCoefficients, f: np.ndarray) -> np.ndarray:

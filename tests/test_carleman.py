@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
-                                  WeightOverflowError, admissible_geometry,
+                                  WeightOverflowError, _estimate_sides,
+                                  _estimate_terms, admissible_geometry,
                                   carleman_lhs_rhs,
                                   log_weight, log_weight_table,
                                   normalized_weight_table, phi,
@@ -224,3 +225,22 @@ def test_estimate_ratio_is_invariant_under_field_scaling(k, seed):
         return carleman_lhs_rhs(scale * y, coeffs, GEO, scales, grid).ratio
 
     assert ratio(k) == pytest.approx(ratio(1.0), rel=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(offset=st.floats(min_value=-3.0, max_value=3.0), seed=st.integers(0, 2 ** 16))
+def test_estimate_ratio_is_invariant_under_weight_offset(offset, seed):
+    # a weight table times e^offset scales both sides alike
+    grid = canonical_grid(21, 41)
+    coeffs = constant_coeffs(grid)
+    scales = CarlemanScales(1.0, 2.0)
+    rng = np.random.default_rng(seed)
+    modes = np.array([np.sin((m + 1) * np.pi * grid.x) for m in range(3)])
+    powers = np.array([grid.t ** (p + 2) for p in range(3)])   # y = y_t = 0 at t = 0
+    y = powers.T @ rng.normal(size=(3, 3)) @ modes
+    terms = _estimate_terms(y, coeffs, GEO, grid)
+    weight = normalized_weight_table(grid, terms.geometry, scales)
+    base = _estimate_sides(terms, weight, scales, grid)
+    assert base.ratio == carleman_lhs_rhs(y, coeffs, GEO, scales, grid).ratio
+    shifted = _estimate_sides(terms, weight * np.exp(offset), scales, grid)
+    assert shifted.ratio == pytest.approx(base.ratio, rel=1e-12)

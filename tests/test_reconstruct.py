@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from mgt_inverse import functional
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
                                   CarlemanSetup, admissible_geometry)
 from mgt_inverse.functional import CarlemanLeastSquares
@@ -292,3 +293,22 @@ def test_first_criterion_5_solve_has_small_backward_error(s):
     assert rel <= config.solver_tol
     # node-by-node blocks left 2.3e-8 to 2.5e-8 at s = 2 and 4
     assert least_squares_backward_error(engine, mu, g, y) <= 1e-8
+
+
+def test_group_blocks_halve_node_block_lsmr_iterations(monkeypatch):
+    # criterion 5's first solve at s = 2, LSMR preconditioned once by one
+    # block per node and once by the seven-node groups
+    config = make_config(51, 101, s=2.0, lam=1.0, data_refinement=2, solver_tol=1e-6)
+    grid = config.grid
+    data = synthetic_observations(config, canonical_gamma(grid))
+    coeffs = config.coefficients(np.zeros(grid.nx))
+    traj = solve_forward(coeffs, config.init, None, grid)
+    mu = [build_mu(extract_observation(traj, obs.side), obs) for obs in data]
+    iterations = {}
+    for nodes in (1, 7):
+        monkeypatch.setattr(functional, "_GROUP_NODES", nodes)
+        engine = CarlemanLeastSquares(coeffs, config.carleman, grid)
+        _, iterations[nodes], rel = engine.solve_normal_equations(
+            engine.weighted_data(mu, np.zeros((grid.nt, grid.nx))), config.solver_tol)
+        assert rel <= config.solver_tol
+    assert iterations[7] <= iterations[1] // 2, iterations

@@ -2,14 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mgt_inverse import solver
-from mgt_inverse.grid import build_grid, discrete_norms
+from mgt_inverse.grid import build_grid, discrete_norms, laplacian_matrix
 from mgt_inverse.observation import extract_observation
-from mgt_inverse.solver import (InitialData, MGTCoefficients, Trajectory, corner_part,
+from mgt_inverse.solver import (ForwardSolveError, InitialData, MGTCoefficients,
+                                Trajectory, corner_part,
                                 energy_e, manufactured_solution, pde_residual,
                                 solve_forward, total_energy, verify_energy_bound,
                                 verify_laplacian_bound)
@@ -109,6 +112,74 @@ def test_superposition_in_data_and_source():
                         fa + 2.0 * fb, g)
     assert np.allclose(mix.u, za.u + 2.0 * zb.u, atol=1e-10)
     assert np.allclose(mix.utt, za.utt + 2.0 * zb.utt, atol=1e-9)
+
+
+def first_order_system_solve(coeffs, data, f, grid):
+    """Reference: the trapezoidal rule on the first-order system in
+    (u, u_t, u_tt), one SuperLU solve of the 3 nx system per level, with the
+    corner part split off as solve_forward does."""
+    nx, nt, dt = grid.nx, grid.nt, grid.dt
+    f = np.zeros((nt, nx)) if f is None else f
+    u2, corner = data.u2, None
+    if max(abs(data.u2[0]), abs(data.u2[-1])) > 1e-9 * max(np.abs(data.u2).max(), 1.0):
+        corner = corner_part(coeffs.c, coeffs.b, 0.5 * coeffs.box_bound,
+                             float(data.u2[0]), float(data.u2[-1]), grid)
+        f = f - corner.source - (coeffs.gamma - corner.reference) * corner.utt_average
+        u2 = data.u2 - corner.profile
+    lap = laplacian_matrix(grid)
+    interior = sp.diags(np.r_[0.0, np.ones(nx - 2), 0.0])
+    a = sp.bmat([[None, interior, None], [None, None, interior],
+                 [coeffs.c ** 2 * lap, coeffs.b * lap, sp.diags(-coeffs.alpha)]],
+                format="csc")
+    eye = sp.identity(3 * nx, format="csc")
+    step = spla.splu(eye - 0.5 * dt * a)
+    dirichlet = [0, nx - 1, nx, 2 * nx - 1]          # boundary u and v
+    state = np.concatenate([data.u0, data.u1, u2])
+    out = np.empty((nt, 3 * nx))
+    out[0] = state
+    state[dirichlet] = 0.0
+    for n in range(nt - 1):
+        rhs = (eye + 0.5 * dt * a) @ state
+        rhs[2 * nx:] += 0.5 * dt * (f[n] + f[n + 1])
+        state = step.solve(rhs)
+        state[dirichlet] = 0.0
+        out[n + 1] = state
+    u, ut, utt = out[:, :nx], out[:, nx:2 * nx], out[:, 2 * nx:]
+    if corner is not None:
+        u, ut, utt = u + corner.u, ut + corner.ut, utt + corner.utt
+        utt[0] = data.u2
+    return u, ut, utt
+
+
+@pytest.mark.parametrize("nx, nt, c, b, with_source", [
+    (41, 81, 1.0, 1.0, False),      # u2 = 1: the corner part is split off
+    (41, 81, 1.3, 0.7, True),
+    (201, 401, 1.0, 1.0, False),
+])
+def test_tridiagonal_step_matches_first_order_system(nx, nt, c, b, with_source):
+    grid = build_grid(0.0, 1.0, nx, 1.25, nt)
+    coeffs = MGTCoefficients(c, b, 0.4 + 0.3 * np.sin(np.pi * grid.x), 1.0)
+    if with_source:
+        data = InitialData(np.zeros(nx), 0.5 * np.sin(np.pi * grid.x),
+                           1.0 + np.cos(2.0 * np.pi * grid.x) * np.sin(np.pi * grid.x))
+        f = np.outer(np.cos(3.0 * grid.t), np.sin(2.0 * np.pi * grid.x) + grid.x)
+    else:
+        data = InitialData(np.zeros(nx), np.zeros(nx), np.ones(nx), eta=1.0)
+        f = None
+    traj = solve_forward(coeffs, data, f, grid)
+    for got, want in zip((traj.u, traj.ut, traj.utt),
+                         first_order_system_solve(coeffs, data, f, grid)):
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+    assert np.all(traj.u[1:, [0, -1]] == 0.0) and np.all(traj.ut[1:, [0, -1]] == 0.0)
+
+
+def test_non_finite_source_names_its_time_step():
+    # the source at level 5 enters the step from level 4 to level 5
+    g = canonical_grid(31, 41)
+    f = np.zeros((g.nt, g.nx))
+    f[5, 15] = np.inf
+    with pytest.raises(ForwardSolveError, match="non-finite state at time step 5$"):
+        solve_forward(constant_alpha_coeffs(g), zero_data(g), f, g)
 
 
 def test_corner_split_resolves_early_trace_below_gamma_signal():
