@@ -28,13 +28,16 @@ All weighted sums use weights normalized by the global minimum exponent, a
 positive rescaling of the objective that does not move the minimizer; every
 reported weighted value therefore carries the common factor
 exp(-log_weight_min).  The table is ``carleman.normalized_weight_table``,
-built once per assembly and reused by the minimizer diagnostics.  Besides
-the sparse assembly of M, the objective evaluates the operator by the
-stencil ``solver.apply_operator``, far cheaper than an assembly.
+built once per assembly or evaluation.  M's unweighted rows are built once
+per (grid, c, b, observed sides) and cached; the solve, the objective, the
+norms and the minimizer diagnostics all evaluate them, so the stencil
+``solver.apply_operator`` serves only the Carleman estimate and the test
+that pins the rows to it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -43,12 +46,11 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.sparse.linalg import LinearOperator, lsmr
 
-from .carleman import (CarlemanGeometry, CarlemanSetup, admissible_geometry,
-                       normalized_weight_table)
+from .carleman import CarlemanSetup, admissible_geometry, normalized_weight_table
 from .grid import (SpaceTimeGrid, laplacian_matrix,
                    time_derivative_matrix_zero_start, trapezoid_weights)
 from .observation import MuPair, zero_mu
-from .solver import MGTCoefficients, apply_operator
+from .solver import MGTCoefficients
 
 
 # Farthest time-level coupling within a node's series in M^T M:
@@ -155,6 +157,68 @@ def _interior_trace_row(grid: SpaceTimeGrid, side: str) -> np.ndarray:
     return row
 
 
+@functools.lru_cache(maxsize=4)
+def _unweighted_rows(grid: SpaceTimeGrid, c: float, b: float, sides: tuple):
+    """Read-only unweighted rows of M: the operator at every level and interior
+    node (time-major), then per observed side the trace at every level and its
+    rate.  Returns (fixed, alpha_rows), the gamma-independent rows and the
+    second-derivative rows whose columns alpha scales: M is the square-root
+    weights times fixed + alpha_rows diag(alpha).
+    """
+    nt, nt1, m = grid.nt, grid.nt - 1, grid.nx - 2
+    embed = sp.csr_matrix((np.ones(nt1), (np.arange(1, nt), np.arange(nt1))),
+                          shape=(nt, nt1))
+    d1e, d2e, d3e = (sp.csr_matrix(time_derivative_matrix_zero_start(nt, grid.dt, k))
+                     @ embed for k in (1, 2, 3))
+    lap_int = sp.csr_matrix(laplacian_matrix(grid)[1:-1, 1:-1])
+    eye_m = sp.identity(m, format="csr")
+    trace_rows = []
+    for side in sides:
+        row = sp.csr_matrix(_interior_trace_row(grid, side)[None, :])
+        trace_rows += [sp.kron(embed, row), sp.kron(d1e, row)]
+    fixed = sp.vstack([sp.kron(d3e, eye_m) - c ** 2 * sp.kron(embed, lap_int)
+                       - b * sp.kron(d1e, lap_int)] + trace_rows, format="csr")
+    zero_rows = sp.csr_matrix((nt * len(trace_rows), nt1 * m))
+    alpha_rows = sp.vstack([sp.kron(d2e, eye_m), zero_rows], format="csr")
+    for rows in (fixed, alpha_rows):
+        for array in (rows.data, rows.indices, rows.indptr):
+            array.flags.writeable = False
+    return fixed, alpha_rows
+
+
+def _row_weights(grid: SpaceTimeGrid, sides: Sequence[str], omega: np.ndarray,
+                 s: float) -> np.ndarray:
+    """Quadrature weight of each row of M: (1/s) q_t h omega at the operator
+    rows, q_t omega at the observed column for each trace and rate row."""
+    qt = trapezoid_weights(grid.nt, grid.dt)
+    weights = [(1.0 / s) * qt[:, None] * grid.h * omega[:, 1:-1]]
+    for side in sides:
+        col = 0 if side == "left" else grid.nx - 1
+        weights += [qt * omega[:, col]] * 2
+    return np.concatenate([w.ravel() for w in weights])
+
+
+def _weighted_data(root_weight: np.ndarray, grid: SpaceTimeGrid, sides: Sequence[str],
+                   mu, g: Optional[np.ndarray]) -> np.ndarray:
+    """Square-root weights times the data [g; mu; mu_t], row by row of M."""
+    mu_list = _as_mu_list(mu, sides, grid.nt, grid.dt)
+    g = np.zeros((grid.nt, grid.nx)) if g is None else np.asarray(g, dtype=float)
+    if g.shape != (grid.nt, grid.nx):
+        raise ValueError(f"target has shape {g.shape}, expected ({grid.nt}, {grid.nx})")
+    parts = [g[:, 1:-1].ravel()]
+    by_side = {pair.side: pair for pair in mu_list}
+    for side in sides:
+        parts += [by_side[side].mu, by_side[side].mu_t]
+    return root_weight * np.concatenate(parts)
+
+
+def _sum_of_squares(v: np.ndarray) -> float:
+    """|v|^2 summed elementwise: OpenBLAS threads a dot product above 10,000
+    entries, and waking its threads took about 8 ms per call on a busy 2-core
+    machine, against 15 us for this sum."""
+    return float(np.sum(v * v))
+
+
 def _weighting(carleman: CarlemanSetup, grid: SpaceTimeGrid, purpose: Optional[str] = None):
     """Validated geometry and weight table; ``purpose`` demands positive scales."""
     geometry = admissible_geometry(carleman.geometry, grid)
@@ -175,7 +239,7 @@ class CarlemanLeastSquares:
     itself is not kept.  M depends on the zeroth-order coefficient only
     through alpha; ``update_gamma`` rebuilds M and its preconditioner, which
     is what the reconstruction loop needs.  ``omega`` is the normalized
-    weight table; the diagnostics of :func:`minimize_J` reuse it.
+    weight table; :func:`minimizer_difference_check` reuses it.
     """
 
     def __init__(self, coeffs: MGTCoefficients, carleman: CarlemanSetup,
@@ -184,35 +248,12 @@ class CarlemanLeastSquares:
         self.scales = carleman.scales
         self.grid = grid
 
-        nt, nt1, m = grid.nt, grid.nt - 1, grid.nx - 2
+        sides = self.geometry.gamma0_sides
+        self._fixed_rows, self._alpha_rows = _unweighted_rows(grid, coeffs.c, coeffs.b,
+                                                              sides)
+        self._root_weight = np.sqrt(_row_weights(grid, sides, self.omega, self.scales.s))
+        nt1, m = grid.nt - 1, grid.nx - 2
         n = self._n_unknowns = nt1 * m
-        embed = sp.csr_matrix((np.ones(nt1), (np.arange(1, nt), np.arange(nt1))),
-                              shape=(nt, nt1))
-        d1e = sp.csr_matrix(time_derivative_matrix_zero_start(nt, grid.dt, 1)) @ embed
-        d2e = sp.csr_matrix(time_derivative_matrix_zero_start(nt, grid.dt, 2)) @ embed
-        d3e = sp.csr_matrix(time_derivative_matrix_zero_start(nt, grid.dt, 3)) @ embed
-        lap_int = sp.csr_matrix(laplacian_matrix(grid)[1:-1, 1:-1])
-        eye_m = sp.identity(m, format="csr")
-
-        # Rows of M: the operator at every level and interior node (time-major),
-        # then per observed side the trace at every level and its rate.  They
-        # are held unweighted, split into the gamma-independent rows and the
-        # second-derivative rows whose columns alpha scales.
-        qt = trapezoid_weights(nt, grid.dt)
-        weights = [(1.0 / self.scales.s) * qt[:, None] * grid.h * self.omega[:, 1:-1]]
-        trace_rows = []
-        for side in self.geometry.gamma0_sides:
-            col = 0 if side == "left" else grid.nx - 1
-            row = sp.csr_matrix(_interior_trace_row(grid, side)[None, :])
-            trace_rows += [sp.kron(embed, row), sp.kron(d1e, row)]
-            weights += [qt * self.omega[:, col]] * 2
-        self._fixed_rows = sp.vstack(
-            [sp.kron(d3e, eye_m) - coeffs.c ** 2 * sp.kron(embed, lap_int)
-             - coeffs.b * sp.kron(d1e, lap_int)] + trace_rows, format="csr")
-        zero_rows = sp.csr_matrix((nt * len(trace_rows), n))
-        self._alpha_rows = sp.vstack([sp.kron(d2e, eye_m), zero_rows], format="csr")
-        self._root_weight = np.sqrt(np.concatenate([w.ravel() for w in weights]))
-
         # Groups of _GROUP_NODES adjacent interior nodes, the last one possibly
         # shorter.  Within a group the unknowns run time-major: level t of node
         # j sits at nt1 * start + t * width + j - start.  ``_position`` maps
@@ -263,16 +304,8 @@ class CarlemanLeastSquares:
 
     def weighted_data(self, mu, g: Optional[np.ndarray]) -> np.ndarray:
         """Square-root weights times the data [g; mu; mu_t], row by row of M."""
-        grid = self.grid
-        mu_list = _as_mu_list(mu, self.geometry.gamma0_sides, grid.nt, grid.dt)
-        g = np.zeros((grid.nt, grid.nx)) if g is None else np.asarray(g, dtype=float)
-        if g.shape != (grid.nt, grid.nx):
-            raise ValueError(f"target has shape {g.shape}, expected ({grid.nt}, {grid.nx})")
-        parts = [g[:, 1:-1].ravel()]
-        by_side = {pair.side: pair for pair in mu_list}
-        for side in self.geometry.gamma0_sides:
-            parts += [by_side[side].mu, by_side[side].mu_t]
-        return self._root_weight * np.concatenate(parts)
+        return _weighted_data(self._root_weight, self.grid, self.geometry.gamma0_sides,
+                              mu, g)
 
     def _right_solve(self, v: np.ndarray, trans: str) -> np.ndarray:
         """R^-1 v (``trans`` "T") or R^-T v ("N") for a time-major vector.
@@ -332,84 +365,46 @@ class CarlemanLeastSquares:
 
 
 # ---------------------------------------------------------------------------
-# objective evaluation (stencil path; same quadrature as the assembled form)
+# objective evaluation (the cached rows of M, weighted by the same table)
 # ---------------------------------------------------------------------------
 
-def _weighted_terms(y: TrajectoryVariable, mu, g, coeffs: MGTCoefficients, s: float,
-                    geometry: CarlemanGeometry, omega: np.ndarray, grid: SpaceTimeGrid):
-    """PDE and trace mismatch energies entering the objective.
-
-    ``geometry`` and ``omega`` come from :func:`_weighting`.  Returns
-    (pde_term, trace_term) where the objective is half their sum; pde_term
-    carries the 1/s factor.
-    """
-    mu_list = _as_mu_list(mu, geometry.gamma0_sides, grid.nt, grid.dt)
-    d1 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 1)
-    resid = apply_operator(y.full_field(), coeffs, grid, zero_start=True)[:, 1:-1]
-    if g is not None:
-        g = np.asarray(g, dtype=float)
-        if g.shape != (grid.nt, grid.nx):
-            raise ValueError(f"target has shape {g.shape}, expected ({grid.nt}, {grid.nx})")
-        resid = resid - g[:, 1:-1]
-
-    qt = trapezoid_weights(grid.nt, grid.dt)
-    pde_term = (1.0 / s) * float(
-        (qt[:, None] * grid.h * omega[:, 1:-1] * resid ** 2).sum())
-
-    by_side = {pair.side: pair for pair in mu_list}
-    trace_term = 0.0
-    for side in geometry.gamma0_sides:
-        col = 0 if side == "left" else grid.nx - 1
-        row = _interior_trace_row(grid, side)
-        trace = np.concatenate(([0.0], y.values @ row))   # level 0 is constrained
-        trace_t = d1 @ trace
-        pair = by_side[side]
-        w = qt * omega[:, col]
-        trace_term += float(w @ ((trace - pair.mu) ** 2 + (trace_t - pair.mu_t) ** 2))
-    return pde_term, trace_term
+def _weighted_residual(y: TrajectoryVariable, mu, g, coeffs: MGTCoefficients,
+                       carleman: CarlemanSetup, grid: SpaceTimeGrid) -> np.ndarray:
+    """M y - b for the coefficient ``coeffs``, without assembling M."""
+    geometry, omega = _weighting(carleman, grid, "evaluation")
+    sides = geometry.gamma0_sides
+    root_weight = np.sqrt(_row_weights(grid, sides, omega, carleman.scales.s))
+    fixed, alpha_rows = _unweighted_rows(grid, coeffs.c, coeffs.b, sides)
+    vec = y.to_vector()
+    image = fixed @ vec + alpha_rows @ (np.tile(coeffs.alpha[1:-1], grid.nt - 1) * vec)
+    return root_weight * image - _weighted_data(root_weight, grid, sides, mu, g)
 
 
 def evaluate_J(y: TrajectoryVariable, mu, g, coeffs: MGTCoefficients,
                carleman: CarlemanSetup, grid: SpaceTimeGrid) -> float:
-    """Value of the weighted least-squares objective at ``y``."""
-    geometry, omega = _weighting(carleman, grid, "evaluation")
-    pde_term, trace_term = _weighted_terms(y, mu, g, coeffs, carleman.scales.s,
-                                           geometry, omega, grid)
-    return 0.5 * (pde_term + trace_term)
+    """Value of the weighted least-squares objective at ``y``: half |M y - b|^2."""
+    return 0.5 * _sum_of_squares(_weighted_residual(y, mu, g, coeffs, carleman, grid))
 
 
 def v_norm_sq(y: TrajectoryVariable, coeffs: MGTCoefficients,
               carleman: CarlemanSetup, grid: SpaceTimeGrid) -> float:
-    """Squared weighted graph norm of ``y``: twice the objective at zero data."""
-    geometry, omega = _weighting(carleman, grid, "evaluation")
-    pde_term, trace_term = _weighted_terms(y, None, None, coeffs, carleman.scales.s,
-                                           geometry, omega, grid)
-    return pde_term + trace_term
+    """Squared weighted graph norm |M y|^2: twice the objective at zero data."""
+    return _sum_of_squares(_weighted_residual(y, None, None, coeffs, carleman, grid))
 
 
 def weighted_data_norms(mu, g, carleman: CarlemanSetup, grid: SpaceTimeGrid):
     """Weighted squared norms of the data pair: interior target and traces.
 
-    Returns (g_norm_sq, mu_norm_sq) without the 1/s factor; these are the
-    ingredients of the minimizer energy bound.
+    Returns (g_norm_sq, mu_norm_sq) without the 1/s factor (the rows'
+    weights at s = 1); these are the ingredients of the minimizer energy
+    bound.
     """
-    return _weighted_data_norms(mu, g, *_weighting(carleman, grid), grid)
-
-
-def _weighted_data_norms(mu, g, geometry: CarlemanGeometry, omega: np.ndarray,
-                         grid: SpaceTimeGrid):
-    mu_list = _as_mu_list(mu, geometry.gamma0_sides, grid.nt, grid.dt)
-    qt = trapezoid_weights(grid.nt, grid.dt)
-    g_norm = 0.0
-    if g is not None:
-        g = np.asarray(g, dtype=float)
-        g_norm = float((qt[:, None] * grid.h * omega[:, 1:-1] * g[:, 1:-1] ** 2).sum())
-    mu_norm = 0.0
-    for pair in mu_list:
-        col = 0 if pair.side == "left" else grid.nx - 1
-        w = qt * omega[:, col]
-        mu_norm += float(w @ (pair.mu ** 2 + pair.mu_t ** 2))
-    return g_norm, mu_norm
+    geometry, omega = _weighting(carleman, grid)
+    sides = geometry.gamma0_sides
+    data = _weighted_data(np.sqrt(_row_weights(grid, sides, omega, 1.0)), grid, sides,
+                          mu, g)
+    interior, traces = np.split(data, [grid.nt * (grid.nx - 2)])
+    return _sum_of_squares(interior), _sum_of_squares(traces)
 
 
 @dataclass
@@ -436,24 +431,19 @@ def minimize_J(mu, g, coeffs: MGTCoefficients, carleman: CarlemanSetup,
     if engine is None:
         engine = CarlemanLeastSquares(coeffs, carleman, grid)
     x0 = None if warm_start is None else warm_start.to_vector()
+    b = engine.weighted_data(mu, g)
     vec, iterations, rel = engine.solve_normal_equations(
-        engine.weighted_data(mu, g), solver_tol, x0=x0, max_iterations=max_iterations)
+        b, solver_tol, x0=x0, max_iterations=max_iterations)
     y_star = TrajectoryVariable.from_vector(vec, grid)
 
-    s, geometry, omega = engine.scales.s, engine.geometry, engine.omega
-    pde_term, trace_term = _weighted_terms(y_star, mu, g, coeffs, s, geometry, omega, grid)
-    j_value = 0.5 * (pde_term + trace_term)
-    pde_term, trace_term = _weighted_terms(y_star, None, None, coeffs, s, geometry, omega,
-                                           grid)
-    norm_sq = pde_term + trace_term
-    g_norm, mu_norm = _weighted_data_norms(mu, g, geometry, omega, grid)
-    bound_rhs = (4.0 / s) * g_norm + 4.0 * mu_norm
+    image = engine.operator @ vec
+    norm_sq = _sum_of_squares(image)
     diagnostics = MinimizerDiagnostics(
-        j_value=float(j_value),
-        v_norm_sq=float(norm_sq),
+        j_value=0.5 * _sum_of_squares(b - image),
+        v_norm_sq=norm_sq,
         el_residual=float(rel),
         solver_iterations=int(iterations),
-        bound_slack=float(bound_rhs - norm_sq),
+        bound_slack=4.0 * _sum_of_squares(b) - norm_sq,
     )
     return y_star, diagnostics
 
@@ -485,24 +475,21 @@ def minimizer_difference_check(g1, g2, mu, coeffs: MGTCoefficients,
     y1, diag1 = minimize_J(mu, g1, coeffs, carleman, grid, solver_tol, engine=engine)
     y2, diag2 = minimize_J(mu, g2, coeffs, carleman, grid, solver_tol, engine=engine,
                            warm_start=y1)
-    d = TrajectoryVariable(grid, y1.values - y2.values)
-    s, geometry, omega = engine.scales.s, engine.geometry, engine.omega
-    pde_term, trace_term = _weighted_terms(d, None, None, coeffs, s, geometry, omega, grid)
-    difference_energy = 0.5 * pde_term + trace_term
+    s = engine.scales.s
+    pde, traces = np.split(engine.operator @ (y1.to_vector() - y2.to_vector()),
+                           [grid.nt * (grid.nx - 2)])
+    difference_energy = 0.5 * _sum_of_squares(pde) + _sum_of_squares(traces)
 
-    if g1 is None and g2 is None:
-        delta_norm = 0.0
-    else:
-        a = np.zeros((grid.nt, grid.nx)) if g1 is None else np.asarray(g1, dtype=float)
-        b = np.zeros((grid.nt, grid.nx)) if g2 is None else np.asarray(g2, dtype=float)
-        delta_norm, _ = _weighted_data_norms(None, a - b, geometry, omega, grid)
-    bound = (2.0 / s) * delta_norm
+    a = np.zeros((grid.nt, grid.nx)) if g1 is None else np.asarray(g1, dtype=float)
+    b = np.zeros((grid.nt, grid.nx)) if g2 is None else np.asarray(g2, dtype=float)
+    delta_sq = _sum_of_squares(engine.weighted_data(None, a - b))
+    bound = 2.0 * delta_sq
+    delta_norm = s * delta_sq     # without the rows' 1/s factor
 
-    omega0 = omega[0]
     ytt_diff = (initial_second_derivative(y1, grid.dt)
                 - initial_second_derivative(y2, grid.dt))
     qx = trapezoid_weights(grid.nx, grid.h)
-    initial_term = np.sqrt(s) * float(qx @ (omega0 * ytt_diff ** 2))
+    initial_term = np.sqrt(s) * float(qx @ (engine.omega[0] * ytt_diff ** 2))
     curvature_constant = initial_term / delta_norm if delta_norm > 0 else 0.0
 
     gap = float(np.abs(y1.values - y2.values).max())

@@ -75,6 +75,15 @@ def perturb_with_noise(obs: ObservationData, level: float,
     return ObservationData(obs.side, noisy, obs.dt)
 
 
+def check_smooth_window(window) -> None:
+    """Accept 0, 1 (no smoothing) or an odd integer: a centered average over
+    an even window lags the series by half a time step."""
+    if window < 0 or int(window) != window:
+        raise ValueError(f"smooth_window must be a nonnegative integer, got {window}")
+    if window > 1 and window % 2 == 0:
+        raise ValueError(f"smooth_window must be odd or at most 1, got {window}")
+
+
 def _moving_average(samples: np.ndarray, window: int) -> np.ndarray:
     if window <= 1:
         return samples
@@ -93,6 +102,7 @@ def build_mu(obs_iterate: ObservationData, obs_data: ObservationData,
     derivative of the trace mismatch and its rate is the second.  An
     optional moving average tames measurement noise before differencing.
     """
+    check_smooth_window(smooth_window)
     if obs_iterate.side != obs_data.side:
         raise ValueError("observations were taken on different endpoints")
     if obs_iterate.samples.shape != obs_data.samples.shape:

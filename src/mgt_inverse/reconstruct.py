@@ -25,8 +25,8 @@ from .functional import (CarlemanLeastSquares, MinimizationError,
                          minimize_J)
 from .grid import (SpaceTimeGrid, interior_weights, time_difference,
                    trapezoid_weights)
-from .observation import (ObservationData, build_mu, extract_observation,
-                          perturb_with_noise)
+from .observation import (ObservationData, build_mu, check_smooth_window,
+                          extract_observation, perturb_with_noise)
 from .solver import (ForwardSolveError, InitialData, MGTCoefficients,
                      solve_forward)
 
@@ -83,9 +83,7 @@ class ReconstructionConfig:
         if self.data_refinement < 1 or int(self.data_refinement) != self.data_refinement:
             raise ValueError(
                 f"data refinement must be a positive integer, got {self.data_refinement}")
-        if self.smooth_window < 0 or int(self.smooth_window) != self.smooth_window:
-            raise ValueError(
-                f"smooth_window must be a nonnegative integer, got {self.smooth_window}")
+        check_smooth_window(self.smooth_window)
         if self.solver_tol <= 0:
             raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
         if self.solver_cap is not None and (

@@ -471,8 +471,10 @@ def apply_operator(field: np.ndarray, coeffs: MGTCoefficients, grid: SpaceTimeGr
     """L y = y_ttt + alpha y_tt - c^2 y_xx - b y_txx on an (nt, nx) field.
 
     ``zero_start`` selects the time stencils for series with y(0) = y_t(0) = 0
-    over the plain ones; boundary columns carry no Laplacian.  The only other
-    form of L is the sparse assembly in ``functional.CarlemanLeastSquares``.
+    over the plain ones; boundary columns carry no Laplacian.  L's only other
+    form is the cached sparse rows that serve every least-squares use in
+    ``functional``; the stencil serves the Carleman estimate and
+    ``pde_residual``, and is the reference the rows are tested against.
     """
     stencil = time_derivative_matrix_zero_start if zero_start else time_derivative_matrix
     d1, d2, d3 = (stencil(grid.nt, grid.dt, order) for order in (1, 2, 3))

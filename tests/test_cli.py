@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mgt_inverse.cli import main
+from mgt_inverse.cli import ConfigError, load_config, main
 
 BASE = {
     "grid": {"x_left": 0.0, "x_right": 1.0, "nx": 41, "t_final": 1.25, "nt": 81},
@@ -51,6 +51,18 @@ def test_grid_too_coarse_for_the_stencils_is_rejected_before_any_output(tmp_path
     out = tmp_path / "o"
     assert run(["forward", "--config", path, "--out", out]) == 1
     assert "nx" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_even_smooth_window_is_rejected_before_any_output(tmp_path, capsys):
+    assert load_config(make_config(tmp_path, "odd.json",
+                                   reconstruction={"smooth_window": 3}))
+    path = make_config(tmp_path, reconstruction={"smooth_window": 2})
+    with pytest.raises(ConfigError, match="smooth_window"):
+        load_config(path)
+    out = tmp_path / "o"
+    assert run(["reconstruct", "--config", path, "--out", out]) == 1
+    assert "smooth_window" in capsys.readouterr().err
     assert not out.exists()
 
 

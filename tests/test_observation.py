@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgt_inverse.grid import build_grid, time_difference
-from mgt_inverse.observation import (ObservationData, build_mu,
+from mgt_inverse.observation import (ObservationData, _moving_average, build_mu,
                                      extract_observation,
                                      hidden_regularity_check,
                                      perturb_with_noise, zero_mu)
@@ -141,6 +141,21 @@ def test_build_mu_smoothing_reduces_noise_amplification():
 
     z = zero_mu("right", grid.nt, grid.dt)
     assert np.all(z.mu == 0.0) and z.mu.shape == (grid.nt,)
+
+
+def test_odd_smooth_windows_keep_a_linear_series_and_even_ones_are_rejected():
+    ramp = np.arange(40, dtype=float)
+    for window in (0, 1, 3, 5, 9):
+        half = window // 2
+        inner = slice(half, ramp.size - half)
+        assert np.allclose(_moving_average(ramp, window)[inner], ramp[inner],
+                           rtol=0.0, atol=1e-12)
+    # a centered average over an even window would lag the ramp by half a step
+    zero = ObservationData("right", np.zeros(40), 0.1)
+    series = ObservationData("right", ramp, 0.1)
+    for window in (2, 4):
+        with pytest.raises(ValueError, match="smooth_window"):
+            build_mu(series, zero, smooth_window=window)
 
 
 def test_hidden_regularity_finite_and_refinement_stable():

@@ -250,7 +250,7 @@ def test_reconstruction_error_preserves_partial_history():
 
 @pytest.mark.parametrize("field, value", [("solver_cap", 0), ("solver_cap", 2.5),
                                           ("solver_cap", -5), ("smooth_window", -4),
-                                          ("smooth_window", 1.5)])
+                                          ("smooth_window", 1.5), ("smooth_window", 2)])
 def test_config_rejects_bad_solver_cap_and_smooth_window(field, value):
     # rejected before any forward solve, as the config schema rejects them
     with pytest.raises(ValueError, match=field):
