@@ -14,9 +14,20 @@ group's unknowns ordered time-major each block is one band of half-width
 4 * 7 + 2 = 30.  The bands are scattered in one pass from a temporary M^T M,
 their diagonal is scaled by 1 + 1e-10 (without it the steepest weights leave
 a block numerically indefinite), and they are factored once per assembly by
-banded Cholesky; R^-1 and R^-T are one banded triangular solve each.  Seven
-nodes is the widest group whose band, 31 stored rows per unknown, stays below
-the about 32 nonzeros per row of M^T M.
+banded Cholesky.  Seven nodes is the widest group whose band, 31 stored rows
+per unknown, stays below the about 32 nonzeros per row of M^T M.
+
+Each LSMR iteration costs one product with M, one with M^T and the two
+triangular solves, so the engine keeps each in the form LAPACK and the sparse
+kernels run fastest.  The factor L is stored twice, in lower band storage
+and transposed in upper band storage: R^-1 = L^-T and R^-T = L^-1 are then
+each an untransposed banded solve, about half the time of LAPACK's
+transposed one.  M^T is stored as CSR beside M, whose CSC view multiplies at
+about half the speed.  An assembly does only the work alpha changes: the
+fixed and alpha rows share one pattern with M, so M's entries (and M^T's, by
+a stored permutation) are refilled in place, and the map from M^T M's
+entries to band positions is kept and rebuilt only when M^T M's
+``indptr``/``indices`` differ from those it was built for.
 
 Every solve is certified by the backward error of the preconditioned
 problem, |R^-T M^T r| / (sqrt(n) |r|) with r = b - M y recomputed from the
@@ -163,7 +174,9 @@ def _unweighted_rows(grid: SpaceTimeGrid, c: float, b: float, sides: tuple):
     node (time-major), then per observed side the trace at every level and its
     rate.  Returns (fixed, alpha_rows), the gamma-independent rows and the
     second-derivative rows whose columns alpha scales: M is the square-root
-    weights times fixed + alpha_rows diag(alpha).
+    weights times fixed + alpha_rows diag(alpha).  Both are stored on one
+    shared pattern, the union of their own, so they share ``indices`` and
+    ``indptr`` and M's entries are their data combined entry by entry.
     """
     nt, nt1, m = grid.nt, grid.nt - 1, grid.nx - 2
     embed = sp.csr_matrix((np.ones(nt1), (np.arange(1, nt), np.arange(nt1))),
@@ -180,10 +193,15 @@ def _unweighted_rows(grid: SpaceTimeGrid, c: float, b: float, sides: tuple):
                        - b * sp.kron(d1e, lap_int)] + trace_rows, format="csr")
     zero_rows = sp.csr_matrix((nt * len(trace_rows), nt1 * m))
     alpha_rows = sp.vstack([sp.kron(d2e, eye_m), zero_rows], format="csr")
-    for rows in (fixed, alpha_rows):
-        for array in (rows.data, rows.indices, rows.indptr):
-            array.flags.writeable = False
-    return fixed, alpha_rows
+    # the real and imaginary parts of one complex matrix share the union of
+    # both patterns, and their sum cancels no entry
+    both = (fixed + 1j * alpha_rows).tocsr()
+    both.sort_indices()
+    parts = both.data.real.copy(), both.data.imag.copy()
+    for array in (both.indices, both.indptr, *parts):
+        array.flags.writeable = False
+    return tuple(sp.csr_matrix((data, both.indices, both.indptr), shape=both.shape)
+                 for data in parts)
 
 
 def _row_weights(grid: SpaceTimeGrid, sides: Sequence[str], omega: np.ndarray,
@@ -234,12 +252,13 @@ class CarlemanLeastSquares:
     ``operator`` is the stacked weighted residual map M: square-root weights
     times the operator rows and the value and rate trace rows of each
     observed side, so the objective is half of |M y - weighted_data|^2.  The
-    engine also holds the banded Cholesky factor of the node-group
-    time-series blocks of M^T M, the right preconditioner of the solve; M^T M
-    itself is not kept.  M depends on the zeroth-order coefficient only
-    through alpha; ``update_gamma`` rebuilds M and its preconditioner, which
-    is what the reconstruction loop needs.  ``omega`` is the normalized
-    weight table; :func:`minimizer_difference_check` reuses it.
+    engine also holds M^T as CSR and the banded Cholesky factor of the
+    node-group time-series blocks of M^T M, the right preconditioner of the
+    solve, in lower and in upper band storage; M^T M itself is not kept.  M
+    depends on the zeroth-order coefficient only through alpha;
+    ``update_gamma`` refills M and M^T in place and refactors, which is what
+    the reconstruction loop needs.  ``omega`` is the normalized weight
+    table; :func:`minimizer_difference_check` reuses it.
     """
 
     def __init__(self, coeffs: MGTCoefficients, carleman: CarlemanSetup,
@@ -252,6 +271,16 @@ class CarlemanLeastSquares:
         self._fixed_rows, self._alpha_rows = _unweighted_rows(grid, coeffs.c, coeffs.b,
                                                               sides)
         self._root_weight = np.sqrt(_row_weights(grid, sides, self.omega, self.scales.s))
+        rows = self._fixed_rows
+        self.operator = sp.csr_matrix((np.empty(rows.nnz), rows.indices, rows.indptr),
+                                      shape=rows.shape)
+        # M^T on its own pattern: its data is M's data taken in _transpose_order
+        flipped = sp.csr_matrix((np.arange(rows.nnz, dtype=np.int32), rows.indices,
+                                 rows.indptr), shape=rows.shape).T.tocsr()
+        self._transpose_order = flipped.data
+        self._operator_t = sp.csr_matrix((np.empty(rows.nnz), flipped.indices,
+                                          flipped.indptr), shape=flipped.shape)
+
         nt1, m = grid.nt - 1, grid.nx - 2
         n = self._n_unknowns = nt1 * m
         # Groups of _GROUP_NODES adjacent interior nodes, the last one possibly
@@ -260,12 +289,14 @@ class CarlemanLeastSquares:
         # each time-major index there and ``_group_order`` back.
         node = np.arange(m)
         start = node // _GROUP_NODES * _GROUP_NODES
-        self._group = np.tile(start, nt1)      # each unknown's group, by first node
+        # each unknown's group, by first node, in the narrowest type that holds it
+        self._group = np.tile(start, nt1).astype(np.min_scalar_type(m))
         width = np.minimum(start + _GROUP_NODES, m) - start
         self._position = (nt1 * start[None, :] + np.arange(nt1)[:, None] * width[None, :]
                           + (node - start)[None, :]).ravel()
         self._group_order = np.empty(n, dtype=np.intp)
         self._group_order[self._position] = np.arange(n)
+        self._band_map = None
         self._assemble(coeffs)
 
     def update_gamma(self, gamma: np.ndarray) -> None:
@@ -273,15 +304,20 @@ class CarlemanLeastSquares:
         self._assemble(self.coeffs.with_gamma(gamma))
 
     def _assemble(self, coeffs: MGTCoefficients) -> None:
-        """Build M and the banded Cholesky factor of the group blocks of M^T M."""
-        # release the previous coefficient's matrices before forming new ones
-        self.operator = self._block_factor = None
+        """Refill M and M^T, and factor the group blocks of M^T M by banded Cholesky."""
+        # release the previous factor before forming M^T M
+        self._block_factor = self._block_factor_upper = None
         self.coeffs = coeffs
         n = self._n_unknowns
-        alpha = sp.diags(np.tile(coeffs.alpha[1:-1], self.grid.nt - 1))
-        self.operator = (sp.diags(self._root_weight)
-                         @ (self._fixed_rows + self._alpha_rows @ alpha)).tocsr()
-        normal = (self.operator.T @ self.operator).tocsr()
+        fixed, alpha_rows = self._fixed_rows, self._alpha_rows
+        data = self.operator.data
+        # root weight * (fixed + alpha_rows * alpha), entry by entry, in place
+        np.take(np.tile(coeffs.alpha[1:-1], self.grid.nt - 1), fixed.indices, out=data)
+        data *= alpha_rows.data
+        data += fixed.data
+        data *= np.repeat(self._root_weight, np.diff(fixed.indptr))
+        np.take(data, self._transpose_order, out=self._operator_t.data)
+        normal = self._operator_t @ self.operator
         if not np.all(np.isfinite(normal.data)) or np.any(normal.diagonal() <= 0):
             raise MinimizationError(
                 "normal matrix has non-finite or non-positive diagonal entries; "
@@ -289,18 +325,47 @@ class CarlemanLeastSquares:
 
         # Scatter the entries on or above the diagonal whose nodes share a
         # group into the lower band of that group's time-major block.
-        col = normal.indices
-        row = np.repeat(np.arange(n, dtype=col.dtype), np.diff(normal.indptr))
-        keep = (col >= row) & (self._group[row] == self._group[col])
-        low, high = self._position[row[keep]], self._position[col[keep]]
-        band = np.zeros((_TIME_BANDWIDTH * _GROUP_NODES + 3, n), order="F")
-        band[high - low, low] = normal.data[keep]
+        if self._band_map is None or not (
+                np.array_equal(normal.indptr, self._band_map[0])
+                and np.array_equal(normal.indices, self._band_map[1])):
+            self._band_map = self._scatter_map(normal)
+        entries, slots = self._band_map[2:]
+        # drop M^T M's pattern, then all but the band's values, before
+        # allocating the band
+        values = normal.data
+        del normal
+        values = values[entries]
+        kd = _TIME_BANDWIDTH * _GROUP_NODES + 2
+        band = np.zeros((kd + 1, n), order="F")
+        band.ravel(order="F")[slots] = values
         band[0] *= 1.0 + _BLOCK_SHIFT
-        self._block_factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise MinimizationError(
                 f"node-group preconditioner is not positive definite "
                 f"(banded Cholesky info {info})")
+        # the same factor transposed, in upper band storage
+        upper = np.zeros_like(factor, order="F")
+        for offset in range(kd + 1):
+            upper[kd - offset, offset:] = factor[offset, :n - offset]
+        self._block_factor, self._block_factor_upper = factor, upper
+
+    def _scatter_map(self, normal: sp.csr_matrix) -> tuple:
+        """(indptr, indices, entries, slots) for M^T M's pattern: the entries of
+        ``normal.data`` that go into the group band and their flat positions in
+        its Fortran-ordered storage.  The pattern depends on M's pattern and
+        not on alpha, except where a product sums to exactly zero."""
+        col = normal.indices
+        row = np.repeat(np.arange(self._n_unknowns, dtype=col.dtype), np.diff(normal.indptr))
+        keep = col >= row
+        keep &= self._group[row] == self._group[col]
+        entries = np.flatnonzero(keep).astype(np.int32)
+        low = self._position[row[entries]]
+        slots = self._position[col[entries]]
+        slots -= low
+        low *= _TIME_BANDWIDTH * _GROUP_NODES + 3
+        slots += low
+        return normal.indptr, normal.indices, entries, slots.astype(np.int32)
 
     def weighted_data(self, mu, g: Optional[np.ndarray]) -> np.ndarray:
         """Square-root weights times the data [g; mu; mu_t], row by row of M."""
@@ -310,20 +375,23 @@ class CarlemanLeastSquares:
     def _right_solve(self, v: np.ndarray, trans: str) -> np.ndarray:
         """R^-1 v (``trans`` "T") or R^-T v ("N") for a time-major vector.
 
-        R is the transpose of the group blocks' lower Cholesky factor.
+        R is the transpose of the group blocks' lower Cholesky factor L: R^-1
+        is an upper-triangular solve with the stored transpose, R^-T a
+        lower-triangular one with L, each untransposed.
         """
-        x, _ = dtbtrs(self._block_factor, v[self._group_order], uplo="L", trans=trans)
-        out = np.empty_like(x)
-        out[self._group_order] = x
-        return out
+        if trans == "T":
+            x, _ = dtbtrs(self._block_factor_upper, v[self._group_order], uplo="U")
+        else:
+            x, _ = dtbtrs(self._block_factor, v[self._group_order], uplo="L")
+        return x[self._position]
 
     def _backward_error(self, residual: np.ndarray) -> float:
         """|R^-T M^T r| / (sqrt(n) |r|), sqrt(n) being |M R^-1|_F."""
-        rnorm = np.linalg.norm(residual)
+        rnorm = np.sqrt(_sum_of_squares(residual))
         if rnorm == 0.0:
             return 0.0
-        gradient = self._right_solve(self.operator.T @ residual, "N")
-        return float(np.linalg.norm(gradient) / (np.sqrt(self._n_unknowns) * rnorm))
+        gradient = self._right_solve(self._operator_t @ residual, "N")
+        return float(np.sqrt(_sum_of_squares(gradient)) / (np.sqrt(self._n_unknowns) * rnorm))
 
     def solve_normal_equations(self, b: np.ndarray, tol: float,
                                x0: Optional[np.ndarray] = None,
@@ -339,7 +407,7 @@ class CarlemanLeastSquares:
         iterations (by default n).
         """
         n = self._n_unknowns
-        if np.linalg.norm(b) == 0.0:
+        if _sum_of_squares(b) == 0.0:
             return np.zeros(n), 0, 0.0
         y = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
         residual = b - self.operator @ y
@@ -351,7 +419,7 @@ class CarlemanLeastSquares:
         preconditioned = LinearOperator(
             self.operator.shape, dtype=float,
             matvec=lambda z: self.operator @ self._right_solve(z, "T"),
-            rmatvec=lambda r: self._right_solve(self.operator.T @ r, "N"))
+            rmatvec=lambda r: self._right_solve(self._operator_t @ r, "N"))
         # conlim=0: no stop on the condition estimate, only on the tolerance
         z, _, iterations = lsmr(preconditioned, residual, atol=tol, btol=tol,
                                 conlim=0.0, maxiter=max_iterations)[:3]

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .carleman import (CarlemanSetup, WeightOverflowError, log_weight_table,
                        normalized_weight, validate_admissibility)
@@ -176,6 +175,9 @@ def weighted_coefficient_error(gamma_a, gamma_b, carleman: CarlemanSetup,
 def _resample(values: np.ndarray, x_from: np.ndarray, x_to: np.ndarray) -> np.ndarray:
     if len(x_from) == len(x_to):
         return np.array(values, dtype=float)
+    # imported here, its only use: at module level it cost every CLI
+    # command about 0.25 s and 18 MB
+    from scipy.interpolate import CubicSpline
     return CubicSpline(x_from, values)(x_to)
 
 

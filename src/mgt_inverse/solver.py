@@ -18,6 +18,7 @@ the remainder.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -72,19 +73,15 @@ class InitialData:
     u0 and u1 must vanish at the endpoints; u2 need not.  The mismatch between
     a nonzero u2 and the Dirichlet condition launches a front from each
     corner along which u_tt jumps; :func:`solve_forward` carries it in the
-    closed-form corner part instead of resolving it on the grid.  That part
-    does not depend on gamma, so the first solve keeps it here, keyed by
-    everything it depends on, and later solves from the same instance reuse
-    it.  When eta > 0 the acceleration profile must satisfy |u2| >= eta
-    everywhere, which the reconstruction update divides by.
+    closed-form corner part instead of resolving it on the grid.  When
+    eta > 0 the acceleration profile must satisfy |u2| >= eta everywhere,
+    which the reconstruction update divides by.
     """
 
     u0: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
     eta: float = 0.0
-    _corner_parts: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
 
     def __post_init__(self) -> None:
         self.u0 = np.asarray(self.u0, dtype=float)
@@ -200,9 +197,14 @@ class CornerPart:
     flux_correction: dict
 
 
+@functools.lru_cache(maxsize=4)
 def corner_part(c: float, b: float, reference: float, left: float, right: float,
                 grid: SpaceTimeGrid) -> CornerPart:
     """Corner part for the u2 endpoint values ``left`` and ``right``.
+
+    Cached on its arguments: it does not depend on gamma, so the solves of
+    one reconstruction or stability campaign, and the ``verify`` suites run
+    in one process, share one part, whose arrays are read-only.
 
     With k = c^2 / b, fronts travel at sqrt(b).  The linear profile w of the
     two endpoint values has the free solution w(x) E_2(t) (see
@@ -311,9 +313,9 @@ def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
     returned fields are u_c + u_r, and ``flux_correction`` lets trace
     extraction take the normal derivative of u_c in closed form.
 
-    u_c does not depend on gamma, so it is computed once per initial data,
-    grid, c, b and M, and kept on ``data`` for every later solve: solves
-    that differ only in gamma share one ``InitialData``.
+    u_c does not depend on gamma: :func:`corner_part` computes it once per
+    u2 end values, grid, c, b and M, and every later solve with the same
+    ones reuses it.
     """
     nx, nt = grid.nx, grid.nt
     f = np.zeros((nt, nx)) if f is None else np.asarray(f, dtype=float)
@@ -329,11 +331,8 @@ def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
     # same tolerance as InitialData applies to u0 and u1 at the ends
     scale = max(np.abs(data.u2).max(initial=0.0), 1.0)
     if max(abs(data.u2[0]), abs(data.u2[-1])) > 1e-9 * scale:
-        key = (coeffs.c, coeffs.b, 0.5 * coeffs.box_bound,
-               float(data.u2[0]), float(data.u2[-1]), grid)
-        corner = data._corner_parts.get(key)
-        if corner is None:
-            corner = data._corner_parts[key] = corner_part(*key)
+        corner = corner_part(coeffs.c, coeffs.b, 0.5 * coeffs.box_bound,
+                             float(data.u2[0]), float(data.u2[-1]), grid)
         f = f - corner.source - (coeffs.gamma - corner.reference) * corner.utt_average
         u2 = data.u2 - corner.profile
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mgt_inverse
 from mgt_inverse.cli import ConfigError, load_config, main
 
 BASE = {
@@ -214,3 +218,13 @@ def test_verify_energy_reports_bounded_ratios(tmp_path):
     assert report["energy_bound"]["ratio"] > 0.0
     assert report["hidden_regularity"]["ratio"] > 0.0
     assert report["laplacian_bound"]["ratio"] > 0.0
+
+
+def test_importing_the_cli_leaves_scipy_interpolate_unloaded():
+    # only the resampling of refined data uses scipy.interpolate, and it
+    # imports it there: a fresh interpreter that imports the CLI has not
+    src = os.path.dirname(os.path.dirname(mgt_inverse.__file__))
+    code = "import sys, mgt_inverse.cli; print('scipy.interpolate' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "False"

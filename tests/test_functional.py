@@ -352,6 +352,44 @@ def test_preconditioner_inverts_each_node_group_block():
         assert np.allclose(solved, v, rtol=0.0, atol=1e-10)
 
 
+def test_preconditioner_solves_are_adjoint():
+    # R^-1 uses the stored upper band and R^-T the lower one, so they are two
+    # different solves; they must still be each other's adjoint
+    grid, coeffs, setup = make_problem(31, 61, s=1.0)
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        u, v = rng.normal(size=(2, engine._n_unknowns))
+        left = engine._right_solve(u, "T") @ v
+        right = u @ engine._right_solve(v, "N")
+        assert abs(left - right) <= 1e-12 * abs(right)
+
+
+def test_stale_band_map_is_rebuilt():
+    # the map from M^T M's entries to the band is reused while M^T M keeps its
+    # indptr and indices, and rebuilt when they differ
+    grid, coeffs, setup = make_problem(21, 41)
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    cached = engine._band_map
+    new_gamma = np.clip(coeffs.gamma + 0.2, 0.0, 1.0)
+    engine.update_gamma(new_gamma)
+    assert engine._band_map is cached
+
+    # the same matrix with each row's entries reversed: a valid map for that
+    # layout scatters the wrong entries of the product the engine forms
+    normal = engine._operator_t @ engine.operator
+    order = np.concatenate([np.arange(a, b)[::-1]
+                            for a, b in zip(normal.indptr[:-1], normal.indptr[1:])])
+    engine._band_map = engine._scatter_map(sp.csr_matrix(
+        (normal.data[order], normal.indices[order], normal.indptr), shape=normal.shape))
+    engine.update_gamma(coeffs.gamma)
+    fresh = CarlemanLeastSquares(coeffs, setup, grid)
+    for got, want in zip(engine._band_map, fresh._band_map):
+        assert np.array_equal(got, want)
+    assert np.array_equal(engine._block_factor, fresh._block_factor)
+    assert np.array_equal(engine._block_factor_upper, fresh._block_factor_upper)
+
+
 # LSMR to 1e-6 at s = 1 on this datum took 92 iterations with one-node blocks
 # and 86 with seven-node groups; conjugate gradients on the normal equations,
 # the solver these two tests were written for, took 4,039 with the diagonal

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from mgt_inverse import solver
 from mgt_inverse.grid import build_grid, discrete_norms, laplacian_matrix
 from mgt_inverse.observation import extract_observation
 from mgt_inverse.solver import (ForwardSolveError, InitialData, MGTCoefficients,
@@ -228,52 +227,62 @@ def test_corner_part_solves_reference_equation_with_exact_flux():
         assert np.abs(stencil - part.normal_derivative[side]).max() < 5e-3
 
 
-def test_corner_part_is_computed_once_per_initial_data(monkeypatch):
-    # the corner part does not depend on gamma: solves from one InitialData
-    # share it, and match solves that each start from a fresh copy
-    calls = []
-    original = solver.corner_part
+def test_corner_part_is_computed_once_per_initial_data():
+    # the corner part depends on neither gamma nor the InitialData instance:
+    # solves with the same u2 end values, c, b, M and grid share one cached
+    # part, and match solves that start from an empty cache
+    def computed():
+        return corner_part.cache_info().misses
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    corner_part.cache_clear()
+    try:
+        grid = build_grid(0.0, 1.0, 41, 1.25, 81)
+        data = InitialData(np.zeros(grid.nx), np.zeros(grid.nx), np.ones(grid.nx), eta=1.0)
+        gammas = (0.4 + 0.3 * np.sin(np.pi * grid.x), np.full(grid.nx, 0.9))
+        shared = [solve_forward(MGTCoefficients(1.0, 1.0, gamma, 1.0), data, None, grid)
+                  for gamma in gammas]
+        # another instance whose u2 has the same end values
+        other_data = InitialData(data.u0, data.u1, 1.0 + 0.5 * np.sin(np.pi * grid.x),
+                                 eta=1.0)
+        solve_forward(MGTCoefficients(1.0, 1.0, gammas[0], 1.0), other_data, None, grid)
+        assert computed() == 1
+        part = corner_part(1.0, 1.0, 0.5, 1.0, 1.0, grid)
+        assert computed() == 1
+        for gamma, traj in zip(gammas, shared):
+            corner_part.cache_clear()
+            copy = InitialData(data.u0.copy(), data.u1.copy(), data.u2.copy(), eta=1.0)
+            fresh = solve_forward(MGTCoefficients(1.0, 1.0, gamma, 1.0), copy, None, grid)
+            assert computed() == 1
+            for name in ("u", "ut", "utt"):
+                assert np.array_equal(getattr(traj, name), getattr(fresh, name))
+            assert list(traj.flux_correction) == list(fresh.flux_correction) == ["right", "left"]
+            for side, series in fresh.flux_correction.items():
+                assert np.array_equal(traj.flux_correction[side], series)
 
-    monkeypatch.setattr(solver, "corner_part", counted)
-    grid = build_grid(0.0, 1.0, 41, 1.25, 81)
-    data = InitialData(np.zeros(grid.nx), np.zeros(grid.nx), np.ones(grid.nx), eta=1.0)
-    gammas = (0.4 + 0.3 * np.sin(np.pi * grid.x), np.full(grid.nx, 0.9))
-    shared = [solve_forward(MGTCoefficients(1.0, 1.0, gamma, 1.0), data, None, grid)
-              for gamma in gammas]
-    assert len(calls) == 1
-    for gamma, traj in zip(gammas, shared):
-        copy = InitialData(data.u0.copy(), data.u1.copy(), data.u2.copy(), eta=1.0)
-        fresh = solve_forward(MGTCoefficients(1.0, 1.0, gamma, 1.0), copy, None, grid)
-        for name in ("u", "ut", "utt"):
-            assert np.array_equal(getattr(traj, name), getattr(fresh, name))
-        assert list(traj.flux_correction) == list(fresh.flux_correction) == ["right", "left"]
-        for side, series in fresh.flux_correction.items():
-            assert np.array_equal(traj.flux_correction[side], series)
-    assert len(calls) == 3
+        arrays = [getattr(part, f.name) for f in dataclasses.fields(part)
+                  if isinstance(getattr(part, f.name), np.ndarray)]
+        arrays += [*part.normal_derivative.values(), *part.flux_correction.values()]
+        assert len(arrays) == 10
+        for arr in arrays:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            part.u[1, 1] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            part.u = np.zeros_like(part.u)
 
-    (part,) = data._corner_parts.values()
-    arrays = [getattr(part, f.name) for f in dataclasses.fields(part)
-              if isinstance(getattr(part, f.name), np.ndarray)]
-    arrays += [*part.normal_derivative.values(), *part.flux_correction.values()]
-    assert len(arrays) == 10
-    for arr in arrays:
-        assert not arr.flags.writeable
-    with pytest.raises(ValueError):
-        part.u[1, 1] = 0.0
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        part.u = np.zeros_like(part.u)
-
-    # a different box bound or grid on the same instance recomputes
-    solve_forward(MGTCoefficients(1.0, 1.0, gammas[0], 2.0), data, None, grid)
-    other = build_grid(0.0, 1.0, 41, 1.0, 81)
-    solve_forward(MGTCoefficients(1.0, 1.0, gammas[0], 1.0), data, None, other)
-    assert len(calls) == 5
-    assert calls[3][2] == 1.0 and calls[4][5] == other
-    assert len(data._corner_parts) == 3
+        # a different box bound or grid recomputes
+        solve_forward(MGTCoefficients(1.0, 1.0, gammas[0], 2.0), data, None, grid)
+        assert computed() == 2
+        other = build_grid(0.0, 1.0, 41, 1.0, 81)
+        solve_forward(MGTCoefficients(1.0, 1.0, gammas[0], 1.0), data, None, other)
+        assert computed() == 3
+        assert corner_part.cache_info().currsize == 3
+        # keyed on the damping reference M / 2 and on the grid
+        corner_part(1.0, 1.0, 1.0, 1.0, 1.0, grid)
+        corner_part(1.0, 1.0, 0.5, 1.0, 1.0, other)
+        assert computed() == 3
+    finally:
+        corner_part.cache_clear()
 
 
 def test_energy_e_values():
