@@ -32,7 +32,7 @@ from .carleman import (CarlemanGeometry, CarlemanScales, CarlemanSetup,
 from .experiments import (carleman_constant_sweep, draw_coefficient_sample,
                           stability_two_sided, steep_weight_preset,
                           weight_ratio_report)
-from .grid import build_grid, time_difference, trapezoid_weights
+from .grid import build_grid, sine_sum, time_difference, trapezoid_weights
 from .observation import extract_observation, hidden_regularity_check
 from .reconstruct import (ReconstructionConfig, ReconstructionError,
                           run_reconstruction)
@@ -147,11 +147,7 @@ def _config_grid(doc):
 def _profile_values(profile: dict, grid) -> np.ndarray:
     if profile["kind"] == "constant":
         return np.full(grid.nx, float(profile["value"]))
-    xi = (grid.x - grid.x_left) / (grid.x_right - grid.x_left)
-    values = np.full(grid.nx, float(profile.get("offset", 0.0)))
-    for m, a in enumerate(profile["amplitudes"], start=1):
-        values += a * np.sin(m * np.pi * xi)
-    return values
+    return sine_sum(grid, profile["amplitudes"], profile.get("offset", 0.0))
 
 
 def _config_geometry(doc) -> CarlemanGeometry:
@@ -244,16 +240,10 @@ def command_reconstruct(doc: dict, out_dir: str, seed) -> int:
     noise_seed = int(seed if seed is not None else rec.get("noise_seed", 0))
     setup = CarlemanSetup(_config_geometry(doc), _config_scales(doc))
     try:
+        # the schema's reconstruction keys are the config's own fields
         config = ReconstructionConfig(
             grid, c["c"], c["b"], c["box_bound"], _config_init(doc, grid), setup,
-            max_iterations=rec.get("max_iterations", 20),
-            stop_tol=rec.get("stop_tol", 1e-6),
-            noise_level=rec.get("noise_level", 0.0),
-            data_refinement=rec.get("data_refinement", 2),
-            noise_seed=noise_seed,
-            smooth_window=rec.get("smooth_window", 0),
-            solver_tol=rec.get("solver_tol", 1e-6),
-            solver_cap=rec.get("solver_cap", None))
+            **dict(rec, noise_seed=noise_seed))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = run_reconstruction(config, gamma_true)

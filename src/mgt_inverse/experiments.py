@@ -20,8 +20,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .carleman import (CarlemanGeometry, CarlemanScales, _estimate_sides,
-                       _estimate_terms, normalized_weight_table, weight_statistics)
-from .grid import SpaceTimeGrid, build_grid, time_difference, trapezoid_weights
+                       _estimate_terms, admissible_geometry, normalized_weight_table,
+                       weight_statistics)
+from .grid import (SpaceTimeGrid, build_grid, sine_sum, time_difference,
+                   trapezoid_weights)
 from .observation import extract_observation
 from .solver import InitialData, MGTCoefficients, solve_forward
 
@@ -52,10 +54,7 @@ class CoefficientSample:
     box_bound: float
 
     def values(self, grid: SpaceTimeGrid) -> np.ndarray:
-        xi = (grid.x - grid.x_left) / (grid.x_right - grid.x_left)
-        raw = np.full(grid.nx, self.offset)
-        for m, a in enumerate(self.amplitudes, start=1):
-            raw += a * np.sin(m * np.pi * xi)
+        raw = sine_sum(grid, self.amplitudes, self.offset)
         return self.box_bound * 0.5 * (1.0 + np.tanh(raw))
 
 
@@ -77,11 +76,8 @@ class FieldSample:
     t_amplitudes: Tuple[float, ...]
 
     def values(self, grid: SpaceTimeGrid) -> np.ndarray:
-        xi = (grid.x - grid.x_left) / (grid.x_right - grid.x_left)
         tau = grid.t / grid.t_final
-        space = np.zeros(grid.nx)
-        for m, a in enumerate(self.x_amplitudes, start=1):
-            space += a * np.sin(m * np.pi * xi)
+        space = sine_sum(grid, self.x_amplitudes)
         shape = np.ones(grid.nt)
         for j, b in enumerate(self.t_amplitudes, start=1):
             shape += b * np.cos(j * np.pi * tau)
@@ -213,9 +209,10 @@ def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
     The same ``sample_count`` fields (drawn once from ``seed``) are evaluated
     at every scale pair, so entries are comparable across scales; rerunning
     with the same seed on a refined grid evaluates the same underlying
-    functions.  Each field's stencils are evaluated once and weighted at
-    every scale pair, as ``carleman_lhs_rhs`` does for one; the weight range
-    of each scale pair is guarded before any exponentiation.
+    functions.  Each field's stencils are evaluated once and each scale
+    pair's weight table is built once, then combined as ``carleman_lhs_rhs``
+    does for one pair; the weight range of each scale pair is guarded before
+    any exponentiation.
     """
     if sample_count < 0:
         raise ValueError("sample_count must be nonnegative")
@@ -224,11 +221,12 @@ def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
     if not samples:
         return CarlemanSweepReport(seed, 0, ())
     scales_list = list(scales_list)
+    geometry = admissible_geometry(geometry, grid)
+    weights = [normalized_weight_table(grid, geometry, scales) for scales in scales_list]
     evals = [[] for _ in scales_list]
     for sample in samples:
         terms = _estimate_terms(sample.values(grid), coeffs, geometry, grid)
-        for scales, row in zip(scales_list, evals):
-            weight = normalized_weight_table(grid, terms.geometry, scales)
+        for scales, weight, row in zip(scales_list, weights, evals):
             row.append(_estimate_sides(terms, weight, scales, grid))
     entries = []
     for scales, row in zip(scales_list, evals):

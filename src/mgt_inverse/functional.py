@@ -33,7 +33,9 @@ Every solve is certified by the backward error of the preconditioned
 problem, |R^-T M^T r| / (sqrt(n) |r|) with r = b - M y recomputed from the
 returned y; sqrt(n) is |M R^-1|_F, since the trace of (R^T R)^-1 M^T M is n
 for a block-diagonal R^T R made of M^T M's own blocks.  It is invariant under
-scaling the data and the weights, and LSMR's stop test bounds it.
+scaling the data and the weights, and LSMR's stop test bounds it.  Every
+solve starts from y = 0 (zero data stops LSMR after no iteration), and one
+whose certificate is not at most the target, NaN included, raises.
 
 All weighted sums use weights normalized by the global minimum exponent, a
 positive rescaling of the objective that does not move the minimizer; every
@@ -58,7 +60,7 @@ from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.sparse.linalg import LinearOperator, lsmr
 
 from .carleman import CarlemanSetup, admissible_geometry, normalized_weight_table
-from .grid import (SpaceTimeGrid, laplacian_matrix,
+from .grid import (SpaceTimeGrid, boundary_normal_derivative, laplacian_matrix,
                    time_derivative_matrix_zero_start, trapezoid_weights)
 from .observation import MuPair, zero_mu
 from .solver import MGTCoefficients
@@ -152,22 +154,6 @@ def _as_mu_list(mu, sides: Sequence[str], nt: int, dt: float) -> list:
     return mu
 
 
-def _interior_trace_row(grid: SpaceTimeGrid, side: str) -> np.ndarray:
-    """Normal-derivative stencil restricted to interior unknowns.
-
-    The boundary node itself is constrained to zero, so only two interior
-    coefficients survive from the one-sided second-order stencil.
-    """
-    row = np.zeros(grid.nx - 2)
-    if side == "left":
-        row[0] = -4.0 / (2.0 * grid.h)
-        row[1] = 1.0 / (2.0 * grid.h)
-    else:
-        row[-1] = -4.0 / (2.0 * grid.h)
-        row[-2] = 1.0 / (2.0 * grid.h)
-    return row
-
-
 @functools.lru_cache(maxsize=4)
 def _unweighted_rows(grid: SpaceTimeGrid, c: float, b: float, sides: tuple):
     """Read-only unweighted rows of M: the operator at every level and interior
@@ -187,7 +173,10 @@ def _unweighted_rows(grid: SpaceTimeGrid, c: float, b: float, sides: tuple):
     eye_m = sp.identity(m, format="csr")
     trace_rows = []
     for side in sides:
-        row = sp.csr_matrix(_interior_trace_row(grid, side)[None, :])
+        # the trace stencil's interior coefficients; the boundary node is held
+        # at zero, so only two survive
+        stencil = boundary_normal_derivative(np.eye(grid.nx), grid, side)[1:-1]
+        row = sp.csr_matrix(stencil[None, :])
         trace_rows += [sp.kron(embed, row), sp.kron(d1e, row)]
     fixed = sp.vstack([sp.kron(d3e, eye_m) - c ** 2 * sp.kron(embed, lap_int)
                        - b * sp.kron(d1e, lap_int)] + trace_rows, format="csr")
@@ -394,41 +383,29 @@ class CarlemanLeastSquares:
         return float(np.sqrt(_sum_of_squares(gradient)) / (np.sqrt(self._n_unknowns) * rnorm))
 
     def solve_normal_equations(self, b: np.ndarray, tol: float,
-                               x0: Optional[np.ndarray] = None,
                                max_iterations: Optional[int] = None):
-        """Least-squares solution of M y = b by LSMR on M R^-1.
+        """Least-squares solution of M y = b by LSMR on M R^-1, from y = 0.
 
         ``b`` is ``weighted_data(mu, g)``; the normal equations are never
         formed.  Returns (solution, iterations, backward error), the backward
         error being that of the preconditioned problem, recomputed from the
-        returned solution; above ``tol`` the solve raises.  A warm start
-        ``x0`` that already meets ``tol`` is returned as it is; otherwise
-        LSMR solves for its correction.  ``max_iterations`` caps LSMR's
+        returned solution; unless it is at most ``tol`` (a NaN in the data
+        fails too) the solve raises.  ``max_iterations`` caps LSMR's
         iterations (by default n).
         """
-        n = self._n_unknowns
-        if _sum_of_squares(b) == 0.0:
-            return np.zeros(n), 0, 0.0
-        y = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-        residual = b - self.operator @ y
-        if x0 is not None:
-            error = self._backward_error(residual)
-            if error <= tol:
-                return y, 0, error
-
         preconditioned = LinearOperator(
             self.operator.shape, dtype=float,
             matvec=lambda z: self.operator @ self._right_solve(z, "T"),
             rmatvec=lambda r: self._right_solve(self._operator_t @ r, "N"))
         # conlim=0: no stop on the condition estimate, only on the tolerance
-        z, _, iterations = lsmr(preconditioned, residual, atol=tol, btol=tol,
+        z, _, iterations = lsmr(preconditioned, b, atol=tol, btol=tol,
                                 conlim=0.0, maxiter=max_iterations)[:3]
-        y += self._right_solve(z, "T")
+        y = self._right_solve(z, "T")
         error = self._backward_error(b - self.operator @ y)
-        if error > tol:
+        if not error <= tol:
             raise MinimizationError(
                 f"LSMR stopped at backward error {error:.3e} after {iterations} "
-                f"iterations (target {tol:.1e}, cap {max_iterations or n})")
+                f"iterations (target {tol:.1e}, cap {max_iterations or self._n_unknowns})")
         return y, iterations, error
 
 
@@ -487,7 +464,6 @@ class MinimizerDiagnostics:
 def minimize_J(mu, g, coeffs: MGTCoefficients, carleman: CarlemanSetup,
                grid: SpaceTimeGrid, solver_tol: float = 1e-9,
                engine: Optional[CarlemanLeastSquares] = None,
-               warm_start: Optional[TrajectoryVariable] = None,
                max_iterations: Optional[int] = None):
     """Minimizer of the weighted objective and its diagnostics.
 
@@ -498,10 +474,9 @@ def minimize_J(mu, g, coeffs: MGTCoefficients, carleman: CarlemanSetup,
     """
     if engine is None:
         engine = CarlemanLeastSquares(coeffs, carleman, grid)
-    x0 = None if warm_start is None else warm_start.to_vector()
     b = engine.weighted_data(mu, g)
     vec, iterations, rel = engine.solve_normal_equations(
-        b, solver_tol, x0=x0, max_iterations=max_iterations)
+        b, solver_tol, max_iterations=max_iterations)
     y_star = TrajectoryVariable.from_vector(vec, grid)
 
     image = engine.operator @ vec
@@ -541,8 +516,7 @@ def minimizer_difference_check(g1, g2, mu, coeffs: MGTCoefficients,
     """
     engine = CarlemanLeastSquares(coeffs, carleman, grid)
     y1, diag1 = minimize_J(mu, g1, coeffs, carleman, grid, solver_tol, engine=engine)
-    y2, diag2 = minimize_J(mu, g2, coeffs, carleman, grid, solver_tol, engine=engine,
-                           warm_start=y1)
+    y2, diag2 = minimize_J(mu, g2, coeffs, carleman, grid, solver_tol, engine=engine)
     s = engine.scales.s
     pde, traces = np.split(engine.operator @ (y1.to_vector() - y2.to_vector()),
                            [grid.nt * (grid.nx - 2)])

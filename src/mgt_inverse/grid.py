@@ -62,6 +62,15 @@ def build_grid(x_left: float, x_right: float, nx: int, t_final: float, nt: int) 
     return SpaceTimeGrid(float(x_left), float(x_right), int(nx), float(t_final), int(nt))
 
 
+def sine_sum(grid: SpaceTimeGrid, amplitudes, offset: float = 0.0) -> np.ndarray:
+    """offset + sum_m a_m sin(m pi xhat) at the nodes, xhat = (x - x_left) / length."""
+    xi = (grid.x - grid.x_left) / (grid.x_right - grid.x_left)
+    values = np.full(grid.nx, float(offset))
+    for m, a in enumerate(amplitudes, start=1):
+        values += a * np.sin(m * np.pi * xi)
+    return values
+
+
 # ---------------------------------------------------------------------------
 # spatial stencils
 # ---------------------------------------------------------------------------

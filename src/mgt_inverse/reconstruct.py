@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .carleman import (CarlemanSetup, WeightOverflowError, log_weight_table,
-                       normalized_weight, validate_admissibility)
+from .carleman import (CarlemanSetup, WeightOverflowError, admissible_geometry,
+                       log_weight_table, normalized_weight)
 from .functional import (CarlemanLeastSquares, MinimizationError,
                          MinimizerDiagnostics, initial_second_derivative,
                          minimize_J)
@@ -89,15 +89,8 @@ class ReconstructionConfig:
                 self.solver_cap < 1 or int(self.solver_cap) != self.solver_cap):
             raise ValueError(
                 f"solver_cap must be None or a positive integer, got {self.solver_cap}")
-        report = validate_admissibility(self.carleman.geometry, self.grid)
-        if not report.accepted:
-            raise ValueError("; ".join(report.violations))
-        if self.carleman.geometry.gamma0_sides != report.gamma0_sides:
-            # adopt the observed sides implied by the vertex position
-            self.carleman = replace(
-                self.carleman,
-                geometry=replace(self.carleman.geometry,
-                                 gamma0_sides=report.gamma0_sides))
+        self.carleman = replace(
+            self.carleman, geometry=admissible_geometry(self.carleman.geometry, self.grid))
         if self.gamma_start is not None:
             start = np.asarray(self.gamma_start, dtype=float)
             if start.shape != (self.grid.nx,):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import mgt_inverse
-from mgt_inverse.cli import ConfigError, load_config, main
+from mgt_inverse.cli import ConfigError, load_config, load_schema, main
+from mgt_inverse.reconstruct import ReconstructionConfig
 
 BASE = {
     "grid": {"x_left": 0.0, "x_right": 1.0, "nx": 41, "t_final": 1.25, "nt": 81},
@@ -149,6 +151,17 @@ def test_reconstruct_weight_overflow_exits_one_with_diagnostic(tmp_path, capsys)
                        reconstruction={"data_refinement": 1})
     assert run(["reconstruct", "--config", path, "--out", tmp_path / "o"]) == 1
     assert "log_weight max" in capsys.readouterr().err
+
+
+def test_reconstruction_section_is_passed_as_config_fields(tmp_path, capsys):
+    # every key the schema accepts is a ReconstructionConfig field, whose
+    # default applies where the key is absent
+    keys = load_schema()["properties"]["reconstruction"]["properties"]
+    assert set(keys) <= {field.name for field in dataclasses.fields(ReconstructionConfig)}
+    path = make_config(tmp_path, name="inside.json", weight={"x0": 0.5},
+                       reconstruction={"max_iterations": 1})
+    assert run(["reconstruct", "--config", path, "--out", tmp_path / "o"]) == 1
+    assert "inadmissible observation geometry: x0 = 0.5" in capsys.readouterr().err
 
 
 def test_reconstruct_outputs_are_deterministic(tmp_path):

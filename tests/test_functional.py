@@ -12,13 +12,12 @@ from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
                                   CarlemanSetup)
 from mgt_inverse.functional import (_BLOCK_SHIFT, CarlemanLeastSquares,
                                     MinimizationError, TrajectoryVariable,
-                                    _interior_trace_row,
                                     evaluate_J,
                                     initial_second_derivative, minimize_J,
                                     minimizer_difference_check, v_norm_sq,
                                     weighted_data_norms)
-from mgt_inverse.grid import (build_grid, laplacian_matrix,
-                              time_derivative_matrix_zero_start,
+from mgt_inverse.grid import (boundary_normal_derivative, build_grid,
+                              laplacian_matrix, time_derivative_matrix_zero_start,
                               trapezoid_weights)
 from mgt_inverse.observation import MuPair
 from mgt_inverse.solver import MGTCoefficients, apply_operator
@@ -312,6 +311,62 @@ def test_difference_check_shared_target_and_random_targets():
     assert np.isfinite(report.curvature_constant)
 
 
+def test_difference_check_second_minimizer_is_a_cold_solve():
+    # the second target is minimized exactly as minimize_J does on its own
+    grid, coeffs, setup = make_problem(31, 61)
+    mu, g = random_data(grid, 23)
+    g2 = g + np.random.default_rng(29).normal(size=g.shape)
+    report = minimizer_difference_check(g, g2, mu, coeffs, setup, grid, solver_tol=1e-8)
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    y1, diag1 = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8, engine=engine)
+    y2, diag2 = minimize_J(mu, g2, coeffs, setup, grid, solver_tol=1e-8, engine=engine)
+    assert report.diagnostics_first == diag1
+    assert report.diagnostics_second == diag2
+    assert report.minimizer_gap == np.abs(y1.values - y2.values).max()
+
+
+def test_nan_data_fails_the_certificate():
+    # a NaN backward error is not below the target: the solve must raise, not
+    # return a NaN minimizer
+    grid, coeffs, setup = make_problem(21, 41, s=2.0)
+    mu, g = random_data(grid, 43)
+    g[grid.nt // 2, grid.nx // 2] = np.nan
+    with pytest.raises(MinimizationError, match="nan"):
+        minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8)
+
+
+def test_two_observed_sides_rows_and_objective():
+    grid = build_grid(0.0, 1.0, 13, 1.25, 25)
+    coeffs = MGTCoefficients(c=1.0, b=1.0, gamma=0.4 + 0.3 * np.sin(np.pi * grid.x),
+                             box_bound=1.0)
+    setup = CarlemanSetup(CarlemanGeometry(-0.1, 0.9, 2.5, ("left", "right")),
+                          CarlemanScales(1.0, 2.0))
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    assert engine.geometry.gamma0_sides == ("left", "right")
+    y = random_variable(grid, 47)
+    vec, field = y.to_vector(), y.full_field()
+    nt, m = grid.nt, grid.nx - 2
+    assert engine.operator.shape == (nt * m + 4 * nt, (nt - 1) * m)
+
+    # after the operator rows, each side's trace and its rate, in side order
+    unweighted = (engine.operator @ vec) / engine._root_weight
+    d1 = time_derivative_matrix_zero_start(nt, grid.dt, 1)
+    for k, side in enumerate(("left", "right")):
+        trace = boundary_normal_derivative(field, grid, side)
+        got = unweighted[nt * m + 2 * k * nt:].reshape(-1, nt)
+        for row, want in zip(got, (trace, d1 @ trace)):
+            assert np.linalg.norm(row - want) <= 1e-12 * np.linalg.norm(want)
+
+    rng = np.random.default_rng(53)
+    left = MuPair("left", rng.normal(size=nt), rng.normal(size=nt), grid.dt)
+    right = MuPair("right", rng.normal(size=nt), rng.normal(size=nt), grid.dt)
+    g = rng.normal(size=(nt, grid.nx))
+    j_value = evaluate_J(y, [left, right], g, coeffs, setup, grid)
+    assert evaluate_J(y, [right, left], g, coeffs, setup, grid) == j_value
+    residual = engine.operator @ vec - engine.weighted_data([left, right], g)
+    assert abs(0.5 * (residual @ residual) - j_value) <= 1e-12 * j_value
+
+
 def test_data_validation_and_iteration_cap():
     grid, coeffs, setup = make_problem(21, 41)
     engine = CarlemanLeastSquares(coeffs, setup, grid)
@@ -482,8 +537,7 @@ def test_assembly_matches_operator_stencil(s):
     assert_close(unweighted[:nt * m], stencil[:, 1:-1].ravel())
 
     d1 = time_derivative_matrix_zero_start(nt, grid.dt, 1)
-    row = _interior_trace_row(grid, "right")
-    trace = np.array([row @ field[n, 1:-1] for n in range(nt)])
+    trace = boundary_normal_derivative(field, grid, "right")
     assert_close(unweighted[nt * m:nt * m + nt], trace)
     assert_close(unweighted[nt * m + nt:], d1 @ trace)
     residual = engine.operator @ vec - engine.weighted_data(mu, g)

@@ -72,7 +72,7 @@ def test_config_validation():
         make_config(nx, 61, data_refinement=0)
     with pytest.raises(ValueError, match="gamma_start"):
         make_config(nx, 61, gamma_start=np.zeros(nx - 1))
-    with pytest.raises(ValueError, match="beta"):
+    with pytest.raises(ValueError, match="^inadmissible observation geometry: .*beta"):
         grid = build_grid(0.0, 1.0, nx, 1.25, 61)
         setup = CarlemanSetup(CarlemanGeometry(-0.1, 0.5, 2.5, ("right",)),
                               CarlemanScales(0.5, 2.0))
