@@ -28,7 +28,8 @@ import jsonschema
 import numpy as np
 
 from .carleman import (CarlemanGeometry, CarlemanScales, CarlemanSetup,
-                       WeightOverflowError, validate_admissibility)
+                       WeightOverflowError, admissible_geometry,
+                       validate_admissibility)
 from .experiments import (carleman_constant_sweep, draw_coefficient_sample,
                           stability_two_sided, steep_weight_preset,
                           weight_ratio_report)
@@ -188,8 +189,8 @@ def _config_source(doc, grid, coeffs):
 
 
 def _observed_sides(doc, grid):
-    report = validate_admissibility(_config_geometry(doc), grid)
-    return report.gamma0_sides
+    """The observed sides of an admissible geometry; raises ValueError otherwise."""
+    return admissible_geometry(_config_geometry(doc), grid).gamma0_sides
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +202,8 @@ def command_forward(doc: dict, out_dir: str) -> int:
     coeffs = _config_coeffs(doc, grid)
     init = _config_init(doc, grid)
     f = _config_source(doc, grid, coeffs)
-    traj = solve_forward(coeffs, init, f, grid)
     sides = _observed_sides(doc, grid)
+    traj = solve_forward(coeffs, init, f, grid)
 
     trace_files = {}
     for side in sides:
@@ -301,7 +302,9 @@ def _verify_stability(doc, out_dir, seed):
     ver = doc.get("verify", {})
     c = doc["coefficients"]
     init = _config_init(doc, grid)
-    sides = _observed_sides(doc, grid)
+    # the observed sides alone: this suite also runs at horizons shorter than
+    # the weighted estimate needs
+    sides = validate_admissibility(_config_geometry(doc), grid).gamma0_sides
     rng = np.random.default_rng(seed)
     pairs = [(draw_coefficient_sample(rng, c["box_bound"]).values(grid),
               draw_coefficient_sample(rng, c["box_bound"]).values(grid))
@@ -357,8 +360,8 @@ def _verify_energy(doc, out_dir, seed):
     coeffs = _config_coeffs(doc, grid)
     init = _config_init(doc, grid)
     f = _config_source(doc, grid, coeffs)
-    traj = solve_forward(coeffs, init, f, grid)
     sides = _observed_sides(doc, grid)
+    traj = solve_forward(coeffs, init, f, grid)
     f_arr = np.zeros((grid.nt, grid.nx)) if f is None else f
     energy_report = verify_energy_bound(traj, f_arr, coeffs.b)
     laplacian_report = verify_laplacian_bound(traj, init, f_arr, coeffs.b)

@@ -23,18 +23,29 @@ kernels run fastest.  The factor L is stored twice, in lower band storage
 and transposed in upper band storage: R^-1 = L^-T and R^-T = L^-1 are then
 each an untransposed banded solve, about half the time of LAPACK's
 transposed one.  M^T is stored as CSR beside M, whose CSC view multiplies at
-about half the speed.  An assembly does only the work alpha changes: the
-fixed and alpha rows share one pattern with M, so M's entries (and M^T's, by
-a stored permutation) are refilled in place, and the map from M^T M's
-entries to band positions is kept and rebuilt only when M^T M's
-``indptr``/``indices`` differ from those it was built for.
+about half the speed.  The products and the banded solves run in group
+order: M's columns and M^T's rows are permuted once, so each product with
+M R^-1 or its transpose reorders one vector, and LSMR's own vectors stay
+time-major.
+
+The work that M's pattern alone fixes is done once per (grid, c, b, observed
+sides, group width) and cached read-only, shared by every engine on that key:
+M's unweighted rows, each entry's interior node, M's column indices in group
+order, M^T's pattern with the permutation that fills it from M's entries,
+the group numbering, and the map from M^T M's entries to band positions,
+built from the product of M's pattern with unit entries.  An
+assembly does the work alpha and the weights change: it refills M's entries
+(and M^T's) in place, forms M^T M, scatters and factors the band.  It also
+compares M^T M's ``indptr``/``indices`` with the map's: an entry that sums to
+exactly zero drops out of the product, and that engine then maps its own.
 
 Every solve is certified by the backward error of the preconditioned
 problem, |R^-T M^T r| / (sqrt(n) |r|) with r = b - M y recomputed from the
 returned y; sqrt(n) is |M R^-1|_F, since the trace of (R^T R)^-1 M^T M is n
 for a block-diagonal R^T R made of M^T M's own blocks.  It is invariant under
 scaling the data and the weights, and LSMR's stop test bounds it.  Every
-solve starts from y = 0 (zero data stops LSMR after no iteration), and one
+solve starts from y = 0 (zero data stops LSMR after no iteration); data
+holding a NaN or an infinity are rejected before LSMR starts, and a solve
 whose certificate is not at most the target, NaN included, raises.
 
 All weighted sums use weights normalized by the global minimum exponent, a
@@ -193,6 +204,97 @@ def _unweighted_rows(grid: SpaceTimeGrid, c: float, b: float, sides: tuple):
                  for data in parts)
 
 
+@dataclass(frozen=True)
+class _PatternPlan:
+    """Read-only structure of M that its pattern alone fixes, shared by every
+    engine on one (grid, c, b, observed sides, group width).
+
+    Unknowns are numbered time-major (level t of interior node j at t * m + j)
+    or in group order: groups of ``group_nodes`` adjacent interior nodes, the
+    last one possibly shorter, each group's unknowns contiguous and
+    time-major within it, so that level t of node j sits at
+    nt1 * start + t * width + j - start.  ``position`` maps each time-major
+    index there and ``group_order`` back.
+    """
+
+    fixed: sp.csr_matrix            # M's unweighted rows, see _unweighted_rows
+    alpha_rows: sp.csr_matrix
+    entry_node: np.ndarray          # the interior node of each entry's column
+    row_sizes: np.ndarray           # the number of entries in each row
+    grouped_indices: np.ndarray     # M's column indices in group order
+    transpose_indptr: np.ndarray    # M^T as CSR with its rows in group order;
+    transpose_indices: np.ndarray   # its entries are M's in transpose_order
+    transpose_order: np.ndarray
+    group: np.ndarray               # each group-order unknown's group, by first node
+    position: np.ndarray
+    group_order: np.ndarray
+    group_nodes: int
+    band_map: tuple                 # _scatter_map of M^T M's structural pattern
+
+
+def _scatter_map(normal: sp.csr_matrix, group: np.ndarray, group_nodes: int) -> tuple:
+    """(indptr, indices, entries, slots) for the pattern of M^T M in group
+    order: the entries of ``normal.data`` on or above the diagonal whose two
+    unknowns share a group, and their flat positions in the group band's
+    Fortran-ordered lower storage."""
+    col = normal.indices
+    row = np.repeat(np.arange(normal.shape[0], dtype=col.dtype), np.diff(normal.indptr))
+    keep = col >= row
+    keep &= group[row] == group[col]
+    entries = np.flatnonzero(keep).astype(np.int32)
+    low = row[entries].astype(np.intp)
+    slots = col[entries] - low
+    slots += low * (_TIME_BANDWIDTH * group_nodes + 3)
+    return normal.indptr, normal.indices, entries, slots.astype(np.int32)
+
+
+@functools.lru_cache(maxsize=4)
+def _pattern_plan(grid: SpaceTimeGrid, c: float, b: float, sides: tuple,
+                  group_nodes: int) -> _PatternPlan:
+    """The pattern work of an engine, done once per key; see _PatternPlan.
+
+    The band map is built from the product of M's pattern with unit entries:
+    nothing cancels in it, so its pattern holds that of every numeric M^T M
+    on this key, and equals it unless a numeric entry sums to exactly zero.
+    """
+    fixed, alpha_rows = _unweighted_rows(grid, c, b, sides)
+    nt1, m = grid.nt - 1, grid.nx - 2
+    n = nt1 * m
+    node = np.arange(m)
+    start = node // group_nodes * group_nodes
+    width = np.minimum(start + group_nodes, m) - start
+    position = (nt1 * start[None, :] + np.arange(nt1)[:, None] * width[None, :]
+                + (node - start)[None, :]).ravel()
+    group_order = np.empty(n, dtype=np.intp)
+    group_order[position] = np.arange(n)
+    # each unknown's group in the narrowest type that holds it
+    group = np.tile(start, nt1)[group_order].astype(np.min_scalar_type(m))
+
+    indices, indptr = fixed.indices, fixed.indptr
+    grouped_indices = position[indices].astype(indices.dtype)
+    # M^T on its own pattern: the transpose of a matrix whose entries are
+    # their own numbers in M
+    flipped = sp.csr_matrix((np.arange(fixed.nnz, dtype=np.int32), grouped_indices,
+                             indptr), shape=fixed.shape).T.tocsr()
+    unit = sp.csr_matrix((np.ones(fixed.nnz), grouped_indices, indptr), shape=fixed.shape)
+    unit_t = sp.csr_matrix((np.ones(fixed.nnz), flipped.indices, flipped.indptr),
+                           shape=flipped.shape)
+    plan = _PatternPlan(
+        fixed=fixed, alpha_rows=alpha_rows,
+        entry_node=(indices % m).astype(np.min_scalar_type(m)),
+        row_sizes=np.diff(indptr),
+        grouped_indices=grouped_indices,
+        transpose_indptr=flipped.indptr, transpose_indices=flipped.indices,
+        transpose_order=flipped.data,
+        group=group, position=position, group_order=group_order, group_nodes=group_nodes,
+        band_map=_scatter_map(unit_t @ unit, group, group_nodes))
+    for array in (plan.entry_node, plan.row_sizes, grouped_indices, flipped.indptr,
+                  flipped.indices, flipped.data, group, position, group_order,
+                  *plan.band_map):
+        array.flags.writeable = False
+    return plan
+
+
 def _row_weights(grid: SpaceTimeGrid, sides: Sequence[str], omega: np.ndarray,
                  s: float) -> np.ndarray:
     """Quadrature weight of each row of M: (1/s) q_t h omega at the operator
@@ -241,13 +343,14 @@ class CarlemanLeastSquares:
     ``operator`` is the stacked weighted residual map M: square-root weights
     times the operator rows and the value and rate trace rows of each
     observed side, so the objective is half of |M y - weighted_data|^2.  The
-    engine also holds M^T as CSR and the banded Cholesky factor of the
-    node-group time-series blocks of M^T M, the right preconditioner of the
-    solve, in lower and in upper band storage; M^T M itself is not kept.  M
-    depends on the zeroth-order coefficient only through alpha;
-    ``update_gamma`` refills M and M^T in place and refactors, which is what
-    the reconstruction loop needs.  ``omega`` is the normalized weight
-    table; :func:`minimizer_difference_check` reuses it.
+    engine also holds M with its columns in group order (on the same
+    entries), M^T as CSR with its rows in group order, and the banded
+    Cholesky factor of the node-group time-series blocks of M^T M, the right
+    preconditioner of the solve, in lower and in upper band storage; M^T M
+    itself is not kept.  M depends on the zeroth-order coefficient only
+    through alpha; ``update_gamma`` refills M and M^T in place and refactors,
+    which is what the reconstruction loop needs.  ``omega`` is the normalized
+    weight table; :func:`minimizer_difference_check` reuses it.
     """
 
     def __init__(self, coeffs: MGTCoefficients, carleman: CarlemanSetup,
@@ -257,35 +360,20 @@ class CarlemanLeastSquares:
         self.grid = grid
 
         sides = self.geometry.gamma0_sides
-        self._fixed_rows, self._alpha_rows = _unweighted_rows(grid, coeffs.c, coeffs.b,
-                                                              sides)
+        plan = self._plan = _pattern_plan(grid, coeffs.c, coeffs.b, sides, _GROUP_NODES)
         self._root_weight = np.sqrt(_row_weights(grid, sides, self.omega, self.scales.s))
-        rows = self._fixed_rows
+        rows = plan.fixed
         self.operator = sp.csr_matrix((np.empty(rows.nnz), rows.indices, rows.indptr),
                                       shape=rows.shape)
-        # M^T on its own pattern: its data is M's data taken in _transpose_order
-        flipped = sp.csr_matrix((np.arange(rows.nnz, dtype=np.int32), rows.indices,
-                                 rows.indptr), shape=rows.shape).T.tocsr()
-        self._transpose_order = flipped.data
-        self._operator_t = sp.csr_matrix((np.empty(rows.nnz), flipped.indices,
-                                          flipped.indptr), shape=flipped.shape)
-
-        nt1, m = grid.nt - 1, grid.nx - 2
-        n = self._n_unknowns = nt1 * m
-        # Groups of _GROUP_NODES adjacent interior nodes, the last one possibly
-        # shorter.  Within a group the unknowns run time-major: level t of node
-        # j sits at nt1 * start + t * width + j - start.  ``_position`` maps
-        # each time-major index there and ``_group_order`` back.
-        node = np.arange(m)
-        start = node // _GROUP_NODES * _GROUP_NODES
-        # each unknown's group, by first node, in the narrowest type that holds it
-        self._group = np.tile(start, nt1).astype(np.min_scalar_type(m))
-        width = np.minimum(start + _GROUP_NODES, m) - start
-        self._position = (nt1 * start[None, :] + np.arange(nt1)[:, None] * width[None, :]
-                          + (node - start)[None, :]).ravel()
-        self._group_order = np.empty(n, dtype=np.intp)
-        self._group_order[self._position] = np.arange(n)
-        self._band_map = None
+        # the same matrix on the same entries, its columns in group order
+        self._operator_g = sp.csr_matrix((self.operator.data, plan.grouped_indices,
+                                          rows.indptr), shape=rows.shape)
+        self._n_unknowns = rows.shape[1]
+        self._operator_t = sp.csr_matrix(
+            (np.empty(rows.nnz), plan.transpose_indices, plan.transpose_indptr),
+            shape=rows.shape[::-1])
+        self._band_map = plan.band_map
+        self._block_factor = self._block_factor_upper = None
         self._assemble(coeffs)
 
     def update_gamma(self, gamma: np.ndarray) -> None:
@@ -294,38 +382,46 @@ class CarlemanLeastSquares:
 
     def _assemble(self, coeffs: MGTCoefficients) -> None:
         """Refill M and M^T, and factor the group blocks of M^T M by banded Cholesky."""
-        # release the previous factor before forming M^T M
+        # The new factor is written over the previous one, in both storages:
+        # two fresh bands per assembly cost about 600 page faults at 51x101
+        # and made a criterion-5 reconstruction 7 % slower.
+        band, upper = self._block_factor, self._block_factor_upper
         self._block_factor = self._block_factor_upper = None
         self.coeffs = coeffs
-        n = self._n_unknowns
-        fixed, alpha_rows = self._fixed_rows, self._alpha_rows
+        plan, n = self._plan, self._n_unknowns
         data = self.operator.data
         # root weight * (fixed + alpha_rows * alpha), entry by entry, in place
-        np.take(np.tile(coeffs.alpha[1:-1], self.grid.nt - 1), fixed.indices, out=data)
-        data *= alpha_rows.data
-        data += fixed.data
-        data *= np.repeat(self._root_weight, np.diff(fixed.indptr))
-        np.take(data, self._transpose_order, out=self._operator_t.data)
-        normal = self._operator_t @ self.operator
+        np.take(coeffs.alpha[1:-1], plan.entry_node, out=data)
+        data *= plan.alpha_rows.data
+        data += plan.fixed.data
+        data *= np.repeat(self._root_weight, plan.row_sizes)
+        np.take(data, plan.transpose_order, out=self._operator_t.data)
+        # in group order: each entry is the same sum, in the same order, as in
+        # time-major order
+        normal = self._operator_t @ self._operator_g
         if not np.all(np.isfinite(normal.data)) or np.any(normal.diagonal() <= 0):
             raise MinimizationError(
                 "normal matrix has non-finite or non-positive diagonal entries; "
                 "the weight range is too extreme for this grid")
 
-        # Scatter the entries on or above the diagonal whose nodes share a
-        # group into the lower band of that group's time-major block.
-        if self._band_map is None or not (
-                np.array_equal(normal.indptr, self._band_map[0])
+        # Scatter the entries on or above the diagonal whose unknowns share a
+        # group into the lower band of that group's block.  An entry that sums
+        # to exactly zero drops out of M^T M's pattern; this engine then maps
+        # its own.
+        if not (np.array_equal(normal.indptr, self._band_map[0])
                 and np.array_equal(normal.indices, self._band_map[1])):
-            self._band_map = self._scatter_map(normal)
+            self._band_map = _scatter_map(normal, plan.group, plan.group_nodes)
         entries, slots = self._band_map[2:]
-        # drop M^T M's pattern, then all but the band's values, before
-        # allocating the band
+        # drop M^T M's pattern, then all but the band's values
         values = normal.data
         del normal
         values = values[entries]
-        kd = _TIME_BANDWIDTH * _GROUP_NODES + 2
-        band = np.zeros((kd + 1, n), order="F")
+        kd = _TIME_BANDWIDTH * plan.group_nodes + 2
+        if band is None:
+            band = np.zeros((kd + 1, n), order="F")
+            upper = np.zeros_like(band)
+        else:
+            band.fill(0.0)
         band.ravel(order="F")[slots] = values
         band[0] *= 1.0 + _BLOCK_SHIFT
         factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
@@ -333,28 +429,11 @@ class CarlemanLeastSquares:
             raise MinimizationError(
                 f"node-group preconditioner is not positive definite "
                 f"(banded Cholesky info {info})")
-        # the same factor transposed, in upper band storage
-        upper = np.zeros_like(factor, order="F")
+        # the same factor transposed, in upper band storage; the corner it
+        # leaves unused stays zero
         for offset in range(kd + 1):
             upper[kd - offset, offset:] = factor[offset, :n - offset]
         self._block_factor, self._block_factor_upper = factor, upper
-
-    def _scatter_map(self, normal: sp.csr_matrix) -> tuple:
-        """(indptr, indices, entries, slots) for M^T M's pattern: the entries of
-        ``normal.data`` that go into the group band and their flat positions in
-        its Fortran-ordered storage.  The pattern depends on M's pattern and
-        not on alpha, except where a product sums to exactly zero."""
-        col = normal.indices
-        row = np.repeat(np.arange(self._n_unknowns, dtype=col.dtype), np.diff(normal.indptr))
-        keep = col >= row
-        keep &= self._group[row] == self._group[col]
-        entries = np.flatnonzero(keep).astype(np.int32)
-        low = self._position[row[entries]]
-        slots = self._position[col[entries]]
-        slots -= low
-        low *= _TIME_BANDWIDTH * _GROUP_NODES + 3
-        slots += low
-        return normal.indptr, normal.indices, entries, slots.astype(np.int32)
 
     def weighted_data(self, mu, g: Optional[np.ndarray]) -> np.ndarray:
         """Square-root weights times the data [g; mu; mu_t], row by row of M."""
@@ -362,24 +441,23 @@ class CarlemanLeastSquares:
                               mu, g)
 
     def _right_solve(self, v: np.ndarray, trans: str) -> np.ndarray:
-        """R^-1 v (``trans`` "T") or R^-T v ("N") for a time-major vector.
+        """R^-1 v (``trans`` "T") or R^-T v ("N") for a vector in group order.
 
         R is the transpose of the group blocks' lower Cholesky factor L: R^-1
         is an upper-triangular solve with the stored transpose, R^-T a
         lower-triangular one with L, each untransposed.
         """
         if trans == "T":
-            x, _ = dtbtrs(self._block_factor_upper, v[self._group_order], uplo="U")
-        else:
-            x, _ = dtbtrs(self._block_factor, v[self._group_order], uplo="L")
-        return x[self._position]
+            return dtbtrs(self._block_factor_upper, v, uplo="U")[0]
+        return dtbtrs(self._block_factor, v, uplo="L")[0]
 
     def _backward_error(self, residual: np.ndarray) -> float:
         """|R^-T M^T r| / (sqrt(n) |r|), sqrt(n) being |M R^-1|_F."""
         rnorm = np.sqrt(_sum_of_squares(residual))
         if rnorm == 0.0:
             return 0.0
-        gradient = self._right_solve(self._operator_t @ residual, "N")
+        # summed time-major, as LSMR's vectors are
+        gradient = self._right_solve(self._operator_t @ residual, "N")[self._plan.position]
         return float(np.sqrt(_sum_of_squares(gradient)) / (np.sqrt(self._n_unknowns) * rnorm))
 
     def solve_normal_equations(self, b: np.ndarray, tol: float,
@@ -389,18 +467,27 @@ class CarlemanLeastSquares:
         ``b`` is ``weighted_data(mu, g)``; the normal equations are never
         formed.  Returns (solution, iterations, backward error), the backward
         error being that of the preconditioned problem, recomputed from the
-        returned solution; unless it is at most ``tol`` (a NaN in the data
-        fails too) the solve raises.  ``max_iterations`` caps LSMR's
-        iterations (by default n).
+        returned solution; unless it is at most ``tol`` the solve raises.
+        Data holding a NaN or an infinity are rejected before LSMR starts.
+        ``max_iterations`` caps LSMR's iterations (by default n).
+
+        The products and the triangular solves run in group order, so each
+        product with M R^-1 or its transpose reorders one vector.  LSMR's own
+        vectors stay time-major: it sums their squares for its norms, and a
+        different order would change the iterates in their last bits.
         """
+        if not np.all(np.isfinite(b)):
+            raise MinimizationError("the weighted data hold nan or inf entries; "
+                                    "LSMR was not started")
+        plan = self._plan
         preconditioned = LinearOperator(
             self.operator.shape, dtype=float,
-            matvec=lambda z: self.operator @ self._right_solve(z, "T"),
-            rmatvec=lambda r: self._right_solve(self._operator_t @ r, "N"))
+            matvec=lambda z: self._operator_g @ self._right_solve(z[plan.group_order], "T"),
+            rmatvec=lambda r: self._right_solve(self._operator_t @ r, "N")[plan.position])
         # conlim=0: no stop on the condition estimate, only on the tolerance
         z, _, iterations = lsmr(preconditioned, b, atol=tol, btol=tol,
                                 conlim=0.0, maxiter=max_iterations)[:3]
-        y = self._right_solve(z, "T")
+        y = self._right_solve(z[plan.group_order], "T")[plan.position]
         error = self._backward_error(b - self.operator @ y)
         if not error <= tol:
             raise MinimizationError(

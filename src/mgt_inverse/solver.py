@@ -472,28 +472,13 @@ def apply_operator(field: np.ndarray, coeffs: MGTCoefficients, grid: SpaceTimeGr
     ``zero_start`` selects the time stencils for series with y(0) = y_t(0) = 0
     over the plain ones; boundary columns carry no Laplacian.  L's only other
     form is the cached sparse rows that serve every least-squares use in
-    ``functional``; the stencil serves the Carleman estimate and
-    ``pde_residual``, and is the reference the rows are tested against.
+    ``functional``; the stencil serves the Carleman estimate, and the tests
+    hold the rows and the forward solver's residual to it.
     """
     stencil = time_derivative_matrix_zero_start if zero_start else time_derivative_matrix
     d1, d2, d3 = (stencil(grid.nt, grid.dt, order) for order in (1, 2, 3))
     return (d3 @ field + (d2 @ field) * coeffs.alpha
             - apply_laplacian(coeffs.c ** 2 * field + coeffs.b * (d1 @ field), grid))
-
-
-def pde_residual(traj: Trajectory, coeffs: MGTCoefficients, f: np.ndarray) -> np.ndarray:
-    """Pointwise stencil residual u_ttt + alpha u_tt - c^2 u_xx - b u_txx - f.
-
-    Computed from the u snapshots alone with the grid's time and space
-    stencils; entries at the two boundary columns are zero.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != traj.u.shape:
-        raise ValueError(f"source has shape {f.shape}, expected {traj.u.shape}")
-    res = apply_operator(traj.u, coeffs, traj.grid) - f
-    res[:, 0] = 0.0
-    res[:, -1] = 0.0
-    return res
 
 
 # ---------------------------------------------------------------------------

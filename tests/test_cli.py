@@ -160,8 +160,11 @@ def test_reconstruction_section_is_passed_as_config_fields(tmp_path, capsys):
     assert set(keys) <= {field.name for field in dataclasses.fields(ReconstructionConfig)}
     path = make_config(tmp_path, name="inside.json", weight={"x0": 0.5},
                        reconstruction={"max_iterations": 1})
-    assert run(["reconstruct", "--config", path, "--out", tmp_path / "o"]) == 1
-    assert "inadmissible observation geometry: x0 = 0.5" in capsys.readouterr().err
+    for command in (["reconstruct"], ["forward"], ["verify", "--suite", "energy"]):
+        out = tmp_path / command[-1]
+        assert run(command + ["--config", path, "--out", out]) == 1
+        assert "inadmissible observation geometry: x0 = 0.5" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
 
 
 def test_reconstruct_outputs_are_deterministic(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpbtrf
 
 from mgt_inverse import carleman, functional
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
@@ -285,6 +287,7 @@ def test_update_gamma_matches_fresh_assembly():
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.data, want.data)
     assert np.array_equal(engine._block_factor, fresh._block_factor)
+    assert np.array_equal(engine._block_factor_upper, fresh._block_factor_upper)
     y_updated, _ = minimize_J(mu, g, engine.coeffs, setup, grid,
                               solver_tol=1e-10, engine=engine)
     y_fresh, _ = minimize_J(mu, g, fresh.coeffs, setup, grid,
@@ -323,6 +326,20 @@ def test_difference_check_second_minimizer_is_a_cold_solve():
     assert report.diagnostics_first == diag1
     assert report.diagnostics_second == diag2
     assert report.minimizer_gap == np.abs(y1.values - y2.values).max()
+
+
+def test_non_finite_data_are_rejected_before_lsmr_starts(monkeypatch):
+    def no_lsmr(*args, **kwargs):
+        raise AssertionError("LSMR ran on non-finite data")
+
+    monkeypatch.setattr(functional, "lsmr", no_lsmr)
+    grid, coeffs, setup = make_problem(21, 41, s=2.0)
+    mu, g = random_data(grid, 43)
+    for bad in (np.nan, np.inf):
+        target = g.copy()
+        target[grid.nt // 2, grid.nx // 2] = bad
+        with pytest.raises(MinimizationError, match="nan"):
+            minimize_J(mu, target, coeffs, setup, grid, solver_tol=1e-8)
 
 
 def test_nan_data_fails_the_certificate():
@@ -403,7 +420,10 @@ def test_preconditioner_inverts_each_node_group_block():
         # diagonal scaled by 1 + shift; R^-1 R^-T inverts it
         block_image = (np.where(in_group, mat @ v, 0.0)
                        + _BLOCK_SHIFT * mat.diagonal() * v)
-        solved = engine._right_solve(engine._right_solve(block_image, "N"), "T")
+        # the solves take and return vectors in group order
+        plan = engine._plan
+        solved = engine._right_solve(engine._right_solve(block_image[plan.group_order], "N"),
+                                     "T")[plan.position]
         assert np.allclose(solved, v, rtol=0.0, atol=1e-10)
 
 
@@ -432,13 +452,18 @@ def test_stale_band_map_is_rebuilt():
 
     # the same matrix with each row's entries reversed: a valid map for that
     # layout scatters the wrong entries of the product the engine forms
-    normal = engine._operator_t @ engine.operator
+    normal = engine._operator_t @ engine._operator_g
     order = np.concatenate([np.arange(a, b)[::-1]
                             for a, b in zip(normal.indptr[:-1], normal.indptr[1:])])
-    engine._band_map = engine._scatter_map(sp.csr_matrix(
-        (normal.data[order], normal.indices[order], normal.indptr), shape=normal.shape))
+    plan = engine._plan
+    engine._band_map = functional._scatter_map(sp.csr_matrix(
+        (normal.data[order], normal.indices[order], normal.indptr), shape=normal.shape),
+        plan.group, plan.group_nodes)
     engine.update_gamma(coeffs.gamma)
     fresh = CarlemanLeastSquares(coeffs, setup, grid)
+    # the engine rebuilt its own map; the shared one is untouched
+    assert engine._band_map is not plan.band_map
+    assert fresh._band_map is plan.band_map
     for got, want in zip(engine._band_map, fresh._band_map):
         assert np.array_equal(got, want)
     assert np.array_equal(engine._block_factor, fresh._block_factor)
@@ -488,6 +513,7 @@ def test_minimizer_diagnostics_match_the_standalone_objective():
 
 def test_unweighted_rows_are_built_once_per_key_and_read_only():
     functional._unweighted_rows.cache_clear()
+    functional._pattern_plan.cache_clear()
     try:
         grid, coeffs, setup = make_problem(21, 41)
         mu, g = random_data(grid, 47)
@@ -498,9 +524,9 @@ def test_unweighted_rows_are_built_once_per_key_and_read_only():
         for target in (None, g, 2.0 * g):
             evaluate_J(y, mu, target, coeffs, setup, grid)
         assert functional._unweighted_rows.cache_info().misses == 1
-        assert first._fixed_rows is second._fixed_rows
+        assert first._plan.fixed is second._plan.fixed
 
-        for rows in (first._fixed_rows, first._alpha_rows):
+        for rows in (first._plan.fixed, first._plan.alpha_rows):
             for array in (rows.data, rows.indices, rows.indptr):
                 with pytest.raises(ValueError):
                     array[0] = 1
@@ -512,6 +538,7 @@ def test_unweighted_rows_are_built_once_per_key_and_read_only():
         assert functional._unweighted_rows.cache_info().misses == 3
     finally:
         functional._unweighted_rows.cache_clear()
+        functional._pattern_plan.cache_clear()
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0])
@@ -572,3 +599,84 @@ def test_weight_table_is_built_once_per_assembly_or_evaluation(monkeypatch):
     calls.clear()
     minimizer_difference_check(g, 2.0 * g, mu, coeffs, setup, grid, solver_tol=1e-8)
     assert len(calls) == 1
+
+
+def test_pattern_plan_is_built_once_per_key_shared_and_read_only(monkeypatch):
+    functional._pattern_plan.cache_clear()
+    try:
+        grid, coeffs, setup = make_problem(21, 41)
+        first = CarlemanLeastSquares(coeffs, setup, grid)
+        original = functional._scatter_map
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(functional, "_scatter_map", counted)
+        # another coefficient and other weights on the same key
+        other_setup = CarlemanSetup(GEO, CarlemanScales(0.5, 1.0))
+        second = CarlemanLeastSquares(coeffs.with_gamma(np.zeros(grid.nx)), other_setup, grid)
+        second.update_gamma(np.clip(coeffs.gamma + 0.2, 0.0, 1.0))
+        assert calls == []
+        assert functional._pattern_plan.cache_info().misses == 1
+        assert second._plan is first._plan
+        assert second._band_map is first._plan.band_map
+        # the group-order view of M holds the engine's own entries
+        assert np.shares_memory(second._operator_g.data, second.operator.data)
+        assert not np.shares_memory(second.operator.data, first.operator.data)
+
+        plan, arrays = first._plan, []
+        for field in dataclasses.fields(plan):
+            value = getattr(plan, field.name)
+            if sp.issparse(value):
+                arrays += [value.data, value.indices, value.indptr]
+            elif isinstance(value, tuple):
+                arrays += list(value)
+            elif isinstance(value, np.ndarray):
+                arrays.append(value)
+        assert len(arrays) == 19
+        assert not any(array.flags.writeable for array in arrays)
+
+        # the group width is part of the key
+        monkeypatch.setattr(functional, "_GROUP_NODES", 1)
+        CarlemanLeastSquares(coeffs, setup, grid)
+        assert functional._pattern_plan.cache_info().misses == 2
+        assert len(calls) == 1
+    finally:
+        functional._pattern_plan.cache_clear()
+
+
+def test_fresh_assembly_matches_an_explicit_product_and_scatter():
+    # M, the factor and its transpose, bit for bit, against M formed entry by
+    # entry, M^T M by one sparse product and each group's band by indexing
+    grid, coeffs, setup = make_problem(21, 41, s=1.0)
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    nt1, m = grid.nt - 1, grid.nx - 2
+    n = nt1 * m
+    fixed, alpha_rows = functional._unweighted_rows(grid, coeffs.c, coeffs.b,
+                                                    engine.geometry.gamma0_sides)
+    alpha = np.tile(coeffs.alpha[1:-1], nt1)[fixed.indices]
+    data = (fixed.data + alpha_rows.data * alpha) * np.repeat(engine._root_weight,
+                                                             np.diff(fixed.indptr))
+    mat = sp.csr_matrix((data, fixed.indices, fixed.indptr), shape=fixed.shape)
+    assert np.array_equal(engine.operator.data, mat.data)
+
+    normal = (mat.T.tocsr() @ mat).tocoo()
+    node, level = np.arange(n) % m, np.arange(n) // m
+    start = node // 7 * 7
+    width = np.minimum(start + 7, m) - start
+    position = nt1 * start + level * width + node - start
+    row, col = normal.row, normal.col
+    keep = (col >= row) & (start[row] == start[col])
+    kd = 4 * 7 + 2
+    band = np.zeros((kd + 1, n))
+    band[position[col[keep]] - position[row[keep]], position[row[keep]]] = normal.data[keep]
+    band[0] *= 1.0 + _BLOCK_SHIFT
+    factor, info = dpbtrf(band, lower=1)
+    assert info == 0
+    upper = np.zeros_like(factor)
+    for offset in range(kd + 1):
+        upper[kd - offset, offset:] = factor[offset, :n - offset]
+    assert np.array_equal(engine._block_factor, factor)
+    assert np.array_equal(engine._block_factor_upper, upper)
