@@ -23,10 +23,11 @@ kernels run fastest.  The factor L is stored twice, in lower band storage
 and transposed in upper band storage: R^-1 = L^-T and R^-T = L^-1 are then
 each an untransposed banded solve, about half the time of LAPACK's
 transposed one.  M^T is stored as CSR beside M, whose CSC view multiplies at
-about half the speed.  The products and the banded solves run in group
-order: M's columns and M^T's rows are permuted once, so each product with
-M R^-1 or its transpose reorders one vector, and LSMR's own vectors stay
-time-major.
+about half the speed.  M's columns and M^T's rows are permuted once into
+group order, and LSMR runs in that order throughout, so no vector is
+reordered inside the loop; y goes back to time-major order once per solve.
+LSMR is the engine's own loop: its norms are elementwise sums, not BLAS dot
+products, so its iterates do not depend on the BLAS thread count.
 
 The work that M's pattern alone fixes is done once per (grid, c, b, observed
 sides, group width) and cached read-only, shared by every engine on that key:
@@ -43,10 +44,14 @@ Every solve is certified by the backward error of the preconditioned
 problem, |R^-T M^T r| / (sqrt(n) |r|) with r = b - M y recomputed from the
 returned y; sqrt(n) is |M R^-1|_F, since the trace of (R^T R)^-1 M^T M is n
 for a block-diagonal R^T R made of M^T M's own blocks.  It is invariant under
-scaling the data and the weights, and LSMR's stop test bounds it.  Every
-solve starts from y = 0 (zero data stops LSMR after no iteration); data
-holding a NaN or an infinity are rejected before LSMR starts, and a solve
-whose certificate is not at most the target, NaN included, raises.
+scaling the data and the weights, and it is LSMR's stop rule: LSMR's
+|zetabar_k| is |R^-T M^T r_k|, so whenever |zetabar_k| / (sqrt(n) times its
+estimate of |r_k|) is at most the target, the certificate is recomputed from
+the iterate, and the solve returns at the first iterate that meets it.
+LSMR's own stop tests are not used.  Every solve starts from y = 0 (zero data
+stop LSMR after no iteration); data holding a NaN or an infinity are rejected
+before LSMR starts, and a solve that reaches its iteration cap with a
+certificate above the target, NaN included, raises.
 
 All weighted sums use weights normalized by the global minimum exponent, a
 positive rescaling of the objective that does not move the minimizer; every
@@ -62,13 +67,13 @@ that pins the rows to it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dtbtrs
-from scipy.sparse.linalg import LinearOperator, lsmr
 
 from .carleman import CarlemanSetup, admissible_geometry, normalized_weight_table
 from .grid import (SpaceTimeGrid, boundary_normal_derivative, laplacian_matrix,
@@ -328,6 +333,12 @@ def _sum_of_squares(v: np.ndarray) -> float:
     return float(np.sum(v * v))
 
 
+def _givens(a: float, b: float):
+    """(c, s, r) with c a + s b = r = hypot(a, b) and s a = c b."""
+    r = math.hypot(a, b)
+    return a / r, b / r, r
+
+
 def _weighting(carleman: CarlemanSetup, grid: SpaceTimeGrid, purpose: Optional[str] = None):
     """Validated geometry and weight table; ``purpose`` demands positive scales."""
     geometry = admissible_geometry(carleman.geometry, grid)
@@ -456,9 +467,81 @@ class CarlemanLeastSquares:
         rnorm = np.sqrt(_sum_of_squares(residual))
         if rnorm == 0.0:
             return 0.0
-        # summed time-major, as LSMR's vectors are
-        gradient = self._right_solve(self._operator_t @ residual, "N")[self._plan.position]
+        gradient = self._right_solve(self._operator_t @ residual, "N")
         return float(np.sqrt(_sum_of_squares(gradient)) / (np.sqrt(self._n_unknowns) * rnorm))
+
+    def _lsmr(self, b: np.ndarray, tol: float, cap: int):
+        """LSMR on A = M R^-1 with damp 0, from x = 0, in group order.
+
+        The bidiagonalization and the recurrences are Fong & Saunders'.  Their
+        |zetabar| is |A^T r_k|, and they also update an estimate of |r_k|, so
+        |zetabar| / (sqrt(n) |r_k|) estimates the certificate.  Whenever that
+        estimate is at most ``tol``, the certificate is recomputed from
+        y = R^-1 x, and the loop returns at the first iterate that meets it.
+        LSMR's own stop tests are not used: the least-squares and
+        compatible-system tests rest on a running estimate of |A| that stays
+        far below its value sqrt(n), so they stop too late or too early.
+        Returns (y in group order, iterations, certificate); at ``cap``
+        iterations it returns whatever certificate that iterate has.
+        """
+        def norm(v):
+            return math.sqrt(_sum_of_squares(v))
+
+        target = tol * math.sqrt(self._n_unknowns)
+        x = np.zeros(self._n_unknowns)
+        u = b.copy()
+        beta = norm(u)
+        if beta > 0:
+            u /= beta
+        v = self._right_solve(self._operator_t @ u, "N")
+        alpha = norm(v)
+        if alpha > 0:
+            v /= alpha
+        h, hbar = v.copy(), np.zeros_like(v)
+        # the scalars of the update of x, then those of the estimate of |r_k|
+        zetabar, alphabar, zeta, sbar = alpha * beta, alpha, 0.0, 0.0
+        rho = rhobar = cbar = 1.0
+        betadd, betad, rhodold, tautildeold, thetatilde = beta, 0.0, 1.0, 0.0, 0.0
+        normr = beta
+        iteration = 0
+        while True:
+            if abs(zetabar) <= target * normr or iteration == cap:
+                y = self._right_solve(x, "T")
+                error = self._backward_error(b - self._operator_g @ y)
+                if error <= tol or iteration == cap:
+                    return y, iteration, error
+            iteration += 1
+            u *= -alpha
+            u += self._operator_g @ self._right_solve(v, "T")
+            beta = norm(u)
+            if beta > 0:
+                u /= beta
+                v *= -beta
+                v += self._right_solve(self._operator_t @ u, "N")
+                alpha = norm(v)
+                if alpha > 0:
+                    v /= alpha
+
+            rhoold, rhobarold, zetaold = rho, rhobar, zeta
+            c, s, rho = _givens(alphabar, beta)
+            thetanew, alphabar = s * alpha, c * alpha
+            thetabar = sbar * rho
+            cbar, sbar, rhobar = _givens(cbar * rho, thetanew)
+            zeta, zetabar = cbar * zetabar, -sbar * zetabar
+            hbar *= -(thetabar * rho / (rhoold * rhobarold))
+            hbar += h
+            x += (zeta / (rho * rhobar)) * hbar
+            h *= -(thetanew / rho)
+            h += v
+
+            betahat, betadd = c * betadd, -s * betadd
+            thetatildeold = thetatilde
+            ctildeold, stildeold, rhotildeold = _givens(rhodold, thetabar)
+            thetatilde, rhodold = stildeold * rhobar, ctildeold * rhobar
+            betad = -stildeold * betad + ctildeold * betahat
+            tautildeold = (zetaold - thetatildeold * tautildeold) / rhotildeold
+            taud = (zeta - thetatilde * tautildeold) / rhodold
+            normr = math.hypot(betad - taud, betadd)
 
     def solve_normal_equations(self, b: np.ndarray, tol: float,
                                max_iterations: Optional[int] = None):
@@ -467,33 +550,26 @@ class CarlemanLeastSquares:
         ``b`` is ``weighted_data(mu, g)``; the normal equations are never
         formed.  Returns (solution, iterations, backward error), the backward
         error being that of the preconditioned problem, recomputed from the
-        returned solution; unless it is at most ``tol`` the solve raises.
-        Data holding a NaN or an infinity are rejected before LSMR starts.
-        ``max_iterations`` caps LSMR's iterations (by default n).
+        returned solution.  LSMR stops at its first iterate whose backward
+        error is at most ``tol``; if none is reached within ``max_iterations``
+        (by default n) iterations, the solve raises.  Data holding a NaN or an
+        infinity are rejected before LSMR starts.
 
-        The products and the triangular solves run in group order, so each
-        product with M R^-1 or its transpose reorders one vector.  LSMR's own
-        vectors stay time-major: it sums their squares for its norms, and a
-        different order would change the iterates in their last bits.
+        LSMR runs in group order throughout: its vectors, the products and the
+        triangular solves.  Its norms are elementwise sums, so the solution
+        does not depend on the BLAS thread count; y is put back in time-major
+        order once.
         """
         if not np.all(np.isfinite(b)):
             raise MinimizationError("the weighted data hold nan or inf entries; "
                                     "LSMR was not started")
-        plan = self._plan
-        preconditioned = LinearOperator(
-            self.operator.shape, dtype=float,
-            matvec=lambda z: self._operator_g @ self._right_solve(z[plan.group_order], "T"),
-            rmatvec=lambda r: self._right_solve(self._operator_t @ r, "N")[plan.position])
-        # conlim=0: no stop on the condition estimate, only on the tolerance
-        z, _, iterations = lsmr(preconditioned, b, atol=tol, btol=tol,
-                                conlim=0.0, maxiter=max_iterations)[:3]
-        y = self._right_solve(z[plan.group_order], "T")[plan.position]
-        error = self._backward_error(b - self.operator @ y)
+        cap = self._n_unknowns if max_iterations is None else max_iterations
+        y, iterations, error = self._lsmr(b, tol, cap)
         if not error <= tol:
             raise MinimizationError(
                 f"LSMR stopped at backward error {error:.3e} after {iterations} "
-                f"iterations (target {tol:.1e}, cap {max_iterations or self._n_unknowns})")
-        return y, iterations, error
+                f"iterations (target {tol:.1e}, cap {cap})")
+        return y[self._plan.position], iterations, error
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -8,7 +10,9 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpbtrf
+from scipy.sparse.linalg import LinearOperator, lsmr
 
+import mgt_inverse
 from mgt_inverse import carleman, functional
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
                                   CarlemanSetup)
@@ -328,11 +332,30 @@ def test_difference_check_second_minimizer_is_a_cold_solve():
     assert report.minimizer_gap == np.abs(y1.values - y2.values).max()
 
 
+@pytest.mark.parametrize("iterations", [1, 5, 40])
+def test_lsmr_loop_follows_scipy_lsmr(iterations):
+    # with tol = 0 the loop runs to its cap; scipy's LSMR, with its stop tests
+    # off, takes the same iterates up to the order of the norms' sums
+    grid, coeffs, setup = make_problem(21, 41, s=1.0)
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    mu, g = random_data(grid, 37)
+    b = engine.weighted_data(mu, g)
+    y, count, _ = engine._lsmr(b, 0.0, iterations)
+    assert count == iterations
+    preconditioned = LinearOperator(
+        engine.operator.shape, dtype=float,
+        matvec=lambda z: engine._operator_g @ engine._right_solve(z, "T"),
+        rmatvec=lambda r: engine._right_solve(engine._operator_t @ r, "N"))
+    z = lsmr(preconditioned, b, atol=0.0, btol=0.0, conlim=0.0, maxiter=iterations)[0]
+    reference = engine._right_solve(z, "T")
+    assert np.linalg.norm(y - reference) <= 1e-9 * np.linalg.norm(reference)
+
+
 def test_non_finite_data_are_rejected_before_lsmr_starts(monkeypatch):
     def no_lsmr(*args, **kwargs):
         raise AssertionError("LSMR ran on non-finite data")
 
-    monkeypatch.setattr(functional, "lsmr", no_lsmr)
+    monkeypatch.setattr(CarlemanLeastSquares, "_lsmr", no_lsmr)
     grid, coeffs, setup = make_problem(21, 41, s=2.0)
     mu, g = random_data(grid, 43)
     for bad in (np.nan, np.inf):
@@ -680,3 +703,36 @@ def test_fresh_assembly_matches_an_explicit_product_and_scatter():
         upper[kd - offset, offset:] = factor[offset, :n - offset]
     assert np.array_equal(engine._block_factor, factor)
     assert np.array_equal(engine._block_factor_upper, upper)
+
+
+# criterion 2's datum at 51x201: M has 10,251 rows, above the 10,000 entries
+# from which OpenBLAS runs a dot product on its threads
+_THREADED_SOLVE = """
+import hashlib
+import numpy as np
+from mgt_inverse.carleman import CarlemanGeometry, CarlemanScales, CarlemanSetup
+from mgt_inverse.functional import minimize_J
+from mgt_inverse.grid import build_grid
+from mgt_inverse.observation import MuPair
+from mgt_inverse.solver import MGTCoefficients
+grid = build_grid(0.0, 1.0, 51, 1.25, 201)
+coeffs = MGTCoefficients(1.0, 1.0, 0.4 + 0.3 * np.sin(np.pi * grid.x), 1.0)
+setup = CarlemanSetup(CarlemanGeometry(-0.1, 0.9, 2.5), CarlemanScales(1.0, 2.0))
+rng = np.random.default_rng(7)
+g = rng.normal(size=(grid.nt, grid.nx))
+envelope = (grid.t / grid.t_final) ** 2
+mu = MuPair("right", envelope * rng.normal(size=grid.nt),
+            envelope * rng.normal(size=grid.nt), grid.dt)
+y, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-6)
+print(hashlib.sha256(y.values.tobytes()).hexdigest(), diag.solver_iterations)
+"""
+
+
+def test_minimizer_does_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(mgt_inverse.__file__))
+    outputs = [subprocess.run([sys.executable, "-c", _THREADED_SOLVE], capture_output=True,
+                              text=True, check=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src,
+                                   "OPENBLAS_NUM_THREADS": threads}).stdout
+               for threads in ("1", "2")]
+    assert outputs[0] == outputs[1]

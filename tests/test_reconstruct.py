@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from mgt_inverse import functional
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
                                   CarlemanSetup, admissible_geometry)
-from mgt_inverse.functional import CarlemanLeastSquares
+from mgt_inverse.functional import CarlemanLeastSquares, MinimizationError
 from mgt_inverse.grid import build_grid, trapezoid_weights
 from mgt_inverse.observation import build_mu, extract_observation
 from mgt_inverse.reconstruct import (IterateRecord, ReconstructionConfig,
@@ -278,9 +278,9 @@ def test_scale_sweep_shares_data_and_reports_means():
         run_scale_sweep(config, gamma_true, s_values=())
 
 
-@pytest.mark.parametrize("s", [1.0, 2.0, 4.0])
-def test_first_criterion_5_solve_has_small_backward_error(s):
-    # criterion 5's datum; its first outer step solves from gamma = 0
+def first_criterion_5_solve(s):
+    """Criterion 5's datum at scale s and the engine, trace targets and
+    interior target of its first outer step, which solves from gamma = 0."""
     config = make_config(51, 101, s=s, lam=1.0, data_refinement=2, solver_tol=1e-6)
     grid = config.grid
     data = synthetic_observations(config, canonical_gamma(grid))
@@ -288,7 +288,12 @@ def test_first_criterion_5_solve_has_small_backward_error(s):
     traj = solve_forward(coeffs, config.init, None, grid)
     mu = [build_mu(extract_observation(traj, obs.side), obs) for obs in data]
     g = np.zeros((grid.nt, grid.nx))
-    engine = CarlemanLeastSquares(coeffs, config.carleman, grid)
+    return config, CarlemanLeastSquares(coeffs, config.carleman, grid), mu, g
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 4.0])
+def test_first_criterion_5_solve_has_small_backward_error(s):
+    config, engine, mu, g = first_criterion_5_solve(s)
     y, _, rel = engine.solve_normal_equations(engine.weighted_data(mu, g), config.solver_tol)
     assert rel <= config.solver_tol
     # node-by-node blocks left 2.3e-8 to 2.5e-8 at s = 2 and 4
@@ -312,3 +317,34 @@ def test_group_blocks_halve_node_block_lsmr_iterations(monkeypatch):
             engine.weighted_data(mu, np.zeros((grid.nt, grid.nx))), config.solver_tol)
         assert rel <= config.solver_tol
     assert iterations[7] <= iterations[1] // 2, iterations
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 4.0])
+def test_solve_returns_its_first_certified_iterate(s):
+    config, engine, mu, g = first_criterion_5_solve(s)
+    b = engine.weighted_data(mu, g)
+    _, iterations, rel = engine.solve_normal_equations(b, config.solver_tol)
+    assert rel <= config.solver_tol
+    # one iteration fewer does not meet the certificate
+    with pytest.raises(MinimizationError, match="backward error"):
+        engine.solve_normal_equations(b, config.solver_tol, max_iterations=iterations - 1)
+    if s == 1.0:
+        # half the 149 iterations LSMR's own stop tests took on this solve
+        assert iterations <= 74
+
+
+def test_every_error_map_column_is_certified():
+    # criterion 5's datum on its own grid, so gamma_true is an exact fixed
+    # point; each column of the update's Jacobian perturbs one interior node.
+    # LSMR's compatible-system test stopped the columns j = 21...41 after 3-4
+    # iterations at backward errors of 6e-3 to 1.3e-2.
+    config = make_config(51, 101, s=2.0, lam=1.0, data_refinement=1, solver_tol=1e-6)
+    gamma_true = canonical_gamma(config.grid)
+    data = synthetic_observations(config, gamma_true)
+    engine = CarlemanLeastSquares(config.coefficients(gamma_true), config.carleman,
+                                  config.grid)
+    for j in range(1, config.grid.nx - 1):
+        gamma = gamma_true.copy()
+        gamma[j] += 1e-4
+        _, diagnostics = reconstruction_step(gamma, data, config, engine=engine)
+        assert diagnostics.el_residual <= config.solver_tol, j
