@@ -311,6 +311,7 @@ def _verify_stability(doc, out_dir, seed):
              for _ in range(ver.get("pairs", 10))]
     report = stability_two_sided(pairs, init, grid, sides=sides, c=c["c"],
                                  b=c["b"], box_bound=c["box_bound"])
+    # one quotient, written under both sides of the two-sided bound
     write_json(os.path.join(out_dir, "stability_report.json"), {
         "seed": seed,
         "pair_count": len(report.pairs),
@@ -319,12 +320,12 @@ def _verify_stability(doc, out_dir, seed):
         "c_empirical": report.c_empirical,
         "pairs": [{"coeff_norm_sq": p.coeff_norm_sq,
                    "trace_norm_sq": p.trace_norm_sq,
-                   "lower_ratio": p.lower_ratio,
-                   "upper_ratio": p.upper_ratio} for p in report.pairs],
+                   "lower_ratio": p.ratio,
+                   "upper_ratio": p.ratio} for p in report.pairs],
     })
     write_csv(os.path.join(out_dir, "stability_report.csv"),
               ("pair", "coeff_norm_sq", "trace_norm_sq", "lower_ratio", "upper_ratio"),
-              [(k, p.coeff_norm_sq, p.trace_norm_sq, p.lower_ratio, p.upper_ratio)
+              [(k, p.coeff_norm_sq, p.trace_norm_sq, p.ratio, p.ratio)
                for k, p in enumerate(report.pairs)])
     return 0
 
@@ -440,7 +441,7 @@ def main(argv=None) -> int:
             return command_reconstruct(doc, args.out, args.seed)
         return command_verify(doc, args.out, args.seed, args.suite)
     except (ConfigError, ReconstructionError, ForwardSolveError,
-            WeightOverflowError, ValueError) as exc:
+            WeightOverflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

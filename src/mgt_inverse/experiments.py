@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,12 @@ __all__ = [
 # seeded, grid-transferable samples
 # ---------------------------------------------------------------------------
 
+# Fourier modes per sample: coefficient sines, field sines in x and cosines in t
+COEFFICIENT_MODES = 4
+FIELD_X_MODES = 3
+FIELD_T_MODES = 3
+
+
 @dataclass(frozen=True)
 class CoefficientSample:
     """Smooth random coefficient described by Fourier data, not grid values.
@@ -58,9 +64,8 @@ class CoefficientSample:
         return self.box_bound * 0.5 * (1.0 + np.tanh(raw))
 
 
-def draw_coefficient_sample(rng: np.random.Generator, box_bound: float,
-                            modes: int = 4) -> CoefficientSample:
-    amplitudes = tuple(rng.normal(scale=0.8 / m) for m in range(1, modes + 1))
+def draw_coefficient_sample(rng: np.random.Generator, box_bound: float) -> CoefficientSample:
+    amplitudes = tuple(rng.normal(scale=0.8 / m) for m in range(1, COEFFICIENT_MODES + 1))
     return CoefficientSample(float(rng.normal(scale=0.7)), amplitudes, float(box_bound))
 
 
@@ -88,10 +93,9 @@ class FieldSample:
         return field
 
 
-def draw_field_sample(rng: np.random.Generator, x_modes: int = 3,
-                      t_modes: int = 3) -> FieldSample:
-    xs = tuple(rng.normal(scale=1.0 / m) for m in range(1, x_modes + 1))
-    ts = tuple(rng.normal(scale=0.3 / j) for j in range(1, t_modes + 1))
+def draw_field_sample(rng: np.random.Generator) -> FieldSample:
+    xs = tuple(rng.normal(scale=1.0 / m) for m in range(1, FIELD_X_MODES + 1))
+    ts = tuple(rng.normal(scale=0.3 / j) for j in range(1, FIELD_T_MODES + 1))
     return FieldSample(xs, ts)
 
 
@@ -103,10 +107,9 @@ def draw_field_sample(rng: np.random.Generator, x_modes: int = 3,
 class PairStability:
     coeff_norm_sq: float
     trace_norm_sq: float
-    # the same measured quotient is tested against both sides of the
-    # two-sided bound, as 1/C <= quotient and quotient <= C
-    lower_ratio: float
-    upper_ratio: float
+    # tested against both sides of the two-sided bound, as
+    # 1/C <= ratio <= C; nan for a pair of equal coefficients
+    ratio: float
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,7 @@ class StabilityReport:
 
     @property
     def degenerate_count(self) -> int:
-        return sum(1 for p in self.pairs if math.isnan(p.lower_ratio))
+        return sum(1 for p in self.pairs if math.isnan(p.ratio))
 
 
 def _trace_h2_mismatch_sq(traj_a, traj_b, sides, grid: SpaceTimeGrid) -> float:
@@ -135,15 +138,14 @@ def _trace_h2_mismatch_sq(traj_a, traj_b, sides, grid: SpaceTimeGrid) -> float:
 
 def stability_two_sided(gamma_pairs, init: InitialData, grid: SpaceTimeGrid,
                         sides: Sequence[str] = ("right",), c: float = 1.0,
-                        b: float = 1.0, box_bound: float = 1.0,
-                        f: Optional[np.ndarray] = None) -> StabilityReport:
+                        b: float = 1.0, box_bound: float = 1.0) -> StabilityReport:
     """Trace-versus-coefficient quotients for a list of coefficient pairs.
 
-    For each pair the two forward problems share ``init`` and ``f``; the
+    For each pair the two source-free forward problems share ``init``; the
     mismatch of the observed normal derivative is measured in the squared
     H2(0, T) norm (value plus first and second time differences) summed over
     ``sides``, and divided by the squared L2 mismatch of the coefficients.
-    A pair with identical coefficients produces NaN ratios and is excluded
+    A pair with identical coefficients produces a NaN ratio and is excluded
     from the aggregate.  The aggregate c_empirical covers both inequality
     directions: max(largest quotient, 1 / smallest quotient).
 
@@ -162,8 +164,8 @@ def stability_two_sided(gamma_pairs, init: InitialData, grid: SpaceTimeGrid,
             cb = MGTCoefficients(c, b, np.asarray(gamma_b, dtype=float), box_bound)
         except ValueError as exc:
             raise ValueError(f"pair {k}: {exc}") from exc
-        traj_a = solve_forward(ca, init, f, grid)
-        traj_b = solve_forward(cb, init, f, grid)
+        traj_a = solve_forward(ca, init, None, grid)
+        traj_b = solve_forward(cb, init, None, grid)
         coeff_sq = float(qx @ (ca.gamma - cb.gamma) ** 2)
         trace_sq = _trace_h2_mismatch_sq(traj_a, traj_b, sides, grid)
         if coeff_sq > 0.0:
@@ -171,7 +173,7 @@ def stability_two_sided(gamma_pairs, init: InitialData, grid: SpaceTimeGrid,
             quotients.append(quotient)
         else:
             quotient = math.nan
-        records.append(PairStability(coeff_sq, trace_sq, quotient, quotient))
+        records.append(PairStability(coeff_sq, trace_sq, quotient))
     if quotients:
         ratio_min = min(quotients)
         ratio_max = max(quotients)
@@ -202,8 +204,7 @@ class CarlemanSweepReport:
 
 def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
                             geometry: CarlemanGeometry, coeffs: MGTCoefficients,
-                            seed: int = 0, x_modes: int = 3,
-                            t_modes: int = 3) -> CarlemanSweepReport:
+                            seed: int = 0) -> CarlemanSweepReport:
     """Empirical estimate constants over random constrained fields.
 
     The same ``sample_count`` fields (drawn once from ``seed``) are evaluated
@@ -217,7 +218,7 @@ def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
     if sample_count < 0:
         raise ValueError("sample_count must be nonnegative")
     rng = np.random.default_rng(seed)
-    samples = [draw_field_sample(rng, x_modes, t_modes) for _ in range(sample_count)]
+    samples = [draw_field_sample(rng) for _ in range(sample_count)]
     if not samples:
         return CarlemanSweepReport(seed, 0, ())
     scales_list = list(scales_list)

@@ -228,10 +228,8 @@ def discrete_norms(values, grid: SpaceTimeGrid, which: str) -> float:
 
     * ``"l2"``        -- L2(Omega) of a scalar field, shape (nx,)
     * ``"l2_l2"``     -- L2(0,T; L2(Omega)) of a space-time field, shape (nt, nx)
-    * ``"l2_trace"``  -- L2(0,T) of a trace series (L2 at a single endpoint is
-      the squared point value, so the boundary integral degenerates)
-    * ``"h1_trace"``  -- adds the first time derivative
-    * ``"h2_trace"``  -- adds first and second time derivatives
+    * ``"h1_trace"``  -- H1(0,T) of a trace series: the series and its first
+      time derivative
     """
     values = np.asarray(values, dtype=float)
 
@@ -247,15 +245,11 @@ def discrete_norms(values, grid: SpaceTimeGrid, which: str) -> float:
         qt = trapezoid_weights(grid.nt, grid.dt)
         return float(np.sqrt(qt @ (values ** 2 @ qx)))
 
-    if which in ("l2_trace", "h1_trace", "h2_trace"):
+    if which == "h1_trace":
         if values.shape != (grid.nt,):
             raise ValueError(f"expected shape ({grid.nt},), got {values.shape}")
         qt = trapezoid_weights(grid.nt, grid.dt)
-        total = qt @ values ** 2
-        if which in ("h1_trace", "h2_trace"):
-            total += qt @ time_difference(values, grid.dt, 1) ** 2
-        if which == "h2_trace":
-            total += qt @ time_difference(values, grid.dt, 2) ** 2
-        return float(np.sqrt(total))
+        return float(np.sqrt(qt @ values ** 2
+                             + qt @ time_difference(values, grid.dt, 1) ** 2))
 
     raise ValueError(f"unknown norm tag {which!r}")

@@ -154,15 +154,13 @@ def hidden_regularity_check(traj: Trajectory, data: InitialData,
                             observations) -> HiddenRegularityReport:
     """Trace energy of the normal derivative against the generating data.
 
-    ``observations`` is a single :class:`ObservationData` or a sequence of
-    them; energies over several endpoints add.  The trace energy integrates
+    ``observations`` is a nonempty sequence of :class:`ObservationData`;
+    energies over several endpoints add.  The trace energy integrates
     the squared trace and its first time derivative over (0, T); the ratio
     to the data energy is the empirical constant of the boundary-regularity
     bound and should not blow up under grid refinement.
     """
-    if isinstance(observations, ObservationData):
-        observations = [observations]
-    elif not observations:
+    if not observations:
         raise ValueError("need at least one observation series")
     trace_energy = 0.0
     for obs in observations:

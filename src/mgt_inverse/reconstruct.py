@@ -65,7 +65,6 @@ class ReconstructionConfig:
     smooth_window: int = 0
     solver_tol: float = 1e-6
     solver_cap: Optional[int] = None
-    gamma_start: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if self.init.eta <= 0:
@@ -91,16 +90,6 @@ class ReconstructionConfig:
                 f"solver_cap must be None or a positive integer, got {self.solver_cap}")
         self.carleman = replace(
             self.carleman, geometry=admissible_geometry(self.carleman.geometry, self.grid))
-        if self.gamma_start is not None:
-            start = np.asarray(self.gamma_start, dtype=float)
-            if start.shape != (self.grid.nx,):
-                raise ValueError(
-                    f"gamma_start has shape {start.shape}, expected ({self.grid.nx},)")
-            if start.min() < 0.0 or start.max() > self.box_bound:
-                raise ValueError(
-                    f"gamma_start must lie in [0, {self.box_bound}], got range "
-                    f"[{start.min()}, {start.max()}]")
-            self.gamma_start = start
 
     @property
     def sides(self) -> tuple:
@@ -174,8 +163,7 @@ def _resample(values: np.ndarray, x_from: np.ndarray, x_to: np.ndarray) -> np.nd
     return CubicSpline(x_from, values)(x_to)
 
 
-def synthetic_observations(config: ReconstructionConfig, gamma_true,
-                           rng: Optional[np.random.Generator] = None) -> list:
+def synthetic_observations(config: ReconstructionConfig, gamma_true) -> list:
     """Boundary data manufactured on a ``data_refinement`` times finer grid.
 
     The true coefficient and the initial triple are resampled onto the fine
@@ -183,7 +171,8 @@ def synthetic_observations(config: ReconstructionConfig, gamma_true,
     are restricted back to the reconstruction time levels.  Generating the
     data on a different grid keeps the iteration from inverting its own
     discretization exactly.  Gaussian noise scaled by the trace amplitude is
-    added when the configured level is positive.
+    added when the configured level is positive; one generator seeded with
+    ``noise_seed`` draws the noise of every observed side in turn.
     """
     gamma_true = np.asarray(gamma_true, dtype=float)
     factor = int(config.data_refinement)
@@ -200,13 +189,12 @@ def synthetic_observations(config: ReconstructionConfig, gamma_true,
                                 eta=config.init.eta)
     coeffs_fine = MGTCoefficients(config.c, config.b, gamma_fine, config.box_bound)
     traj = solve_forward(coeffs_fine, init_fine, None, fine)
+    rng = np.random.default_rng(config.noise_seed)
     observations = []
     for side in config.sides:
         obs_fine = extract_observation(traj, side)
         obs = ObservationData(side, obs_fine.samples[::factor], config.grid.dt)
         if config.noise_level > 0:
-            if rng is None:
-                rng = np.random.default_rng(config.noise_seed)
             obs = perturb_with_noise(obs, config.noise_level, rng)
         observations.append(obs)
     return observations
@@ -293,8 +281,7 @@ def contraction_ratios(history) -> list:
 
 
 def run_reconstruction(config: ReconstructionConfig, gamma_true=None,
-                       data: Optional[Sequence[ObservationData]] = None,
-                       rng: Optional[np.random.Generator] = None) -> ReconstructionReport:
+                       data: Optional[Sequence[ObservationData]] = None) -> ReconstructionReport:
     """Iterate from gamma = 0 until the update stalls or the budget runs out.
 
     Without explicit ``data`` the observations are synthesized from
@@ -307,12 +294,12 @@ def run_reconstruction(config: ReconstructionConfig, gamma_true=None,
     if data is None:
         if gamma_true is None:
             raise ValueError("provide observation data or gamma_true to synthesize it")
-        data = synthetic_observations(config, gamma_true, rng)
+        data = synthetic_observations(config, gamma_true)
     synthetic = gamma_true is not None
     if synthetic:
         gamma_true = np.asarray(gamma_true, dtype=float)
 
-    gamma = np.zeros(grid.nx) if config.gamma_start is None else config.gamma_start.copy()
+    gamma = np.zeros(grid.nx)
 
     def error_of(candidate):
         if not synthetic:
@@ -320,12 +307,14 @@ def run_reconstruction(config: ReconstructionConfig, gamma_true=None,
         return weighted_coefficient_error(candidate, gamma_true, config.carleman, grid)
 
     records = [IterateRecord(0, gamma.copy(), error_of(gamma), None, None)]
-    engine = CarlemanLeastSquares(config.coefficients(gamma), config.carleman, grid)
+    engine = None
     qx = trapezoid_weights(grid.nx, grid.h)
     stop_reason = "max_iterations"
     rising = 0
     for k in range(config.max_iterations):
         try:
+            if engine is None:
+                engine = CarlemanLeastSquares(config.coefficients(gamma), config.carleman, grid)
             gamma_next, diagnostics = reconstruction_step(gamma, data, config, engine=engine)
         except (ForwardSolveError, MinimizationError, WeightOverflowError) as exc:
             raise ReconstructionError(f"iteration {k + 1}: {exc}", records) from exc

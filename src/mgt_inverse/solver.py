@@ -417,6 +417,9 @@ def energy_series(traj: Trajectory, b: float):
     return e_u, energy_e(traj.ut, traj.utt, b, traj.grid) + e_u
 
 
+ENERGY_GROWTH_THRESHOLD = 1e6
+
+
 @dataclass
 class EnergyBoundReport:
     max_energy: float
@@ -428,9 +431,9 @@ class EnergyBoundReport:
     level_total: np.ndarray      # E_total per time level
 
 
-def verify_energy_bound(traj: Trajectory, f: np.ndarray, b: float,
-                        growth_threshold: float = 1e6) -> EnergyBoundReport:
-    """Empirical constant in  max_t E_total(t) <= C (E_total(0) + ||f||^2)."""
+def verify_energy_bound(traj: Trajectory, f: np.ndarray, b: float) -> EnergyBoundReport:
+    """Empirical constant in  max_t E_total(t) <= C (E_total(0) + ||f||^2);
+    the growth flag is set above ENERGY_GROWTH_THRESHOLD."""
     grid = traj.grid
     level_e, energies = energy_series(traj, b)
     fsq = discrete_norms(f, grid, "l2_l2") ** 2
@@ -440,7 +443,7 @@ def verify_energy_bound(traj: Trajectory, f: np.ndarray, b: float,
     else:
         ratio = float(energies.max() / denom)
     return EnergyBoundReport(float(energies.max()), float(energies[0]), float(fsq),
-                             ratio, bool(ratio > growth_threshold), level_e, energies)
+                             ratio, bool(ratio > ENERGY_GROWTH_THRESHOLD), level_e, energies)
 
 
 @dataclass

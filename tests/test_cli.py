@@ -153,6 +153,33 @@ def test_reconstruct_weight_overflow_exits_one_with_diagnostic(tmp_path, capsys)
     assert "log_weight max" in capsys.readouterr().err
 
 
+def test_reconstruct_failed_first_assembly_exits_one_without_a_traceback(tmp_path):
+    # weight span 696 decades, under the overflow guard, yet too wide for the
+    # 51x401 normal matrix: the first assembly fails
+    path = make_config(tmp_path, name="span.json", grid={"nx": 51, "nt": 401},
+                       weight={"lam": 1.0, "s": 9.2},
+                       reconstruction={"max_iterations": 10, "data_refinement": 1})
+    out = tmp_path / "o"
+    src = os.path.dirname(os.path.dirname(mgt_inverse.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "mgt_inverse.cli", "reconstruct", "--config", str(path),
+         "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 1
+    assert result.stderr.splitlines()[0].startswith("error: iteration 1: ")
+    assert "Traceback" not in result.stderr
+    assert sorted(p.name for p in out.iterdir()) == ["metadata.json"]
+
+
+def test_unwritable_out_directory_is_one_error_line(tmp_path, capsys):
+    path = make_config(tmp_path)
+    (tmp_path / "afile").write_text("")
+    assert run(["forward", "--config", path, "--out", tmp_path / "afile" / "sub"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "afile" in err
+
+
 def test_reconstruction_section_is_passed_as_config_fields(tmp_path, capsys):
     # every key the schema accepts is a ReconstructionConfig field, whose
     # default applies where the key is absent

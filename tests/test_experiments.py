@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgt_inverse.carleman import CarlemanGeometry, CarlemanScales, WeightOverflowError
 from mgt_inverse.experiments import (carleman_constant_sweep,
@@ -50,10 +52,10 @@ def test_identical_pair_is_degenerate_and_excluded():
     same, diff = report.pairs
     assert same.coeff_norm_sq == 0.0
     assert same.trace_norm_sq == 0.0
-    assert math.isnan(same.lower_ratio) and math.isnan(same.upper_ratio)
+    assert math.isnan(same.ratio)
     assert report.degenerate_count == 1
-    assert report.ratio_min == report.ratio_max == diff.lower_ratio
-    assert report.c_empirical == max(diff.upper_ratio, 1.0 / diff.lower_ratio)
+    assert report.ratio_min == report.ratio_max == diff.ratio
+    assert report.c_empirical == max(diff.ratio, 1.0 / diff.ratio)
 
 
 def test_stability_is_symmetric_in_the_pair():
@@ -72,7 +74,30 @@ def test_quotient_is_locally_linear_in_the_perturbation():
     full = stability_two_sided([(base, base + delta)], init, grid).pairs[0]
     half = stability_two_sided([(base, base + 0.5 * delta)], init, grid).pairs[0]
     assert half.coeff_norm_sq == pytest.approx(0.25 * full.coeff_norm_sq, rel=1e-12)
-    assert half.lower_ratio == pytest.approx(full.lower_ratio, rel=0.2)
+    assert half.ratio == pytest.approx(full.ratio, rel=0.2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(j=st.integers(min_value=-10, max_value=10), seed=st.integers(0, 2 ** 16))
+def test_quotient_scales_with_the_square_of_the_data(j, seed):
+    # the traces are linear in the initial data, the coefficients are not; a
+    # power of two scales every trace exactly, so the quotient moves by
+    # exactly 4^j (a factor of 131.875 moves it by 1.1e-12 relative: the two
+    # traces nearly cancel in their difference, which keeps their rounding)
+    k = 2.0 ** j
+    grid = build_grid(0.0, 1.0, 21, 0.9, 41)
+    rng = np.random.default_rng(seed)
+    modes = np.array([np.sin((m + 1) * np.pi * grid.x) for m in range(3)])
+    u0, u1 = rng.normal(size=3) @ modes, rng.normal(size=3) @ modes
+    u2 = 1.0 + rng.normal(scale=0.3, size=3) @ modes
+    pairs = [(draw_coefficient_sample(rng, 1.0).values(grid),
+              draw_coefficient_sample(rng, 1.0).values(grid)) for _ in range(2)]
+
+    def ratios(scale):
+        init = InitialData(scale * u0, scale * u1, scale * u2)
+        return np.array([p.ratio for p in stability_two_sided(pairs, init, grid).pairs])
+
+    assert np.array_equal(ratios(k), k ** 2 * ratios(1.0))
 
 
 def test_aggregate_constant_settles_under_refinement():

@@ -179,8 +179,8 @@ def test_hidden_regularity_accepts_single_observation_and_adds():
     grid = canonical_grid(51, 101)
     traj, coeffs = solved_manufactured(grid)
     data = InitialData(u0=traj.u[0], u1=np.zeros(grid.nx), u2=np.zeros(grid.nx))
-    left = hidden_regularity_check(traj, data, None, extract_observation(traj, "left"))
-    right = hidden_regularity_check(traj, data, None, extract_observation(traj, "right"))
+    left = hidden_regularity_check(traj, data, None, [extract_observation(traj, "left")])
+    right = hidden_regularity_check(traj, data, None, [extract_observation(traj, "right")])
     both = hidden_regularity_check(traj, data, None, [extract_observation(traj, "left"),
                                                       extract_observation(traj, "right")])
     assert both.trace_energy == pytest.approx(left.trace_energy + right.trace_energy,

@@ -1,8 +1,11 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgt_inverse import functional
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
@@ -70,8 +73,6 @@ def test_config_validation():
         make_config(nx, 61, max_iterations=0)
     with pytest.raises(ValueError, match="refinement"):
         make_config(nx, 61, data_refinement=0)
-    with pytest.raises(ValueError, match="gamma_start"):
-        make_config(nx, 61, gamma_start=np.zeros(nx - 1))
     with pytest.raises(ValueError, match="^inadmissible observation geometry: .*beta"):
         grid = build_grid(0.0, 1.0, nx, 1.25, 61)
         setup = CarlemanSetup(CarlemanGeometry(-0.1, 0.5, 2.5, ("right",)),
@@ -111,10 +112,8 @@ def test_synthetic_data_same_grid_is_exact_and_noise_is_seeded():
     assert plain[0].samples.shape == (config.grid.nt,)
 
     noisy_config = make_config(31, 61, data_refinement=1, noise_level=0.01, noise_seed=7)
-    first = synthetic_observations(noisy_config, gamma,
-                                   np.random.default_rng(noisy_config.noise_seed))
-    second = synthetic_observations(noisy_config, gamma,
-                                    np.random.default_rng(noisy_config.noise_seed))
+    first = synthetic_observations(noisy_config, gamma)
+    second = synthetic_observations(noisy_config, gamma)
     assert np.array_equal(first[0].samples, second[0].samples)
     assert not np.array_equal(first[0].samples, plain[0].samples)
 
@@ -227,6 +226,32 @@ def test_ratios_match_recorded_errors():
     assert contraction_ratios(report.history) == pytest.approx(expected, rel=1e-15)
 
 
+def scaled_reconstruction(scale):
+    config = make_config(21, 41, max_iterations=4)
+    nx = config.grid.nx
+    init = InitialData(np.zeros(nx), np.zeros(nx), np.full(nx, scale), eta=scale)
+    return run_reconstruction(replace(config, init=init), canonical_gamma(config.grid))
+
+
+@functools.lru_cache(maxsize=1)
+def unscaled_reconstruction():
+    return scaled_reconstruction(1.0)
+
+
+@settings(max_examples=6, deadline=None)
+@given(j=st.integers(min_value=-20, max_value=20))
+def test_reconstruction_is_invariant_under_power_of_two_data_scaling(j):
+    # the data are linear in (u2, eta) and the update divides by u2; a power
+    # of two scales every trace, minimizer and norm exactly, so nothing moves
+    # (a factor of 3.7 moves the iterates by about 4e-13)
+    report = scaled_reconstruction(2.0 ** j)
+    reference = unscaled_reconstruction()
+    assert report.iterations == reference.iterations == 4
+    for record, expected in zip(report.history, reference.history):
+        assert np.array_equal(record.gamma, expected.gamma)
+    assert report.ratios == reference.ratios
+
+
 def test_contraction_ratios_reference_cases():
     assert contraction_ratios([2.0, 2.0, 2.0]) == pytest.approx([1.0, 1.0])
     geometric = [8.0 * 0.5 ** k for k in range(5)]
@@ -246,6 +271,21 @@ def test_reconstruction_error_preserves_partial_history():
     history = excinfo.value.history
     assert len(history) == 1
     assert history[0].iteration == 0
+
+
+def test_failed_first_assembly_raises_reconstruction_error_with_the_start_record():
+    # weight span 696 decades, under the overflow guard, yet too wide for the
+    # 51x401 normal matrix
+    config = make_config(51, 401, s=9.2, lam=1.0, data_refinement=1)
+    gamma_true = canonical_gamma(config.grid)
+    with pytest.raises(ReconstructionError, match="^iteration 1: normal matrix") as excinfo:
+        run_reconstruction(config, gamma_true)
+    assert isinstance(excinfo.value.__cause__, MinimizationError)
+    history = excinfo.value.history
+    assert len(history) == 1
+    assert history[0].iteration == 0 and not history[0].gamma.any()
+    assert history[0].weighted_error_sq == weighted_coefficient_error(
+        np.zeros(config.grid.nx), gamma_true, config.carleman, config.grid)
 
 
 @pytest.mark.parametrize("field, value", [("solver_cap", 0), ("solver_cap", 2.5),
