@@ -30,15 +30,16 @@ LSMR is the engine's own loop: its norms are elementwise sums, not BLAS dot
 products, so its iterates do not depend on the BLAS thread count.
 
 The work that M's pattern alone fixes is done once per (grid, c, b, observed
-sides, group width) and cached read-only, shared by every engine on that key:
-M's unweighted rows, each entry's interior node, M's column indices in group
-order, M^T's pattern with the permutation that fills it from M's entries,
-the group numbering, and the map from M^T M's entries to band positions,
-built from the product of M's pattern with unit entries.  An
-assembly does the work alpha and the weights change: it refills M's entries
-(and M^T's) in place, forms M^T M, scatters and factors the band.  It also
-compares M^T M's ``indptr``/``indices`` with the map's: an entry that sums to
-exactly zero drops out of the product, and that engine then maps its own.
+sides, group width) and cached read-only, shared by every engine and every
+objective evaluation on that key: M's unweighted rows, each entry's interior
+node, M's column indices in group order, M^T's pattern with the permutation
+that fills it from M's entries, the group numbering, and the map from M^T M's
+entries to band positions, built from the product of M's pattern with unit
+entries.  An assembly does the work alpha and the weights change: it refills
+M's entries (and M^T's) in place, forms M^T M, scatters and factors the band.
+It also compares M^T M's ``indptr``/``indices`` with the map's: an entry that
+sums to exactly zero drops out of the product, and that engine then maps its
+own.
 
 Every solve is certified by the backward error of the preconditioned
 problem, |R^-T M^T r| / (sqrt(n) |r|) with r = b - M y recomputed from the
@@ -57,11 +58,15 @@ All weighted sums use weights normalized by the global minimum exponent, a
 positive rescaling of the objective that does not move the minimizer; every
 reported weighted value therefore carries the common factor
 exp(-log_weight_min).  The table is ``carleman.normalized_weight_table``,
-built once per assembly or evaluation.  M's unweighted rows are built once
-per (grid, c, b, observed sides) and cached; the solve, the objective, the
-norms and the minimizer diagnostics all evaluate them, so the stencil
-``solver.apply_operator`` serves only the Carleman estimate and the test
-that pins the rows to it.
+built once per assembly or evaluation.  The solve, the objective, the norms
+and the minimizer diagnostics all evaluate the cached rows of M, so the
+stencil ``solver.apply_operator`` serves only the Carleman estimate and the
+test that pins the rows to it.
+
+``CarlemanLeastSquares.minimize`` is the one minimization: it weights the
+data, solves and computes the diagnostics with one assembled engine, which
+the reconstruction loop keeps across its iterations.  ``minimize_J`` runs it
+on a fresh engine built from the coefficients and weights it is given.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ from scipy.linalg.lapack import dpbtrf, dtbtrs
 from .carleman import CarlemanSetup, admissible_geometry, normalized_weight_table
 from .grid import (SpaceTimeGrid, boundary_normal_derivative, laplacian_matrix,
                    time_derivative_matrix_zero_start, trapezoid_weights)
-from .observation import MuPair, zero_mu
+from .observation import zero_mu
 from .solver import MGTCoefficients
 
 
@@ -99,6 +104,15 @@ _BLOCK_SHIFT = 1e-10
 
 class MinimizationError(RuntimeError):
     """Assembly breakdown or failure to reach the requested backward error."""
+
+
+@dataclass
+class MinimizerDiagnostics:
+    j_value: float
+    v_norm_sq: float
+    el_residual: float
+    solver_iterations: int
+    bound_slack: float
 
 
 @dataclass
@@ -155,11 +169,10 @@ def initial_second_derivative(y_star: TrajectoryVariable, dt: float) -> np.ndarr
 
 
 def _as_mu_list(mu, sides: Sequence[str], nt: int, dt: float) -> list:
-    """Normalize the trace-target argument to one MuPair per observed side."""
+    """The trace targets, None (zero) or one MuPair per observed side,
+    checked against the grid's sides, length and time step."""
     if mu is None:
         return [zero_mu(side, nt, dt) for side in sides]
-    if isinstance(mu, MuPair):
-        mu = [mu]
     mu = list(mu)
     got = sorted(pair.side for pair in mu)
     if got != sorted(sides):
@@ -167,10 +180,12 @@ def _as_mu_list(mu, sides: Sequence[str], nt: int, dt: float) -> list:
     for pair in mu:
         if pair.mu.shape != (nt,) or pair.mu_t.shape != (nt,):
             raise ValueError("trace target length does not match the grid")
+        if pair.dt != dt:
+            raise ValueError(f"trace target time step {pair.dt} does not match the "
+                             f"grid's time step {dt}")
     return mu
 
 
-@functools.lru_cache(maxsize=4)
 def _unweighted_rows(grid: SpaceTimeGrid, c: float, b: float, sides: tuple):
     """Read-only unweighted rows of M: the operator at every level and interior
     node (time-major), then per observed side the trace at every level and its
@@ -179,6 +194,7 @@ def _unweighted_rows(grid: SpaceTimeGrid, c: float, b: float, sides: tuple):
     weights times fixed + alpha_rows diag(alpha).  Both are stored on one
     shared pattern, the union of their own, so they share ``indices`` and
     ``indptr`` and M's entries are their data combined entry by entry.
+    Built only by :func:`_pattern_plan`, whose cache holds them.
     """
     nt, nt1, m = grid.nt, grid.nt - 1, grid.nx - 2
     embed = sp.csr_matrix((np.ones(nt1), (np.arange(1, nt), np.arange(nt1))),
@@ -360,7 +376,8 @@ class CarlemanLeastSquares:
     preconditioner of the solve, in lower and in upper band storage; M^T M
     itself is not kept.  M depends on the zeroth-order coefficient only
     through alpha; ``update_gamma`` refills M and M^T in place and refactors,
-    which is what the reconstruction loop needs.  ``omega`` is the normalized
+    which is what the reconstruction loop needs.  ``minimize`` solves with
+    the engine's own coefficients and weights.  ``omega`` is the normalized
     weight table; :func:`minimizer_difference_check` reuses it.
     """
 
@@ -571,6 +588,30 @@ class CarlemanLeastSquares:
                 f"iterations (target {tol:.1e}, cap {cap})")
         return y[self._plan.position], iterations, error
 
+    def minimize(self, mu, g: Optional[np.ndarray], tol: float,
+                 max_iterations: Optional[int] = None):
+        """Minimizer of the weighted objective and its diagnostics.
+
+        ``mu`` is None or one MuPair per observed side, ``g`` None or a full
+        (nt, nx) field; None stands for zero.  ``tol`` and ``max_iterations``
+        are those of :meth:`solve_normal_equations`.  The energy bound check
+        uses the exact factor 4: ||y*||^2 <= (4/s) |g|_w^2 + 4 |mu|_w^2, a
+        discrete inequality inherited from J(y*) <= J(0) plus Young's
+        inequality.
+        """
+        b = self.weighted_data(mu, g)
+        vec, iterations, rel = self.solve_normal_equations(b, tol, max_iterations)
+        image = self.operator @ vec
+        norm_sq = _sum_of_squares(image)
+        diagnostics = MinimizerDiagnostics(
+            j_value=0.5 * _sum_of_squares(b - image),
+            v_norm_sq=norm_sq,
+            el_residual=float(rel),
+            solver_iterations=int(iterations),
+            bound_slack=4.0 * _sum_of_squares(b) - norm_sq,
+        )
+        return TrajectoryVariable.from_vector(vec, self.grid), diagnostics
+
 
 # ---------------------------------------------------------------------------
 # objective evaluation (the cached rows of M, weighted by the same table)
@@ -582,9 +623,10 @@ def _weighted_residual(y: TrajectoryVariable, mu, g, coeffs: MGTCoefficients,
     geometry, omega = _weighting(carleman, grid, "evaluation")
     sides = geometry.gamma0_sides
     root_weight = np.sqrt(_row_weights(grid, sides, omega, carleman.scales.s))
-    fixed, alpha_rows = _unweighted_rows(grid, coeffs.c, coeffs.b, sides)
+    plan = _pattern_plan(grid, coeffs.c, coeffs.b, sides, _GROUP_NODES)
     vec = y.to_vector()
-    image = fixed @ vec + alpha_rows @ (np.tile(coeffs.alpha[1:-1], grid.nt - 1) * vec)
+    alpha = np.tile(coeffs.alpha[1:-1], grid.nt - 1)
+    image = plan.fixed @ vec + plan.alpha_rows @ (alpha * vec)
     return root_weight * image - _weighted_data(root_weight, grid, sides, mu, g)
 
 
@@ -615,43 +657,11 @@ def weighted_data_norms(mu, g, carleman: CarlemanSetup, grid: SpaceTimeGrid):
     return _sum_of_squares(interior), _sum_of_squares(traces)
 
 
-@dataclass
-class MinimizerDiagnostics:
-    j_value: float
-    v_norm_sq: float
-    el_residual: float
-    solver_iterations: int
-    bound_slack: float
-
-
 def minimize_J(mu, g, coeffs: MGTCoefficients, carleman: CarlemanSetup,
-               grid: SpaceTimeGrid, solver_tol: float = 1e-9,
-               engine: Optional[CarlemanLeastSquares] = None,
-               max_iterations: Optional[int] = None):
-    """Minimizer of the weighted objective and its diagnostics.
-
-    ``engine`` allows reuse of an assembled operator and preconditioner
-    across calls with the same coefficients, weights and grid.  The energy
-    bound check uses the exact factor 4: ||y*||^2 <= (4/s) |g|_w^2 + 4 |mu|_w^2,
-    a discrete inequality inherited from J(y*) <= J(0) plus Young's inequality.
-    """
-    if engine is None:
-        engine = CarlemanLeastSquares(coeffs, carleman, grid)
-    b = engine.weighted_data(mu, g)
-    vec, iterations, rel = engine.solve_normal_equations(
-        b, solver_tol, max_iterations=max_iterations)
-    y_star = TrajectoryVariable.from_vector(vec, grid)
-
-    image = engine.operator @ vec
-    norm_sq = _sum_of_squares(image)
-    diagnostics = MinimizerDiagnostics(
-        j_value=0.5 * _sum_of_squares(b - image),
-        v_norm_sq=norm_sq,
-        el_residual=float(rel),
-        solver_iterations=int(iterations),
-        bound_slack=4.0 * _sum_of_squares(b) - norm_sq,
-    )
-    return y_star, diagnostics
+               grid: SpaceTimeGrid, solver_tol: float = 1e-9):
+    """Minimizer and diagnostics on a fresh engine; see
+    :meth:`CarlemanLeastSquares.minimize`, which reuses an assembled one."""
+    return CarlemanLeastSquares(coeffs, carleman, grid).minimize(mu, g, solver_tol)
 
 
 @dataclass
@@ -678,8 +688,8 @@ def minimizer_difference_check(g1, g2, mu, coeffs: MGTCoefficients,
     corresponding stability statement.
     """
     engine = CarlemanLeastSquares(coeffs, carleman, grid)
-    y1, diag1 = minimize_J(mu, g1, coeffs, carleman, grid, solver_tol, engine=engine)
-    y2, diag2 = minimize_J(mu, g2, coeffs, carleman, grid, solver_tol, engine=engine)
+    y1, diag1 = engine.minimize(mu, g1, solver_tol)
+    y2, diag2 = engine.minimize(mu, g2, solver_tol)
     s = engine.scales.s
     pde, traces = np.split(engine.operator @ (y1.to_vector() - y2.to_vector()),
                            [grid.nt * (grid.nx - 2)])

@@ -20,10 +20,8 @@ import numpy as np
 from .carleman import (CarlemanSetup, WeightOverflowError, admissible_geometry,
                        log_weight_table, normalized_weight)
 from .functional import (CarlemanLeastSquares, MinimizationError,
-                         MinimizerDiagnostics, initial_second_derivative,
-                         minimize_J)
-from .grid import (SpaceTimeGrid, interior_weights, time_difference,
-                   trapezoid_weights)
+                         MinimizerDiagnostics, initial_second_derivative)
+from .grid import SpaceTimeGrid, interior_weights, trapezoid_weights
 from .observation import (ObservationData, build_mu, check_smooth_window,
                           extract_observation, perturb_with_noise)
 from .solver import (ForwardSolveError, InitialData, MGTCoefficients,
@@ -155,8 +153,6 @@ def weighted_coefficient_error(gamma_a, gamma_b, carleman: CarlemanSetup,
 
 
 def _resample(values: np.ndarray, x_from: np.ndarray, x_to: np.ndarray) -> np.ndarray:
-    if len(x_from) == len(x_to):
-        return np.array(values, dtype=float)
     # imported here, its only use: at module level it cost every CLI
     # command about 0.25 s and 18 MB
     from scipy.interpolate import CubicSpline
@@ -229,39 +225,10 @@ def reconstruction_step(gamma_k: np.ndarray, data_obs: Sequence[ObservationData]
         engine = CarlemanLeastSquares(coeffs, config.carleman, grid)
     elif not np.array_equal(engine.coeffs.gamma, gamma_k):
         engine.update_gamma(gamma_k)
-    y_star, diagnostics = minimize_J(mu, np.zeros((grid.nt, grid.nx)), engine.coeffs,
-                                     config.carleman, grid,
-                                     solver_tol=config.solver_tol, engine=engine,
-                                     max_iterations=config.solver_cap)
+    y_star, diagnostics = engine.minimize(mu, None, config.solver_tol, config.solver_cap)
     utt0 = initial_second_derivative(y_star, grid.dt)
     gamma_next = project_to_box(gamma_k + utt0 / u2, config.box_bound)
     return gamma_next, diagnostics
-
-
-def oracle_reconstruction_step(gamma_k: np.ndarray, gamma_true,
-                               config: ReconstructionConfig) -> np.ndarray:
-    """Coefficient update with the minimizer replaced by the exact difference
-    trajectory.
-
-    v = d/dt (u(gamma_k) - u(gamma_true)) solves the gamma_k operator equation
-    with source (gamma_true - gamma_k) * d/dt u_tt(gamma_true) and initial
-    triple (0, 0, (gamma_true - gamma_k) u2), so its initial acceleration is
-    (gamma_true - gamma_k) u2 and a single update lands on gamma_true up to
-    the discretization error of the forward scheme.  The acceleration is read
-    from the computed velocity states with the one-sided closure, which keeps
-    the extraction second-order in the time step.
-    """
-    grid = config.grid
-    gamma_true = np.asarray(gamma_true, dtype=float)
-    gamma_k = np.asarray(gamma_k, dtype=float)
-    delta = gamma_true - gamma_k
-    true_traj = solve_forward(config.coefficients(gamma_true), config.init, None, grid)
-    source = delta[None, :] * time_difference(true_traj.utt, grid.dt, 1)
-    zero = np.zeros(grid.nx)
-    v_init = InitialData(zero, zero, delta * config.init.u2)
-    v_traj = solve_forward(config.coefficients(gamma_k), v_init, source, grid)
-    vtt0 = time_difference(v_traj.ut, grid.dt, 1)[0]
-    return project_to_box(gamma_k + vtt0 / config.init.u2, config.box_bound)
 
 
 def contraction_ratios(history) -> list:

@@ -1,7 +1,13 @@
-"""Shared pytest wiring: collects per-criterion verdict lines and prints them
-in a dedicated terminal section after the run, pass or fail."""
+"""Shared pytest wiring: imports the package from the checkout's ``src``, and
+collects per-criterion verdict lines and prints them in a dedicated terminal
+section after the run, pass or fail."""
+
+import os
+import sys
 
 import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
 CRITERION_LINES = []
 

@@ -32,7 +32,6 @@ from mgt_inverse.grid import build_grid, trapezoid_weights
 from mgt_inverse.observation import MuPair, extract_observation, hidden_regularity_check
 from mgt_inverse.reconstruct import (
     ReconstructionConfig,
-    oracle_reconstruction_step,
     reconstruction_step,
     run_reconstruction,
     run_scale_sweep,
@@ -44,6 +43,7 @@ from mgt_inverse.solver import (
     manufactured_solution,
     solve_forward,
 )
+from test_reconstruct import oracle_reconstruction_step
 
 GEO = CarlemanGeometry(-0.1, 0.9, 2.5)
 

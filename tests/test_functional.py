@@ -46,7 +46,7 @@ def random_variable(grid, seed=0, scale=1.0):
 
 def random_data(grid, seed=1):
     rng = np.random.default_rng(seed)
-    mu = MuPair("right", rng.normal(size=grid.nt), rng.normal(size=grid.nt), grid.dt)
+    mu = [MuPair("right", rng.normal(size=grid.nt), rng.normal(size=grid.nt), grid.dt)]
     g = rng.normal(size=(grid.nt, grid.nx))
     return mu, g
 
@@ -156,7 +156,7 @@ def test_oracle_resampling_objective_decays_under_refinement():
         g = np.sin(k * grid.x)[None, :] * (
             6.0 + 6.0 * alpha * grid.t + coeffs.c ** 2 * k ** 2 * grid.t ** 3
             + 3.0 * coeffs.b * k ** 2 * grid.t ** 2)[:, None]
-        mu = MuPair("right", -k * grid.t ** 3, -3.0 * k * grid.t ** 2, grid.dt)
+        mu = [MuPair("right", -k * grid.t ** 3, -3.0 * k * grid.t ** 2, grid.dt)]
         values.append(evaluate_J(y, mu, g, coeffs, setup, grid))
     assert values[1] < values[0] / 8.0
 
@@ -175,7 +175,7 @@ def test_minimize_random_data_diagnostics():
     rng = np.random.default_rng(11)
     for seed in (1, 2):
         mu, g = random_data(grid, seed)
-        y, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8, engine=engine)
+        y, diag = engine.minimize(mu, g, 1e-8)
         assert diag.el_residual <= 1e-8
         assert diag.solver_iterations > 0
         # minimality against the zero competitor and local perturbations
@@ -198,7 +198,7 @@ def test_optimality_system_residual_in_random_directions():
     engine = CarlemanLeastSquares(coeffs, setup, grid)
     mu, g = random_data(grid, 7)
     tol = 1e-9
-    y, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=tol, engine=engine)
+    y, diag = engine.minimize(mu, g, tol)
     # the normal equations M^T M y = M^T b, rescaled to a unit diagonal:
     # D M^T M D (y / D) = D M^T b
     mat = engine.operator
@@ -240,7 +240,7 @@ def test_minimizer_invariant_under_weight_rescaling():
         # every weight times exp(offset): the square-root weights of M
         engine._root_weight = np.exp(0.5 * offset) * engine._root_weight
         engine._assemble(engine.coeffs)
-        y, _ = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-10, engine=engine)
+        y, _ = engine.minimize(mu, g, 1e-10)
         results.append(y)
     base = results[1]
     base_norm = v_norm_sq(base, coeffs, setup, grid)
@@ -260,8 +260,8 @@ def rescaled_minimizer(k, offset):
     engine = CarlemanLeastSquares(coeffs, setup, grid)
     engine._root_weight = np.exp(0.5 * offset) * engine._root_weight
     engine._assemble(engine.coeffs)
-    mu = MuPair(mu.side, k * mu.mu, k * mu.mu_t, grid.dt)
-    return minimize_J(mu, k * g, coeffs, setup, grid, solver_tol=1e-10, engine=engine)
+    mu = [MuPair(pair.side, k * pair.mu, k * pair.mu_t, grid.dt) for pair in mu]
+    return engine.minimize(mu, k * g, 1e-10)
 
 
 @settings(max_examples=10, deadline=None)
@@ -292,10 +292,8 @@ def test_update_gamma_matches_fresh_assembly():
     assert np.array_equal(got.data, want.data)
     assert np.array_equal(engine._block_factor, fresh._block_factor)
     assert np.array_equal(engine._block_factor_upper, fresh._block_factor_upper)
-    y_updated, _ = minimize_J(mu, g, engine.coeffs, setup, grid,
-                              solver_tol=1e-10, engine=engine)
-    y_fresh, _ = minimize_J(mu, g, fresh.coeffs, setup, grid,
-                            solver_tol=1e-10, engine=fresh)
+    y_updated, _ = engine.minimize(mu, g, 1e-10)
+    y_fresh, _ = fresh.minimize(mu, g, 1e-10)
     assert np.array_equal(y_updated.values, y_fresh.values)
 
 
@@ -319,14 +317,14 @@ def test_difference_check_shared_target_and_random_targets():
 
 
 def test_difference_check_second_minimizer_is_a_cold_solve():
-    # the second target is minimized exactly as minimize_J does on its own
+    # the second target is minimized exactly as a first minimize does
     grid, coeffs, setup = make_problem(31, 61)
     mu, g = random_data(grid, 23)
     g2 = g + np.random.default_rng(29).normal(size=g.shape)
     report = minimizer_difference_check(g, g2, mu, coeffs, setup, grid, solver_tol=1e-8)
     engine = CarlemanLeastSquares(coeffs, setup, grid)
-    y1, diag1 = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8, engine=engine)
-    y2, diag2 = minimize_J(mu, g2, coeffs, setup, grid, solver_tol=1e-8, engine=engine)
+    y1, diag1 = engine.minimize(mu, g, 1e-8)
+    y2, diag2 = engine.minimize(mu, g2, 1e-8)
     assert report.diagnostics_first == diag1
     assert report.diagnostics_second == diag2
     assert report.minimizer_gap == np.abs(y1.values - y2.values).max()
@@ -411,15 +409,33 @@ def test_data_validation_and_iteration_cap():
     grid, coeffs, setup = make_problem(21, 41)
     engine = CarlemanLeastSquares(coeffs, setup, grid)
     mu, g = random_data(grid, 21)
+    [pair] = mu
     with pytest.raises(ValueError):
-        engine.weighted_data(MuPair("left", mu.mu, mu.mu_t, grid.dt), None)
+        engine.weighted_data([MuPair("left", pair.mu, pair.mu_t, grid.dt)], None)
     with pytest.raises(ValueError):
-        engine.weighted_data(MuPair("right", mu.mu[:-1], mu.mu_t[:-1], grid.dt), None)
+        engine.weighted_data([MuPair("right", pair.mu[:-1], pair.mu_t[:-1], grid.dt)], None)
     with pytest.raises(ValueError):
         engine.weighted_data(mu, g[:, :-1])
     with pytest.raises(MinimizationError):
         engine.solve_normal_equations(engine.weighted_data(mu, g), 1e-9,
                                       max_iterations=1)
+
+
+def test_trace_targets_must_be_a_list_on_the_grid_time_step():
+    grid, coeffs, setup = make_problem(21, 41)
+    mu, g = random_data(grid, 21)
+    [pair] = mu
+    y = random_variable(grid, 3)
+    evaluate_J(y, mu, g, coeffs, setup, grid)
+    # the pair of another time step is rejected, with both steps named
+    off_step = [MuPair(pair.side, pair.mu, pair.mu_t, 123.0)]
+    with pytest.raises(ValueError, match=f"123.0 .* {grid.dt}"):
+        evaluate_J(y, off_step, g, coeffs, setup, grid)
+    with pytest.raises(ValueError, match="time step"):
+        CarlemanLeastSquares(coeffs, setup, grid).weighted_data(off_step, g)
+    # one form: None or a sequence of pairs, never a bare pair
+    with pytest.raises(TypeError):
+        evaluate_J(y, pair, g, coeffs, setup, grid)
 
 
 def test_preconditioner_inverts_each_node_group_block():
@@ -535,7 +551,7 @@ def test_minimizer_diagnostics_match_the_standalone_objective():
 
 
 def test_unweighted_rows_are_built_once_per_key_and_read_only():
-    functional._unweighted_rows.cache_clear()
+    # the rows are part of the pattern plan: one cache holds them
     functional._pattern_plan.cache_clear()
     try:
         grid, coeffs, setup = make_problem(21, 41)
@@ -546,7 +562,7 @@ def test_unweighted_rows_are_built_once_per_key_and_read_only():
         second.update_gamma(np.clip(coeffs.gamma + 0.2, 0.0, 1.0))
         for target in (None, g, 2.0 * g):
             evaluate_J(y, mu, target, coeffs, setup, grid)
-        assert functional._unweighted_rows.cache_info().misses == 1
+        assert functional._pattern_plan.cache_info().misses == 1
         assert first._plan.fixed is second._plan.fixed
 
         for rows in (first._plan.fixed, first._plan.alpha_rows):
@@ -555,12 +571,11 @@ def test_unweighted_rows_are_built_once_per_key_and_read_only():
                     array[0] = 1
 
         CarlemanLeastSquares(MGTCoefficients(2.0, 1.0, coeffs.gamma, 1.0), setup, grid)
-        assert functional._unweighted_rows.cache_info().misses == 2
+        assert functional._pattern_plan.cache_info().misses == 2
         other_grid, other_coeffs, _ = make_problem(13, 25)
         v_norm_sq(random_variable(other_grid, 59), other_coeffs, setup, other_grid)
-        assert functional._unweighted_rows.cache_info().misses == 3
+        assert functional._pattern_plan.cache_info().misses == 3
     finally:
-        functional._unweighted_rows.cache_clear()
         functional._pattern_plan.cache_clear()
 
 
@@ -615,7 +630,7 @@ def test_weight_table_is_built_once_per_assembly_or_evaluation(monkeypatch):
     engine = CarlemanLeastSquares(coeffs, setup, grid)
     assert len(calls) == 1
     calls.clear()
-    y_star, _ = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8, engine=engine)
+    y_star, _ = engine.minimize(mu, g, 1e-8)
     assert len(calls) == 0
     evaluate_J(y_star, mu, g, coeffs, setup, grid)
     assert len(calls) == 1
@@ -721,8 +736,8 @@ setup = CarlemanSetup(CarlemanGeometry(-0.1, 0.9, 2.5), CarlemanScales(1.0, 2.0)
 rng = np.random.default_rng(7)
 g = rng.normal(size=(grid.nt, grid.nx))
 envelope = (grid.t / grid.t_final) ** 2
-mu = MuPair("right", envelope * rng.normal(size=grid.nt),
-            envelope * rng.normal(size=grid.nt), grid.dt)
+mu = [MuPair("right", envelope * rng.normal(size=grid.nt),
+             envelope * rng.normal(size=grid.nt), grid.dt)]
 y, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-6)
 print(hashlib.sha256(y.values.tobytes()).hexdigest(), diag.solver_iterations)
 """
