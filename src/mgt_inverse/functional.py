@@ -11,11 +11,15 @@ is block diagonal: one block per group of seven adjacent interior nodes (the
 last group may be shorter), made of those nodes' time series in M^T M.  M^T M
 couples unknowns at most four time levels and two nodes apart, so with a
 group's unknowns ordered time-major each block is one band of half-width
-4 * 7 + 2 = 30.  The bands are scattered in one pass from a temporary M^T M,
-their diagonal is scaled by 1 + 1e-10 (without it the steepest weights leave
-a block numerically indefinite), and they are factored once per assembly by
-banded Cholesky.  Seven nodes is the widest group whose band, 31 stored rows
-per unknown, stays below the about 32 nonzeros per row of M^T M.
+4 * 7 + 2 = 30.  M^T M itself is never formed: M depends on gamma only through
+alpha = gamma + c^2/b, as W^1/2 (F + A D_alpha), so each band entry is
+P0_ij + alpha_j Q_ij + alpha_i Q_ji + alpha_i alpha_j P2_ij with P0 = F^T W F,
+Q = F^T W A and P2 = A^T W A independent of gamma.  An assembly combines these
+pieces with alpha and scatters them into the bands; their diagonal is scaled
+by 1 + 1e-10 (without it the steepest weights leave a block numerically
+indefinite), and they are factored by banded Cholesky.  Seven nodes is the
+widest group whose band, 31 stored rows per unknown, stays below the about 32
+nonzeros per row of M^T M.
 
 Each LSMR iteration costs one product with M, one with M^T and the two
 triangular solves, so the engine keeps each in the form LAPACK and the sparse
@@ -33,13 +37,13 @@ The work that M's pattern alone fixes is done once per (grid, c, b, observed
 sides, group width) and cached read-only, shared by every engine and every
 objective evaluation on that key: M's unweighted rows, each entry's interior
 node, M's column indices in group order, M^T's pattern with the permutation
-that fills it from M's entries, the group numbering, and the map from M^T M's
-entries to band positions, built from the product of M's pattern with unit
-entries.  An assembly does the work alpha and the weights change: it refills
-M's entries (and M^T's) in place, forms M^T M, scatters and factors the band.
-It also compares M^T M's ``indptr``/``indices`` with the map's: an entry that
-sums to exactly zero drops out of the product, and that engine then maps its
-own.
+that fills it from M's entries, and the band entries with their band
+positions, from the group blocks of the product of M's pattern with unit
+entries.  The pieces P0, Q and P2 at the band entries are built once per
+pattern key and row weights, forming only the group blocks of one product
+at a time, and the last ones built are kept read-only.  An assembly does the work alpha
+changes: it refills M's entries (and M^T's) in place, combines the pieces,
+checks the band for finite values and a positive diagonal, and factors it.
 
 Every solve is certified by the backward error of the preconditioned
 problem, |R^-T M^T r| / (sqrt(n) |r|) with r = b - M y recomputed from the
@@ -235,7 +239,16 @@ class _PatternPlan:
     last one possibly shorter, each group's unknowns contiguous and
     time-major within it, so that level t of node j sits at
     nt1 * start + t * width + j - start.  ``position`` maps each time-major
-    index there and ``group_order`` back.
+    index there and ``group_order`` back; ``bounds`` holds each group's first
+    group-order index, then n.
+
+    The band entries are the entries of M^T M's structural pattern on or
+    above the diagonal whose two unknowns share a group.  ``slots`` holds
+    their flat positions in the group band's Fortran-ordered lower storage:
+    the entries whose two unknowns sit at one node first, then those one node
+    apart, then those two apart, each kind sorted by the row's node and then
+    the column's.  Alpha reaches only the entries at most one node apart;
+    ``alpha_runs`` splits them into runs of one (row node, column node) pair.
     """
 
     fixed: sp.csr_matrix            # M's unweighted rows, see _unweighted_rows
@@ -246,27 +259,45 @@ class _PatternPlan:
     transpose_indptr: np.ndarray    # M^T as CSR with its rows in group order;
     transpose_indices: np.ndarray   # its entries are M's in transpose_order
     transpose_order: np.ndarray
-    group: np.ndarray               # each group-order unknown's group, by first node
     position: np.ndarray
     group_order: np.ndarray
+    bounds: np.ndarray
     group_nodes: int
-    band_map: tuple                 # _scatter_map of M^T M's structural pattern
+    slots: np.ndarray
+    alpha_runs: np.ndarray          # rows: row node, column node, run length
 
 
-def _scatter_map(normal: sp.csr_matrix, group: np.ndarray, group_nodes: int) -> tuple:
-    """(indptr, indices, entries, slots) for the pattern of M^T M in group
-    order: the entries of ``normal.data`` on or above the diagonal whose two
-    unknowns share a group, and their flat positions in the group band's
-    Fortran-ordered lower storage."""
-    col = normal.indices
-    row = np.repeat(np.arange(normal.shape[0], dtype=col.dtype), np.diff(normal.indptr))
-    keep = col >= row
-    keep &= group[row] == group[col]
-    entries = np.flatnonzero(keep).astype(np.int32)
-    low = row[entries].astype(np.intp)
-    slots = col[entries] - low
-    slots += low * (_TIME_BANDWIDTH * group_nodes + 3)
-    return normal.indptr, normal.indices, entries, slots.astype(np.int32)
+def _band_kd(group_nodes: int) -> int:
+    """Half-width of a group band: M^T M couples levels four apart, nodes two."""
+    return _TIME_BANDWIDTH * group_nodes + 2
+
+
+def _group_blocks(left_t: sp.csr_matrix, right_t: sp.csr_matrix,
+                  bounds: np.ndarray) -> sp.coo_matrix:
+    """The entries of left_t right_t^T whose two unknowns share a group.
+
+    Both arguments are n x rows, their rows in group order.  Only the group
+    blocks are formed: each argument's columns are split by group, row i's
+    entries moving to columns group(i) * rows + k, so that unknowns of two
+    groups share no column."""
+    rows, groups = left_t.shape[1], bounds.size - 1
+    shift = np.repeat(np.arange(0, groups * rows, rows, dtype=left_t.indices.dtype),
+                      np.diff(bounds))
+
+    def split(matrix):
+        return sp.csr_matrix((matrix.data, matrix.indices
+                              + np.repeat(shift, np.diff(matrix.indptr)), matrix.indptr),
+                             shape=(matrix.shape[0], groups * rows))
+
+    return (split(left_t) @ split(right_t).T).tocoo()
+
+
+def _upper_entries(block: sp.coo_matrix, kd: int) -> tuple:
+    """(flat positions in the group band's Fortran-ordered lower storage,
+    values) of a group-block matrix's entries on or above the diagonal; the
+    position of (row, col) is row (kd + 1) + col - row."""
+    upper = block.col >= block.row
+    return block.row[upper] * kd + block.col[upper], block.data[upper]
 
 
 @functools.lru_cache(maxsize=4)
@@ -274,9 +305,9 @@ def _pattern_plan(grid: SpaceTimeGrid, c: float, b: float, sides: tuple,
                   group_nodes: int) -> _PatternPlan:
     """The pattern work of an engine, done once per key; see _PatternPlan.
 
-    The band map is built from the product of M's pattern with unit entries:
-    nothing cancels in it, so its pattern holds that of every numeric M^T M
-    on this key, and equals it unless a numeric entry sums to exactly zero.
+    The band entries come from the group blocks of the product of M's
+    pattern with unit entries: nothing cancels in it, so its pattern holds
+    that of every numeric product of M's rows on this key.
     """
     fixed, alpha_rows = _unweighted_rows(grid, c, b, sides)
     nt1, m = grid.nt - 1, grid.nx - 2
@@ -288,8 +319,7 @@ def _pattern_plan(grid: SpaceTimeGrid, c: float, b: float, sides: tuple,
                 + (node - start)[None, :]).ravel()
     group_order = np.empty(n, dtype=np.intp)
     group_order[position] = np.arange(n)
-    # each unknown's group in the narrowest type that holds it
-    group = np.tile(start, nt1)[group_order].astype(np.min_scalar_type(m))
+    bounds = nt1 * np.append(np.arange(0, m, group_nodes), m)
 
     indices, indptr = fixed.indices, fixed.indptr
     grouped_indices = position[indices].astype(indices.dtype)
@@ -297,9 +327,26 @@ def _pattern_plan(grid: SpaceTimeGrid, c: float, b: float, sides: tuple,
     # their own numbers in M
     flipped = sp.csr_matrix((np.arange(fixed.nnz, dtype=np.int32), grouped_indices,
                              indptr), shape=fixed.shape).T.tocsr()
-    unit = sp.csr_matrix((np.ones(fixed.nnz), grouped_indices, indptr), shape=fixed.shape)
     unit_t = sp.csr_matrix((np.ones(fixed.nnz), flipped.indices, flipped.indptr),
                            shape=flipped.shape)
+    kd = _band_kd(group_nodes)
+    slots = _upper_entries(_group_blocks(unit_t, unit_t, bounds), kd)[0]
+    del unit_t
+    # the entries sorted by the distance of their two nodes, then by the
+    # row's and the column's node; runs of one node pair among the entries
+    # at most one node apart
+    low, offset = np.divmod(slots, kd + 1)
+    nodes = group_order % m
+    row_node, col_node = nodes[low], nodes[low + offset]
+    del low, offset, nodes
+    apart = np.abs(row_node - col_node)
+    key = ((apart * m + row_node) * m + col_node).astype(np.min_scalar_type(3 * m * m))
+    order = np.argsort(key, kind="stable")
+    del key
+    coupled = np.count_nonzero(apart <= 1)
+    row_node, col_node = row_node[order[:coupled]], col_node[order[:coupled]]
+    first = np.flatnonzero(np.diff(row_node, prepend=-1) | np.diff(col_node, prepend=-1))
+    runs = np.stack([row_node[first], col_node[first], np.diff(first, append=coupled)])
     plan = _PatternPlan(
         fixed=fixed, alpha_rows=alpha_rows,
         entry_node=(indices % m).astype(np.min_scalar_type(m)),
@@ -307,13 +354,104 @@ def _pattern_plan(grid: SpaceTimeGrid, c: float, b: float, sides: tuple,
         grouped_indices=grouped_indices,
         transpose_indptr=flipped.indptr, transpose_indices=flipped.indices,
         transpose_order=flipped.data,
-        group=group, position=position, group_order=group_order, group_nodes=group_nodes,
-        band_map=_scatter_map(unit_t @ unit, group, group_nodes))
+        position=position, group_order=group_order, bounds=bounds,
+        group_nodes=group_nodes, slots=slots[order].astype(np.int32),
+        alpha_runs=runs)
     for array in (plan.entry_node, plan.row_sizes, grouped_indices, flipped.indptr,
-                  flipped.indices, flipped.data, group, position, group_order,
-                  *plan.band_map):
+                  flipped.indices, flipped.data, position, group_order, bounds,
+                  plan.slots, runs):
         array.flags.writeable = False
     return plan
+
+
+@dataclass(frozen=True)
+class _BandPieces:
+    """The gamma-independent parts of the band entries of M^T M, in the
+    order of the plan's ``slots``.
+
+    M is W^1/2 (F + A D_alpha), F the plan's ``fixed`` rows, A its
+    ``alpha_rows`` and D_alpha the diagonal of alpha at each unknown's node,
+    so band entry (i, j) is
+    P0_ij + alpha_j Q_ij + alpha_i Q_ji + alpha_i alpha_j P2_ij
+    with P0 = F^T W F, Q = F^T W A and P2 = A^T W A.  A's rows touch one node
+    each, so Q vanishes on the entries more than one node apart and P2 on
+    those at two nodes: each is stored on the leading entries where it can be
+    nonzero.
+    """
+
+    fixed: np.ndarray       # P0 at every entry
+    mixed: np.ndarray       # Q_ij at the entries at most one node apart
+    mixed_t: np.ndarray     # Q_ji there
+    alpha: np.ndarray       # P2 at the entries at one node
+
+
+@functools.lru_cache(maxsize=1)
+def _band_pieces(grid: SpaceTimeGrid, c: float, b: float, sides: tuple,
+                 group_nodes: int, root_weight: bytes) -> _BandPieces:
+    """The band's pieces for the plan of (grid, c, b, sides, group_nodes)
+    and the rows' square-root weights (as bytes, so that they key the cache).
+
+    One entry is kept: the workloads use one weight table at a time, and a
+    rebuild (about 16 ms at 51x101, 26 ms at 51x201) costs what three to five
+    assemblies save.  Only the group blocks of each product are formed, one
+    product at a time; each is read at the band entries through a zeroed
+    band and dropped before the next.
+    """
+    plan = _pattern_plan(grid, c, b, sides, group_nodes)
+    order = plan.transpose_order
+    # W^1/2 F and W^1/2 A transposed, as CSR with their rows in group order;
+    # A on its own entries, since the pattern it shares also holds F's
+    weight = np.repeat(np.frombuffer(root_weight), plan.row_sizes)[order]
+    shape = plan.fixed.shape[::-1]
+    rows_f = sp.csr_matrix((plan.fixed.data[order] * weight, plan.transpose_indices,
+                            plan.transpose_indptr), shape=shape)
+    alpha_data = plan.alpha_rows.data[order]
+    own = alpha_data != 0
+    rows_a = sp.csr_matrix((alpha_data[own] * weight[own], plan.transpose_indices[own],
+                            np.concatenate([[0], np.cumsum(own)])[plan.transpose_indptr]),
+                           shape=shape)
+    del weight, alpha_data, own
+    kd = _band_kd(group_nodes)
+
+    def read(slots, values, count):
+        band = np.zeros(shape[0] * (kd + 1))
+        band[slots] = values
+        return band[plan.slots[:count]]
+
+    # each piece read once the previous product is gone; Q and Q^T are the
+    # upper entries of one product and of its transpose
+    row_node, col_node, length = plan.alpha_runs
+    fixed = read(*_upper_entries(_group_blocks(rows_f, rows_f, plan.bounds), kd),
+                 plan.slots.size)
+    block = _group_blocks(rows_f, rows_a, plan.bounds)
+    mixed = read(*_upper_entries(block, kd), length.sum())
+    mixed_t = read(*_upper_entries(block.T, kd), length.sum())
+    del block
+    pieces = _BandPieces(fixed=fixed, mixed=mixed, mixed_t=mixed_t, alpha=read(
+        *_upper_entries(_group_blocks(rows_a, rows_a, plan.bounds), kd),
+        length[row_node == col_node].sum()))
+    for array in (pieces.fixed, pieces.mixed, pieces.mixed_t, pieces.alpha):
+        array.flags.writeable = False
+    return pieces
+
+
+def _band_values(pieces: _BandPieces, plan: _PatternPlan, alpha: np.ndarray) -> np.ndarray:
+    """The band entries of M^T M in ``slots`` order, from the pieces and alpha
+    at the interior nodes: P0 + alpha_j Q_ij + alpha_i Q_ji + alpha_i^2 P2,
+    alpha_i = alpha_j on the entries at one node."""
+    row_node, col_node, length = plan.alpha_runs
+    values = pieces.fixed.copy()
+    near = values[:pieces.mixed.size]
+    for nodes, mixed in ((col_node, pieces.mixed), (row_node, pieces.mixed_t)):
+        term = np.repeat(alpha[nodes], length)
+        term *= mixed
+        near += term
+        del term
+    same = row_node == col_node
+    term = np.repeat(np.square(alpha[row_node[same]]), length[same])
+    term *= pieces.alpha
+    near[:term.size] += term
+    return values
 
 
 def _row_weights(grid: SpaceTimeGrid, sides: Sequence[str], omega: np.ndarray,
@@ -373,12 +511,14 @@ class CarlemanLeastSquares:
     engine also holds M with its columns in group order (on the same
     entries), M^T as CSR with its rows in group order, and the banded
     Cholesky factor of the node-group time-series blocks of M^T M, the right
-    preconditioner of the solve, in lower and in upper band storage; M^T M
-    itself is not kept.  M depends on the zeroth-order coefficient only
-    through alpha; ``update_gamma`` refills M and M^T in place and refactors,
-    which is what the reconstruction loop needs.  ``minimize`` solves with
-    the engine's own coefficients and weights.  ``omega`` is the normalized
-    weight table; :func:`minimizer_difference_check` reuses it.
+    preconditioner of the solve, in lower and in upper band storage.  The
+    blocks are combined from gamma-independent pieces that engines with the
+    same pattern and weights share; M^T M is never formed.  M depends on the
+    zeroth-order coefficient only through alpha; ``update_gamma`` refills M
+    and M^T in place and refactors, which is what the reconstruction loop
+    needs.  ``minimize`` solves with the engine's own coefficients and
+    weights.  ``omega`` is the normalized weight table;
+    :func:`minimizer_difference_check` reuses it.
     """
 
     def __init__(self, coeffs: MGTCoefficients, carleman: CarlemanSetup,
@@ -400,8 +540,7 @@ class CarlemanLeastSquares:
         self._operator_t = sp.csr_matrix(
             (np.empty(rows.nnz), plan.transpose_indices, plan.transpose_indptr),
             shape=rows.shape[::-1])
-        self._band_map = plan.band_map
-        self._block_factor = self._block_factor_upper = None
+        self._block_factor = self._block_factor_upper = self._upper_store = None
         self._assemble(coeffs)
 
     def update_gamma(self, gamma: np.ndarray) -> None:
@@ -409,12 +548,13 @@ class CarlemanLeastSquares:
         self._assemble(self.coeffs.with_gamma(gamma))
 
     def _assemble(self, coeffs: MGTCoefficients) -> None:
-        """Refill M and M^T, and factor the group blocks of M^T M by banded Cholesky."""
+        """Refill M and M^T, combine the group blocks of M^T M from the pieces,
+        and factor them by banded Cholesky."""
         # The new factor is written over the previous one, in both storages:
         # two fresh bands per assembly cost about 600 page faults at 51x101
         # and made a criterion-5 reconstruction 7 % slower.
-        band, upper = self._block_factor, self._block_factor_upper
-        self._block_factor = self._block_factor_upper = None
+        band, store = self._block_factor, self._upper_store
+        self._block_factor = self._block_factor_upper = self._upper_store = None
         self.coeffs = coeffs
         plan, n = self._plan, self._n_unknowns
         data = self.operator.data
@@ -424,44 +564,38 @@ class CarlemanLeastSquares:
         data += plan.fixed.data
         data *= np.repeat(self._root_weight, plan.row_sizes)
         np.take(data, plan.transpose_order, out=self._operator_t.data)
-        # in group order: each entry is the same sum, in the same order, as in
-        # time-major order
-        normal = self._operator_t @ self._operator_g
-        if not np.all(np.isfinite(normal.data)) or np.any(normal.diagonal() <= 0):
+
+        pieces = _band_pieces(self.grid, coeffs.c, coeffs.b, self.geometry.gamma0_sides,
+                              plan.group_nodes, self._root_weight.tobytes())
+        kd = _band_kd(plan.group_nodes)
+        if band is None:
+            band = np.zeros((kd + 1, n), order="F")
+            # the transposed factor's storage, with room after it for the
+            # corner of the lower storage that the strided copy also moves
+            store = np.zeros((kd + 1) * (n + kd))
+        else:
+            band.fill(0.0)
+        band.ravel(order="F")[plan.slots] = _band_values(pieces, plan, coeffs.alpha[1:-1])
+        if not np.all(np.isfinite(band)) or np.any(band[0] <= 0):
             raise MinimizationError(
                 "normal matrix has non-finite or non-positive diagonal entries; "
                 "the weight range is too extreme for this grid")
-
-        # Scatter the entries on or above the diagonal whose unknowns share a
-        # group into the lower band of that group's block.  An entry that sums
-        # to exactly zero drops out of M^T M's pattern; this engine then maps
-        # its own.
-        if not (np.array_equal(normal.indptr, self._band_map[0])
-                and np.array_equal(normal.indices, self._band_map[1])):
-            self._band_map = _scatter_map(normal, plan.group, plan.group_nodes)
-        entries, slots = self._band_map[2:]
-        # drop M^T M's pattern, then all but the band's values
-        values = normal.data
-        del normal
-        values = values[entries]
-        kd = _TIME_BANDWIDTH * plan.group_nodes + 2
-        if band is None:
-            band = np.zeros((kd + 1, n), order="F")
-            upper = np.zeros_like(band)
-        else:
-            band.fill(0.0)
-        band.ravel(order="F")[slots] = values
         band[0] *= 1.0 + _BLOCK_SHIFT
         factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
         if info != 0:
             raise MinimizationError(
                 f"node-group preconditioner is not positive definite "
                 f"(banded Cholesky info {info})")
-        # the same factor transposed, in upper band storage; the corner it
-        # leaves unused stays zero
-        for offset in range(kd + 1):
-            upper[kd - offset, offset:] = factor[offset, :n - offset]
-        self._block_factor, self._block_factor_upper = factor, upper
+        # The same factor transposed, in upper band storage: L[offset, k] goes
+        # to U[kd - offset, k + offset], flat (k + offset) (kd + 1) + kd - offset
+        # = kd + offset kd + k (kd + 1), one strided copy.  The unused corner
+        # of L (k + offset >= n) lands past U's columns; U's own corner stays
+        # zero.
+        step = store.itemsize
+        np.copyto(np.lib.stride_tricks.as_strided(
+            store[kd:], shape=(kd + 1, n), strides=(kd * step, (kd + 1) * step)), factor)
+        self._block_factor, self._upper_store = factor, store
+        self._block_factor_upper = store[:(kd + 1) * n].reshape((kd + 1, n), order="F")
 
     def weighted_data(self, mu, g: Optional[np.ndarray]) -> np.ndarray:
         """Square-root weights times the data [g; mu; mu_t], row by row of M."""

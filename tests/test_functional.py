@@ -346,7 +346,13 @@ def test_lsmr_loop_follows_scipy_lsmr(iterations):
         rmatvec=lambda r: engine._right_solve(engine._operator_t @ r, "N"))
     z = lsmr(preconditioned, b, atol=0.0, btol=0.0, conlim=0.0, maxiter=iterations)[0]
     reference = engine._right_solve(z, "T")
-    assert np.linalg.norm(y - reference) <= 1e-9 * np.linalg.norm(reference)
+    # compared in M's image norm: y = R^-1 x carries the conditioning of the
+    # factor, whose diagonal spans 15 decades here.  With the band changed by
+    # one ulp at random, the two loops' y differed by 0.9e-9 to 5.7e-9
+    # relative, their images by at most 9e-16.
+    image = engine._operator_g
+    assert (np.linalg.norm(image @ (y - reference))
+            <= 1e-12 * np.linalg.norm(image @ reference))
 
 
 def test_non_finite_data_are_rejected_before_lsmr_starts(monkeypatch):
@@ -479,34 +485,57 @@ def test_preconditioner_solves_are_adjoint():
         assert abs(left - right) <= 1e-12 * abs(right)
 
 
-def test_stale_band_map_is_rebuilt():
-    # the map from M^T M's entries to the band is reused while M^T M keeps its
-    # indptr and indices, and rebuilt when they differ
-    grid, coeffs, setup = make_problem(21, 41)
-    engine = CarlemanLeastSquares(coeffs, setup, grid)
-    cached = engine._band_map
-    new_gamma = np.clip(coeffs.gamma + 0.2, 0.0, 1.0)
-    engine.update_gamma(new_gamma)
-    assert engine._band_map is cached
+def test_band_pieces_are_built_once_per_weight_table_and_read_only():
+    functional._band_pieces.cache_clear()
+    try:
+        grid, coeffs, setup = make_problem(21, 41)
+        first = CarlemanLeastSquares(coeffs, setup, grid)
+        # another coefficient on the same key, then an update
+        second = CarlemanLeastSquares(coeffs.with_gamma(np.zeros(grid.nx)), setup, grid)
+        second.update_gamma(np.clip(coeffs.gamma + 0.2, 0.0, 1.0))
+        info = functional._band_pieces.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        pieces = functional._band_pieces(grid, coeffs.c, coeffs.b,
+                                         first.geometry.gamma0_sides, first._plan.group_nodes,
+                                         first._root_weight.tobytes())
+        for array in (pieces.fixed, pieces.mixed, pieces.mixed_t, pieces.alpha):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.ravel()[0] = 1.0
+        # another (lambda, s) is another weight table
+        CarlemanLeastSquares(coeffs, CarlemanSetup(GEO, CarlemanScales(0.5, 1.0)), grid)
+        assert functional._band_pieces.cache_info().misses == 2
+    finally:
+        functional._band_pieces.cache_clear()
 
-    # the same matrix with each row's entries reversed: a valid map for that
-    # layout scatters the wrong entries of the product the engine forms
-    normal = engine._operator_t @ engine._operator_g
-    order = np.concatenate([np.arange(a, b)[::-1]
-                            for a, b in zip(normal.indptr[:-1], normal.indptr[1:])])
-    plan = engine._plan
-    engine._band_map = functional._scatter_map(sp.csr_matrix(
-        (normal.data[order], normal.indices[order], normal.indptr), shape=normal.shape),
-        plan.group, plan.group_nodes)
-    engine.update_gamma(coeffs.gamma)
-    fresh = CarlemanLeastSquares(coeffs, setup, grid)
-    # the engine rebuilt its own map; the shared one is untouched
-    assert engine._band_map is not plan.band_map
-    assert fresh._band_map is plan.band_map
-    for got, want in zip(engine._band_map, fresh._band_map):
-        assert np.array_equal(got, want)
-    assert np.array_equal(engine._block_factor, fresh._block_factor)
-    assert np.array_equal(engine._block_factor_upper, fresh._block_factor_upper)
+
+def test_minimizer_is_unchanged_after_another_weight_table():
+    # key A, then key B, then key A again (rebuilt if B evicted it): the
+    # second minimizer on A is the first, bit for bit
+    grid, coeffs, setup = make_problem(21, 41)
+    other = CarlemanSetup(GEO, CarlemanScales(0.5, 1.0))
+    mu, g = random_data(grid, 61)
+    functional._band_pieces.cache_clear()
+    try:
+        first, _ = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-10)
+        minimize_J(mu, g, coeffs, other, grid, solver_tol=1e-10)
+        again, _ = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-10)
+        assert functional._band_pieces.cache_info().misses >= 2
+        assert np.array_equal(first.values, again.values)
+    finally:
+        functional._band_pieces.cache_clear()
+
+
+def test_overflowing_band_fails_its_check_without_a_warning():
+    # weight span 696 decades at 51x401: 11 band entries overflow, 10 of them
+    # on the diagonal; the band check reports it, not a NumPy warning (an
+    # error under this suite's filterwarnings)
+    grid = build_grid(0.0, 1.0, 51, 1.25, 401)
+    coeffs = MGTCoefficients(c=1.0, b=1.0, gamma=np.zeros(grid.nx), box_bound=1.0)
+    setup = CarlemanSetup(GEO, CarlemanScales(1.0, 9.2))
+    with pytest.raises(MinimizationError, match="^normal matrix has non-finite or "
+                                                "non-positive diagonal entries"):
+        CarlemanLeastSquares(coeffs, setup, grid)
 
 
 # LSMR to 1e-6 at s = 1 on this datum took 92 iterations with one-node blocks
@@ -644,14 +673,14 @@ def test_pattern_plan_is_built_once_per_key_shared_and_read_only(monkeypatch):
     try:
         grid, coeffs, setup = make_problem(21, 41)
         first = CarlemanLeastSquares(coeffs, setup, grid)
-        original = functional._scatter_map
+        original = functional._unweighted_rows
         calls = []
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(functional, "_scatter_map", counted)
+        monkeypatch.setattr(functional, "_unweighted_rows", counted)
         # another coefficient and other weights on the same key
         other_setup = CarlemanSetup(GEO, CarlemanScales(0.5, 1.0))
         second = CarlemanLeastSquares(coeffs.with_gamma(np.zeros(grid.nx)), other_setup, grid)
@@ -659,7 +688,6 @@ def test_pattern_plan_is_built_once_per_key_shared_and_read_only(monkeypatch):
         assert calls == []
         assert functional._pattern_plan.cache_info().misses == 1
         assert second._plan is first._plan
-        assert second._band_map is first._plan.band_map
         # the group-order view of M holds the engine's own entries
         assert np.shares_memory(second._operator_g.data, second.operator.data)
         assert not np.shares_memory(second.operator.data, first.operator.data)
@@ -669,11 +697,9 @@ def test_pattern_plan_is_built_once_per_key_shared_and_read_only(monkeypatch):
             value = getattr(plan, field.name)
             if sp.issparse(value):
                 arrays += [value.data, value.indices, value.indptr]
-            elif isinstance(value, tuple):
-                arrays += list(value)
             elif isinstance(value, np.ndarray):
                 arrays.append(value)
-        assert len(arrays) == 19
+        assert len(arrays) == 17
         assert not any(array.flags.writeable for array in arrays)
 
         # the group width is part of the key
@@ -686,8 +712,10 @@ def test_pattern_plan_is_built_once_per_key_shared_and_read_only(monkeypatch):
 
 
 def test_fresh_assembly_matches_an_explicit_product_and_scatter():
-    # M, the factor and its transpose, bit for bit, against M formed entry by
-    # entry, M^T M by one sparse product and each group's band by indexing
+    # M bit for bit against M formed entry by entry.  The band, before its
+    # shift and factoring, to rounding against M^T M by one sparse product
+    # and each group's band by indexing: the pieces sum each entry in another
+    # order.  The factor is that band's, and the upper storage its transpose.
     grid, coeffs, setup = make_problem(21, 41, s=1.0)
     engine = CarlemanLeastSquares(coeffs, setup, grid)
     nt1, m = grid.nt - 1, grid.nx - 2
@@ -708,8 +736,22 @@ def test_fresh_assembly_matches_an_explicit_product_and_scatter():
     row, col = normal.row, normal.col
     keep = (col >= row) & (start[row] == start[col])
     kd = 4 * 7 + 2
-    band = np.zeros((kd + 1, n))
-    band[position[col[keep]] - position[row[keep]], position[row[keep]]] = normal.data[keep]
+    want = np.zeros((kd + 1, n))
+    want[position[col[keep]] - position[row[keep]], position[row[keep]]] = normal.data[keep]
+
+    plan = engine._plan
+    pieces = functional._band_pieces(grid, coeffs.c, coeffs.b, engine.geometry.gamma0_sides,
+                                     plan.group_nodes, engine._root_weight.tobytes())
+    band = np.zeros((kd + 1, n), order="F")
+    band.ravel(order="F")[plan.slots] = functional._band_values(pieces, plan,
+                                                                coeffs.alpha[1:-1])
+    # entry (offset, k) couples group-order unknowns k and k + offset
+    diagonal = want[0]
+    scale = np.ones_like(want)
+    for offset in range(kd + 1):
+        scale[offset, :n - offset] = np.sqrt(diagonal[:n - offset] * diagonal[offset:])
+    assert np.max(np.abs(band - want) / scale) <= 1e-14
+
     band[0] *= 1.0 + _BLOCK_SHIFT
     factor, info = dpbtrf(band, lower=1)
     assert info == 0
