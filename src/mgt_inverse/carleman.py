@@ -9,8 +9,7 @@ a positive rescaling that cancels in every reported ratio; the practical
 limit on the surviving exponent range is guarded explicitly because
 exp(lambda * phi) sits inside another exponential.  The guard and the
 normalization live in ``normalized_weight``; ``normalized_weight_table``, its
-whole-grid form, also weights the objective in ``functional``.  The estimate
-applies L through ``solver.apply_operator``.
+whole-grid form, also weights the objective in ``functional``.
 """
 
 from __future__ import annotations
@@ -18,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 import numpy as np
 
-from .grid import (SpaceTimeGrid, boundary_normal_derivative, interior_weights,
-                   time_derivative_matrix_zero_start, trapezoid_weights)
-from .solver import MGTCoefficients, apply_operator
+from .grid import (SpaceTimeGrid, apply_laplacian, boundary_normal_derivative,
+                   interior_weights, time_derivative_matrix_zero_start,
+                   trapezoid_weights)
+from .solver import MGTCoefficients
 
 LOG_RANGE_LIMIT = 700.0   # exp() overflows just above this in double precision
 
@@ -229,12 +229,14 @@ def _estimate_terms(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGe
     geometry = admissible_geometry(geometry, grid)
     c4 = coeffs.c ** 4
 
-    d1 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 1)
+    d1, d2, d3 = (time_derivative_matrix_zero_start(grid.nt, grid.dt, order)
+                  for order in (1, 2, 3))
     yt = d1 @ y
-    ytt = time_derivative_matrix_zero_start(grid.nt, grid.dt, 2) @ y
+    ytt = d2 @ y
     yx = np.gradient(y, grid.h, axis=1, edge_order=2)
     yxt = np.gradient(yt, grid.h, axis=1, edge_order=2)
-    ly = apply_operator(y, coeffs, grid, zero_start=True)
+    # L y = y_ttt + alpha y_tt - c^2 y_xx - b y_txx; no Laplacian on the boundary columns
+    ly = d3 @ y + ytt * coeffs.alpha - apply_laplacian(coeffs.c ** 2 * y + coeffs.b * yt, grid)
     fluxes = []
     for side in geometry.gamma0_sides:
         dyn = boundary_normal_derivative(y, grid, side)

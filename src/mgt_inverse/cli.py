@@ -8,10 +8,12 @@ wall-clock timestamp goes to a separate metadata file so it cannot break
 that guarantee.  NaN and infinite values appear as null in JSON and as
 nan/inf text in CSV.
 
-Exit codes: 0 success (for reconstruct: stopped by the step-size test),
-1 configuration or computation error, 2 reconstruction hit the iteration
-cap, 3 reconstruction stopped on the rising-error guard, which also trips on
-runs stalled at the data's error floor (three rises there are noise).
+Exit codes: 0 success (for reconstruct: stopped by the step-size test with
+a small unclamped update), 1 configuration or computation error,
+2 reconstruction hit the iteration cap, 3 reconstruction stopped on the
+rising-error guard, which also trips on runs stalled at the data's error
+floor (three rises there are noise), 4 only the box clamp held the
+reconstruction's iterate still ("stalled_at_box").
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from .reconstruct import (ReconstructionConfig, ReconstructionError,
 from .solver import (ForwardSolveError, InitialData, MGTCoefficients,
                      energy_series, manufactured_solution, solve_forward,
                      verify_energy_bound, verify_laplacian_bound)
-
-VERIFY_SUITES = ("carleman", "stability", "weights", "energy")
 
 
 class ConfigError(ValueError):
@@ -240,13 +240,10 @@ def command_reconstruct(doc: dict, out_dir: str, seed) -> int:
     rec = doc.get("reconstruction", {})
     noise_seed = int(seed if seed is not None else rec.get("noise_seed", 0))
     setup = CarlemanSetup(_config_geometry(doc), _config_scales(doc))
-    try:
-        # the schema's reconstruction keys are the config's own fields
-        config = ReconstructionConfig(
-            grid, c["c"], c["b"], c["box_bound"], _config_init(doc, grid), setup,
-            **dict(rec, noise_seed=noise_seed))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # the schema's reconstruction keys are the config's own fields
+    config = ReconstructionConfig(
+        grid, c["c"], c["b"], c["box_bound"], _config_init(doc, grid), setup,
+        **dict(rec, noise_seed=noise_seed))
     report = run_reconstruction(config, gamma_true)
 
     history = []
@@ -274,7 +271,8 @@ def command_reconstruct(doc: dict, out_dir: str, seed) -> int:
     columns = [grid.x] + [rec_item.gamma for rec_item in report.history]
     write_csv(os.path.join(out_dir, "gamma_iterates.csv"), header, zip(*columns))
 
-    return {"converged": 0, "max_iterations": 2, "diverged": 3}[report.stop_reason]
+    return {"converged": 0, "max_iterations": 2, "diverged": 3,
+            "stalled_at_box": 4}[report.stop_reason]
 
 
 def _verify_carleman(doc, out_dir, seed):
@@ -387,15 +385,17 @@ def _verify_energy(doc, out_dir, seed):
     return 0
 
 
+VERIFY_SUITES = {"carleman": _verify_carleman, "stability": _verify_stability,
+                 "weights": _verify_weights, "energy": _verify_energy}
+
+
 def command_verify(doc: dict, out_dir: str, seed, suite) -> int:
     if suite not in VERIFY_SUITES:
         raise ConfigError(
             f"unknown suite {suite!r}: choose one of {', '.join(VERIFY_SUITES)}")
     ver = doc.get("verify", {})
     effective_seed = int(seed if seed is not None else ver.get("seed", 0))
-    runner = {"carleman": _verify_carleman, "stability": _verify_stability,
-              "weights": _verify_weights, "energy": _verify_energy}[suite]
-    return runner(doc, out_dir, effective_seed)
+    return VERIFY_SUITES[suite](doc, out_dir, effective_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -119,10 +119,6 @@ class StabilityReport:
     ratio_max: float
     c_empirical: float
 
-    @property
-    def degenerate_count(self) -> int:
-        return sum(1 for p in self.pairs if math.isnan(p.ratio))
-
 
 def _trace_h2_mismatch_sq(traj_a, traj_b, sides, grid: SpaceTimeGrid) -> float:
     qt = trapezoid_weights(grid.nt, grid.dt)

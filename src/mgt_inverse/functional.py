@@ -63,9 +63,8 @@ positive rescaling of the objective that does not move the minimizer; every
 reported weighted value therefore carries the common factor
 exp(-log_weight_min).  The table is ``carleman.normalized_weight_table``,
 built once per assembly or evaluation.  The solve, the objective, the norms
-and the minimizer diagnostics all evaluate the cached rows of M, so the
-stencil ``solver.apply_operator`` serves only the Carleman estimate and the
-test that pins the rows to it.
+and the minimizer diagnostics all evaluate the cached rows of M; they are
+L's only form in this module.
 
 ``CarlemanLeastSquares.minimize`` is the one minimization: it weights the
 data, solves and computes the diagnostics with one assembled engine, which
@@ -391,9 +390,10 @@ def _band_pieces(grid: SpaceTimeGrid, c: float, b: float, sides: tuple,
     """The band's pieces for the plan of (grid, c, b, sides, group_nodes)
     and the rows' square-root weights (as bytes, so that they key the cache).
 
-    One entry is kept: the workloads use one weight table at a time, and a
-    rebuild (about 16 ms at 51x101, 26 ms at 51x201) costs what three to five
-    assemblies save.  Only the group blocks of each product are formed, one
+    One entry is kept, so a change of weight table rebuilds it: a
+    reconstruction keeps one table, but the scale sweep runs one per s value
+    and rebuilds at each.  A rebuild (about 16 ms at 51x101, 26 ms at
+    51x201) costs what three to five assemblies save.  Only the group blocks of each product are formed, one
     product at a time; each is read at the band entries through a zeroed
     band and dropped before the next.
     """

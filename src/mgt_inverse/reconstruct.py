@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .carleman import (CarlemanSetup, WeightOverflowError, admissible_geometry,
-                       log_weight_table, normalized_weight)
+                       log_weight, normalized_weight)
 from .functional import (CarlemanLeastSquares, MinimizationError,
                          MinimizerDiagnostics, initial_second_derivative)
 from .grid import SpaceTimeGrid, interior_weights, trapezoid_weights
@@ -116,12 +116,8 @@ class IterateRecord:
 @dataclass
 class ReconstructionReport:
     history: list
-    stop_reason: str          # "converged", "max_iterations" or "diverged"
+    stop_reason: str          # "converged", "stalled_at_box", "max_iterations" or "diverged"
     ratios: list              # e_{k+1}/e_k, nan where e_k is below the floor
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.history[-1].gamma
 
     @property
     def iterations(self) -> int:
@@ -146,7 +142,7 @@ def weighted_coefficient_error(gamma_a, gamma_b, carleman: CarlemanSetup,
     peaks at the observed endpoint, so including the boundary nodes would pin
     e_k to an immovable term.
     """
-    omega = normalized_weight(log_weight_table(grid, carleman.geometry, carleman.scales)[0])
+    omega = normalized_weight(log_weight(grid.x, 0.0, carleman.geometry, carleman.scales))
     qx = interior_weights(grid.nx, grid.h)
     diff = np.asarray(gamma_a, dtype=float) - np.asarray(gamma_b, dtype=float)
     return float(qx @ (omega * diff ** 2))
@@ -199,7 +195,8 @@ def synthetic_observations(config: ReconstructionConfig, gamma_true) -> list:
 def reconstruction_step(gamma_k: np.ndarray, data_obs: Sequence[ObservationData],
                         config: ReconstructionConfig,
                         engine: Optional[CarlemanLeastSquares] = None):
-    """One outer iteration; returns (projected next coefficient, diagnostics).
+    """One outer iteration; returns the projected next coefficient, the
+    diagnostics and the increment y*_tt(0) / u2 before the projection.
 
     Passing ``engine`` reuses the assembled least-squares operator across
     iterations; it is reassembled only when gamma_k differs from its
@@ -226,9 +223,9 @@ def reconstruction_step(gamma_k: np.ndarray, data_obs: Sequence[ObservationData]
     elif not np.array_equal(engine.coeffs.gamma, gamma_k):
         engine.update_gamma(gamma_k)
     y_star, diagnostics = engine.minimize(mu, None, config.solver_tol, config.solver_cap)
-    utt0 = initial_second_derivative(y_star, grid.dt)
-    gamma_next = project_to_box(gamma_k + utt0 / u2, config.box_bound)
-    return gamma_next, diagnostics
+    increment = initial_second_derivative(y_star, grid.dt) / u2
+    gamma_next = project_to_box(gamma_k + increment, config.box_bound)
+    return gamma_next, diagnostics, increment
 
 
 def contraction_ratios(history) -> list:
@@ -254,7 +251,9 @@ def run_reconstruction(config: ReconstructionConfig, gamma_true=None,
     Without explicit ``data`` the observations are synthesized from
     ``gamma_true``; supplying ``gamma_true`` (in either mode) turns on the
     weighted-error bookkeeping.  Stops when the plain L2 change of the iterate
-    falls below stop_tol ("converged"), after max_iterations, or when the
+    falls below stop_tol: "converged" if the increment before the box
+    projection is below stop_tol too, "stalled_at_box" if only the projection
+    held the iterate still.  Otherwise stops after max_iterations, or when the
     weighted error has risen three times in a row ("diverged").
     """
     grid = config.grid
@@ -282,7 +281,8 @@ def run_reconstruction(config: ReconstructionConfig, gamma_true=None,
         try:
             if engine is None:
                 engine = CarlemanLeastSquares(config.coefficients(gamma), config.carleman, grid)
-            gamma_next, diagnostics = reconstruction_step(gamma, data, config, engine=engine)
+            gamma_next, diagnostics, increment = reconstruction_step(gamma, data, config,
+                                                                     engine=engine)
         except (ForwardSolveError, MinimizationError, WeightOverflowError) as exc:
             raise ReconstructionError(f"iteration {k + 1}: {exc}", records) from exc
         step_change = math.sqrt(float(qx @ (gamma_next - gamma) ** 2))
@@ -293,7 +293,8 @@ def run_reconstruction(config: ReconstructionConfig, gamma_true=None,
             rising = rising + 1 if e_next > records[-2].weighted_error_sq else 0
         gamma = gamma_next
         if step_change < config.stop_tol:
-            stop_reason = "converged"
+            increment_norm = math.sqrt(float(qx @ increment ** 2))
+            stop_reason = "converged" if increment_norm < config.stop_tol else "stalled_at_box"
             break
         if rising >= 3:
             stop_reason = "diverged"

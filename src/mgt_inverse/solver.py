@@ -26,8 +26,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grid import (SpaceTimeGrid, apply_laplacian, boundary_normal_derivative,
-                   discrete_norms, time_derivative_matrix,
-                   time_derivative_matrix_zero_start, trapezoid_weights)
+                   discrete_norms, trapezoid_weights)
 
 
 class ForwardSolveError(RuntimeError):
@@ -179,11 +178,10 @@ class CornerPart:
     ``profile`` is the linear interpolant w of u2's endpoint values;
     ``source`` is (L + reference d_tt) applied to u, with L the operator at
     gamma = 0; ``utt_average`` averages u_tt over each node's two cells with
-    hat weights; ``normal_derivative`` maps a side to the outward normal
-    derivative in closed form, and ``flux_correction`` to that derivative
-    minus the one-sided stencil applied to u.  Fields are (nt, nx) arrays
-    unless noted.  All arrays are read-only, because one part serves every
-    solve from the same initial data.
+    hat weights; ``flux_correction`` maps a side to the closed-form outward
+    normal derivative minus the one-sided stencil applied to u.  Fields are
+    (nt, nx) arrays unless noted.  All arrays are read-only, because one part
+    serves every solve from the same initial data.
     """
 
     reference: float
@@ -193,7 +191,6 @@ class CornerPart:
     utt: np.ndarray
     source: np.ndarray
     utt_average: np.ndarray
-    normal_derivative: dict
     flux_correction: dict
 
 
@@ -283,13 +280,12 @@ def corner_part(c: float, b: float, reference: float, left: float, right: float,
     for arr in (u, ut, source, average):
         arr[:, 0] = 0.0          # the fronts cancel exactly at the ends, and the
         arr[:, -1] = 0.0         # boundary rows of the scheme take no corner source
-    # a copy, so a kept part does not hold on to all of dudx
-    exact = {"right": dudx[:, -1].copy(), "left": -dudx[:, 0]}
+    exact = {"right": dudx[:, -1], "left": -dudx[:, 0]}
     correction = {side: value - boundary_normal_derivative(u, grid, side)
                   for side, value in exact.items()}
-    for arr in (profile, u, ut, utt, source, average, *exact.values(), *correction.values()):
+    for arr in (profile, u, ut, utt, source, average, *correction.values()):
         arr.flags.writeable = False
-    return CornerPart(reference, profile, u, ut, utt, source, average, exact, correction)
+    return CornerPart(reference, profile, u, ut, utt, source, average, correction)
 
 
 def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
@@ -466,22 +462,6 @@ def verify_laplacian_bound(traj: Trajectory, data: InitialData, f: np.ndarray,
     else:
         ratio = float(lap_sq.max() / bound)
     return LaplacianBoundReport(float(lap_sq.max()), float(bound), ratio)
-
-
-def apply_operator(field: np.ndarray, coeffs: MGTCoefficients, grid: SpaceTimeGrid,
-                   zero_start: bool = False) -> np.ndarray:
-    """L y = y_ttt + alpha y_tt - c^2 y_xx - b y_txx on an (nt, nx) field.
-
-    ``zero_start`` selects the time stencils for series with y(0) = y_t(0) = 0
-    over the plain ones; boundary columns carry no Laplacian.  L's only other
-    form is the cached sparse rows that serve every least-squares use in
-    ``functional``; the stencil serves the Carleman estimate, and the tests
-    hold the rows and the forward solver's residual to it.
-    """
-    stencil = time_derivative_matrix_zero_start if zero_start else time_derivative_matrix
-    d1, d2, d3 = (stencil(grid.nt, grid.dt, order) for order in (1, 2, 3))
-    return (d3 @ field + (d2 @ field) * coeffs.alpha
-            - apply_laplacian(coeffs.c ** 2 * field + coeffs.b * (d1 @ field), grid))
 
 
 # ---------------------------------------------------------------------------

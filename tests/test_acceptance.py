@@ -210,7 +210,7 @@ def test_criterion_4_fixed_point_and_oracle_step(criterion):
     config = ReconstructionConfig(
         grid, 1.0, 1.0, 1.0, init, CarlemanSetup(GEO, CarlemanScales(1.0, 2.0)),
         data_refinement=1, solver_tol=1e-6, solver_cap=300000)
-    gamma_next, _ = reconstruction_step(
+    gamma_next, _, _ = reconstruction_step(
         gamma_true, synthetic_observations(config, gamma_true), config)
     fixed_gap = float(np.abs(gamma_next - gamma_true).max())
 

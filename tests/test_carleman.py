@@ -14,6 +14,7 @@ from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
                                   validate_admissibility, weight_statistics)
 from mgt_inverse.grid import build_grid
 from mgt_inverse.solver import MGTCoefficients
+from test_solver import apply_operator
 
 # reference geometry used throughout: domain (0, 1), observation point just
 # left of it, T = 1.25
@@ -207,6 +208,19 @@ def test_estimate_ratio_does_not_grow_with_s():
               for s in (1.0, 2.0, 4.0)]
     for a, b in zip(ratios, ratios[1:]):
         assert b <= 1.2 * a
+
+
+def test_estimate_residual_is_the_operator_stencil_squared():
+    # the estimate forms L y from its own y_t and y_tt; it must equal the
+    # reference stencil bit for bit, with alpha, c and b all in play
+    grid = canonical_grid(21, 41)
+    coeffs = MGTCoefficients(c=1.3, b=0.7, gamma=0.4 + 0.3 * np.sin(np.pi * grid.x),
+                             box_bound=1.0)
+    y = np.random.default_rng(5).normal(size=(grid.nt, grid.nx))
+    y[0] = y[:, 0] = y[:, -1] = 0.0
+    terms = _estimate_terms(y, coeffs, GEO, grid)
+    assert np.array_equal(terms.residual,
+                          apply_operator(y, coeffs, grid, zero_start=True) ** 2)
 
 
 @settings(max_examples=15, deadline=None)

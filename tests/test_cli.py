@@ -143,6 +143,24 @@ def test_reconstruct_iteration_cap_exits_two(tmp_path):
     assert report["history"][1]["solver_iterations"] > 0
 
 
+def test_reconstruct_stalled_at_the_box_exits_four(tmp_path):
+    # criterion 5's datum with noise 1e-4: the first update pins every
+    # interior node to 0 or 1, and the iterate then repeats while the update
+    # before the projection stays large, so the run has not converged
+    path = make_config(tmp_path, name="stall.json", grid={"nx": 51, "nt": 101},
+                       weight={"lam": 1.0},
+                       reconstruction={"max_iterations": 10, "stop_tol": 1e-6,
+                                       "data_refinement": 2, "solver_tol": 1e-6,
+                                       "solver_cap": 300000, "noise_level": 1e-4})
+    out = tmp_path / "stall"
+    assert run(["reconstruct", "--config", path, "--out", out, "--seed", 0]) == 4
+    report = json.loads((out / "report.json").read_text())
+    assert report["stop_reason"] == "stalled_at_box"
+    assert report["history"][-1]["step_change"] == 0.0
+    final = np.genfromtxt(out / "gamma_iterates.csv", delimiter=",", skip_header=1)[1:-1, -1]
+    assert np.all((final == 0.0) | (final == 1.0))
+
+
 def test_reconstruct_weight_overflow_exits_one_with_diagnostic(tmp_path, capsys):
     path = make_config(tmp_path, name="ovf.json",
                        grid={"nx": 31, "nt": 61},

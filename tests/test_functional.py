@@ -26,7 +26,8 @@ from mgt_inverse.grid import (boundary_normal_derivative, build_grid,
                               laplacian_matrix, time_derivative_matrix_zero_start,
                               trapezoid_weights)
 from mgt_inverse.observation import MuPair
-from mgt_inverse.solver import MGTCoefficients, apply_operator
+from mgt_inverse.solver import MGTCoefficients
+from test_solver import apply_operator
 
 GEO = CarlemanGeometry(x0=-0.1, beta=0.9, m0=2.5)
 

@@ -133,7 +133,7 @@ def test_fixed_point_with_same_grid_data():
     config = make_config(31, 61, data_refinement=1)
     gamma_true = canonical_gamma(config.grid)
     data = synthetic_observations(config, gamma_true)
-    gamma_next, diagnostics = reconstruction_step(gamma_true, data, config)
+    gamma_next, diagnostics, _ = reconstruction_step(gamma_true, data, config)
     assert np.abs(gamma_next - gamma_true).max() <= 1e-8
     assert diagnostics.solver_iterations == 0
 
@@ -143,7 +143,7 @@ def test_run_stops_immediately_on_zero_coefficient():
     report = run_reconstruction(config, np.zeros(config.grid.nx))
     assert report.stop_reason == "converged"
     assert report.iterations == 1
-    assert np.array_equal(report.gamma, np.zeros(config.grid.nx))
+    assert np.array_equal(report.history[-1].gamma, np.zeros(config.grid.nx))
     assert report.history[0].weighted_error_sq == 0.0
 
 
@@ -412,5 +412,5 @@ def test_every_error_map_column_is_certified():
     for j in range(1, config.grid.nx - 1):
         gamma = gamma_true.copy()
         gamma[j] += 1e-4
-        _, diagnostics = reconstruction_step(gamma, data, config, engine=engine)
+        _, diagnostics, _ = reconstruction_step(gamma, data, config, engine=engine)
         assert diagnostics.el_residual <= config.solver_tol, j
