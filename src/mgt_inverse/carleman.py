@@ -45,14 +45,15 @@ class CarlemanGeometry:
 
 @dataclass(frozen=True)
 class CarlemanScales:
-    """Weight parameters: lambda convexifies phi, s scales the exponent."""
+    """Weight parameters: lambda convexifies phi, s scales the exponent; both
+    are strictly positive (NaN is refused), as the estimate assumes."""
 
     lam: float
     s: float
 
     def __post_init__(self) -> None:
-        if self.lam < 0 or self.s < 0:
-            raise ValueError(f"scales must be nonnegative, got lam={self.lam}, s={self.s}")
+        if not (self.lam > 0 and self.s > 0):
+            raise ValueError(f"scales must be positive, got lam={self.lam}, s={self.s}")
 
 
 @dataclass(frozen=True)
@@ -133,9 +134,6 @@ def phi(x, t, geometry: CarlemanGeometry):
 
 def log_weight(x, t, geometry: CarlemanGeometry, scales: CarlemanScales):
     """Natural-log exponent of the Carleman weight: 2 s exp(lambda phi)."""
-    if scales.s == 0.0:
-        return np.zeros(np.broadcast(np.asarray(x, dtype=float),
-                                     np.asarray(t, dtype=float)).shape)[()]
     return 2.0 * scales.s * np.exp(scales.lam * phi(x, t, geometry))
 
 
@@ -252,8 +250,6 @@ def _estimate_sides(terms: _EstimateTerms, weight: np.ndarray, scales: CarlemanS
                     grid: SpaceTimeGrid) -> CarlemanEvaluation:
     """Weighted quadrature of both sides at one scale pair; ``weight`` is its
     weight table up to a positive factor, which cancels in the ratio."""
-    if scales.lam <= 0 or scales.s <= 0:
-        raise ValueError("estimate evaluation needs strictly positive scales")
     lam, s = scales.lam, scales.s
     phil = np.exp(lam * phi(grid.x[None, :], grid.t[:, None], terms.geometry))
     qx = trapezoid_weights(grid.nx, grid.h)

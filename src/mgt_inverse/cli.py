@@ -1,12 +1,13 @@
 """Command-line surface: forward runs, reconstruction runs, verification suites.
 
 Commands share one JSON configuration document, validated against the schema
-shipped with the package before any computation starts.  Reports are written
-as JSON plus CSV with all floats at 17 significant digits; a run with the
-same configuration and seed produces byte-identical report files, and the
-wall-clock timestamp goes to a separate metadata file so it cannot break
-that guarantee.  NaN and infinite values appear as null in JSON and as
-nan/inf text in CSV.
+shipped with the package before any computation starts; the non-finite
+constants NaN, Infinity and -Infinity, which ``json`` accepts, are rejected
+while it is parsed.  Reports are written as JSON plus CSV with all floats at
+17 significant digits; a run with the same configuration and seed produces
+byte-identical report files, and the wall-clock timestamp goes to a separate
+metadata file so it cannot break that guarantee.  NaN and infinite values in
+the results appear as null in JSON and as nan/inf text in CSV.
 
 Exit codes: 0 success (for reconstruct: stopped by the step-size test with
 a small unclamped update), 1 configuration or computation error,
@@ -121,10 +122,14 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"config holds the non-finite constant {name}")
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -329,16 +334,8 @@ def _verify_stability(doc, out_dir, seed):
 
 
 def _verify_weights(doc, out_dir, seed):
-    ver = doc.get("verify", {})
-    if "m0_values" in ver:
-        grid = _config_grid(doc)
-        geometry = _config_geometry(doc)
-        scales = _config_scales(doc)
-        m0_values = ver["m0_values"]
-        label = doc.get("label", "weights")
-    else:
-        grid, geometry, scales, m0_values = steep_weight_preset()
-        label = "steep"
+    grid, geometry, scales, m0_values = steep_weight_preset()
+    label = "steep"
     rows = weight_ratio_report(grid, geometry, scales, m0_values, label=label)
     write_json(os.path.join(out_dir, "weights_report.json"), {
         "label": label,

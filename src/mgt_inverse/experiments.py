@@ -27,14 +27,6 @@ from .grid import (SpaceTimeGrid, build_grid, sine_sum, time_difference,
 from .observation import extract_observation
 from .solver import InitialData, MGTCoefficients, solve_forward
 
-__all__ = [
-    "PairStability", "StabilityReport", "stability_two_sided",
-    "CoefficientSample", "draw_coefficient_sample",
-    "FieldSample", "draw_field_sample",
-    "ScaleEntry", "CarlemanSweepReport", "carleman_constant_sweep",
-    "WeightRatioRow", "weight_ratio_report", "steep_weight_preset",
-]
-
 
 # ---------------------------------------------------------------------------
 # seeded, grid-transferable samples

@@ -132,10 +132,6 @@ class TrajectoryVariable:
             raise ValueError(f"values have shape {self.values.shape}, expected {expected}")
 
     @classmethod
-    def zero(cls, grid: SpaceTimeGrid) -> "TrajectoryVariable":
-        return cls(grid, np.zeros((grid.nt - 1, grid.nx - 2)))
-
-    @classmethod
     def from_vector(cls, vec: np.ndarray, grid: SpaceTimeGrid) -> "TrajectoryVariable":
         return cls(grid, np.asarray(vec, dtype=float).reshape(grid.nt - 1, grid.nx - 2))
 
@@ -153,11 +149,6 @@ class TrajectoryVariable:
 
     def to_vector(self) -> np.ndarray:
         return self.values.ravel()
-
-    def full_field(self) -> np.ndarray:
-        field = np.zeros((self.grid.nt, self.grid.nx))
-        field[1:, 1:-1] = self.values
-        return field
 
 
 def initial_second_derivative(y_star: TrajectoryVariable, dt: float) -> np.ndarray:
@@ -393,9 +384,11 @@ def _band_pieces(grid: SpaceTimeGrid, c: float, b: float, sides: tuple,
     One entry is kept, so a change of weight table rebuilds it: a
     reconstruction keeps one table, but the scale sweep runs one per s value
     and rebuilds at each.  A rebuild (about 16 ms at 51x101, 26 ms at
-    51x201) costs what three to five assemblies save.  Only the group blocks of each product are formed, one
-    product at a time; each is read at the band entries through a zeroed
-    band and dropped before the next.
+    51x201) costs what three to five assemblies save.
+
+    Only the group blocks of each product are formed, one product at a
+    time; each is read at the band entries through a zeroed band and
+    dropped before the next.
     """
     plan = _pattern_plan(grid, c, b, sides, group_nodes)
     order = plan.transpose_order
@@ -493,13 +486,10 @@ def _givens(a: float, b: float):
     return a / r, b / r, r
 
 
-def _weighting(carleman: CarlemanSetup, grid: SpaceTimeGrid, purpose: Optional[str] = None):
-    """Validated geometry and weight table; ``purpose`` demands positive scales."""
+def _weighting(carleman: CarlemanSetup, grid: SpaceTimeGrid):
+    """Validated geometry and weight table."""
     geometry = admissible_geometry(carleman.geometry, grid)
-    scales = carleman.scales
-    if purpose is not None and (scales.lam <= 0 or scales.s <= 0):
-        raise ValueError(f"{purpose} needs strictly positive weight scales")
-    return geometry, normalized_weight_table(grid, geometry, scales)
+    return geometry, normalized_weight_table(grid, geometry, carleman.scales)
 
 
 class CarlemanLeastSquares:
@@ -523,7 +513,7 @@ class CarlemanLeastSquares:
 
     def __init__(self, coeffs: MGTCoefficients, carleman: CarlemanSetup,
                  grid: SpaceTimeGrid):
-        self.geometry, self.omega = _weighting(carleman, grid, "minimization")
+        self.geometry, self.omega = _weighting(carleman, grid)
         self.scales = carleman.scales
         self.grid = grid
 
@@ -754,7 +744,7 @@ class CarlemanLeastSquares:
 def _weighted_residual(y: TrajectoryVariable, mu, g, coeffs: MGTCoefficients,
                        carleman: CarlemanSetup, grid: SpaceTimeGrid) -> np.ndarray:
     """M y - b for the coefficient ``coeffs``, without assembling M."""
-    geometry, omega = _weighting(carleman, grid, "evaluation")
+    geometry, omega = _weighting(carleman, grid)
     sides = geometry.gamma0_sides
     root_weight = np.sqrt(_row_weights(grid, sides, omega, carleman.scales.s))
     plan = _pattern_plan(grid, coeffs.c, coeffs.b, sides, _GROUP_NODES)

@@ -65,22 +65,22 @@ class ReconstructionConfig:
     solver_cap: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.init.eta <= 0:
+        if not self.init.eta > 0:
             raise ValueError("eta must be positive: the coefficient update divides by u2")
         if self.init.u0.shape != (self.grid.nx,):
             raise ValueError(
                 f"initial data has shape {self.init.u0.shape}, expected ({self.grid.nx},)")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if self.stop_tol <= 0:
+        if not self.stop_tol > 0:
             raise ValueError(f"stop_tol must be positive, got {self.stop_tol}")
-        if self.noise_level < 0:
+        if not self.noise_level >= 0:
             raise ValueError(f"noise level must be nonnegative, got {self.noise_level}")
         if self.data_refinement < 1 or int(self.data_refinement) != self.data_refinement:
             raise ValueError(
                 f"data refinement must be a positive integer, got {self.data_refinement}")
         check_smooth_window(self.smooth_window)
-        if self.solver_tol <= 0:
+        if not self.solver_tol > 0:
             raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
         if self.solver_cap is not None and (
                 self.solver_cap < 1 or int(self.solver_cap) != self.solver_cap):
@@ -193,22 +193,16 @@ def synthetic_observations(config: ReconstructionConfig, gamma_true) -> list:
 
 
 def reconstruction_step(gamma_k: np.ndarray, data_obs: Sequence[ObservationData],
-                        config: ReconstructionConfig,
-                        engine: Optional[CarlemanLeastSquares] = None):
+                        config: ReconstructionConfig, engine: CarlemanLeastSquares):
     """One outer iteration; returns the projected next coefficient, the
     diagnostics and the increment y*_tt(0) / u2 before the projection.
 
-    Passing ``engine`` reuses the assembled least-squares operator across
+    ``engine`` is the run's assembled least-squares operator, reused across
     iterations; it is reassembled only when gamma_k differs from its
-    coefficient.
+    coefficient.  |u2| >= eta > 0 holds by construction of ``config.init``.
     """
     grid = config.grid
-    u2 = config.init.u2
-    if np.abs(u2).min() < config.init.eta:
-        raise ValueError(
-            f"|u2| >= eta = {config.init.eta} violated, min |u2| = {np.abs(u2).min()}")
-    coeffs = config.coefficients(gamma_k)
-    traj = solve_forward(coeffs, config.init, None, grid)
+    traj = solve_forward(config.coefficients(gamma_k), config.init, None, grid)
 
     by_side = {obs.side: obs for obs in data_obs}
     mu = []
@@ -218,12 +212,10 @@ def reconstruction_step(gamma_k: np.ndarray, data_obs: Sequence[ObservationData]
         mu.append(build_mu(extract_observation(traj, side), by_side[side],
                            smooth_window=config.smooth_window))
 
-    if engine is None:
-        engine = CarlemanLeastSquares(coeffs, config.carleman, grid)
-    elif not np.array_equal(engine.coeffs.gamma, gamma_k):
+    if not np.array_equal(engine.coeffs.gamma, gamma_k):
         engine.update_gamma(gamma_k)
     y_star, diagnostics = engine.minimize(mu, None, config.solver_tol, config.solver_cap)
-    increment = initial_second_derivative(y_star, grid.dt) / u2
+    increment = initial_second_derivative(y_star, grid.dt) / config.init.u2
     gamma_next = project_to_box(gamma_k + increment, config.box_bound)
     return gamma_next, diagnostics, increment
 

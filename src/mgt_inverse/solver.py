@@ -86,7 +86,7 @@ class InitialData:
         self.u0 = np.asarray(self.u0, dtype=float)
         self.u1 = np.asarray(self.u1, dtype=float)
         self.u2 = np.asarray(self.u2, dtype=float)
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
         if not (self.u0.shape == self.u1.shape == self.u2.shape):
             raise ValueError("u0, u1, u2 must share one shape")

@@ -22,6 +22,7 @@ from mgt_inverse.experiments import (
     weight_ratio_report,
 )
 from mgt_inverse.functional import (
+    CarlemanLeastSquares,
     TrajectoryVariable,
     evaluate_J,
     minimize_J,
@@ -210,8 +211,9 @@ def test_criterion_4_fixed_point_and_oracle_step(criterion):
     config = ReconstructionConfig(
         grid, 1.0, 1.0, 1.0, init, CarlemanSetup(GEO, CarlemanScales(1.0, 2.0)),
         data_refinement=1, solver_tol=1e-6, solver_cap=300000)
+    engine = CarlemanLeastSquares(config.coefficients(gamma_true), config.carleman, grid)
     gamma_next, _, _ = reconstruction_step(
-        gamma_true, synthetic_observations(config, gamma_true), config)
+        gamma_true, synthetic_observations(config, gamma_true), config, engine)
     fixed_gap = float(np.abs(gamma_next - gamma_true).max())
 
     oracle_errors = []

@@ -80,9 +80,10 @@ def test_required_side_flips_with_observation_point():
 def test_log_weight_values_and_limits():
     scales = CarlemanScales(lam=1.0, s=1.0)
     assert log_weight(1.0, 0.0, GEO, scales) == pytest.approx(2.0 * math.exp(3.71), rel=1e-14)
-    # s = 0 collapses the weight exponent entirely
-    assert log_weight(1.0, 0.0, GEO, CarlemanScales(1.0, 0.0)) == 0.0
-    assert np.all(log_weight(np.linspace(0, 1, 7), 0.3, GEO, CarlemanScales(1.0, 0.0)) == 0.0)
+    # both scales are strictly positive; NaN is refused too
+    for lam, s in ((1.0, 0.0), (0.0, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="positive"):
+            CarlemanScales(lam, s)
     # lambda -> 0 turns exp(lambda phi) into 1, leaving 2 s
     assert log_weight(0.4, 0.7, GEO, CarlemanScales(1e-12, 3.0)) == pytest.approx(6.0, rel=1e-9)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +77,41 @@ def test_unknown_keys_are_rejected(tmp_path, capsys):
     path = make_config(tmp_path, mystery_knob=1.0)
     assert run(["forward", "--config", path, "--out", tmp_path / "o"]) == 1
     assert "mystery_knob" in capsys.readouterr().err
+    # the removed weights-suite inputs are unknown keys too
+    for key, overrides in (("label", {"label": "steep"}),
+                           ("m0_values", {"verify": {"m0_values": [2.5]}})):
+        path = make_config(tmp_path, **overrides)
+        out = tmp_path / key
+        assert run(["verify", "--config", path, "--suite", "weights", "--out", out]) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, constant", [
+    ({"reconstruction": {"stop_tol": math.nan}}, "NaN"),
+    ({"reconstruction": {"noise_level": math.nan}}, "NaN"),
+    ({"weight": {"s": math.nan}}, "NaN"),
+    ({"coefficients": {"b": math.nan}}, "NaN"),
+    ({"grid": {"t_final": math.inf}}, "Infinity"),
+], ids=["stop_tol", "noise_level", "s", "b", "t_final"])
+def test_non_finite_constants_are_rejected_before_any_output(tmp_path, capsys, overrides,
+                                                             constant):
+    # json.dumps writes NaN and Infinity, as json.load would read them
+    path = make_config(tmp_path, **overrides)
+    assert constant in path.read_text()
+    out = tmp_path / "o"
+    assert run(["reconstruct", "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and constant in err
+    assert not out.exists()
+
+
+def test_verify_scales_must_be_positive_before_any_output(tmp_path, capsys):
+    path = make_config(tmp_path, verify={"scales": [[0.0, 2.0]]})
+    out = tmp_path / "o"
+    assert run(["verify", "--config", path, "--suite", "carleman", "--out", out]) == 1
+    assert "verify.scales" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_forward_zero_data_gives_zero_traces(tmp_path):

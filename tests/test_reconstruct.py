@@ -1,4 +1,5 @@
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -69,8 +70,15 @@ def test_config_validation():
     bad_init = InitialData(np.zeros(nx), np.zeros(nx), np.ones(nx))
     with pytest.raises(ValueError, match="eta"):
         make_config_with_init(bad_init)
+    with pytest.raises(ValueError, match="eta"):
+        InitialData(np.zeros(nx), np.zeros(nx), np.ones(nx), eta=math.nan)
     with pytest.raises(ValueError, match="max_iterations"):
         make_config(nx, 61, max_iterations=0)
+    # NaN fails every bound
+    for field, pattern in (("max_iterations", "max_iterations"), ("stop_tol", "stop_tol"),
+                           ("noise_level", "noise level"), ("solver_tol", "solver_tol")):
+        with pytest.raises(ValueError, match=pattern):
+            make_config(nx, 61, **{field: math.nan})
     with pytest.raises(ValueError, match="refinement"):
         make_config(nx, 61, data_refinement=0)
     with pytest.raises(ValueError, match="^inadmissible observation geometry: .*beta"):
@@ -133,9 +141,26 @@ def test_fixed_point_with_same_grid_data():
     config = make_config(31, 61, data_refinement=1)
     gamma_true = canonical_gamma(config.grid)
     data = synthetic_observations(config, gamma_true)
-    gamma_next, diagnostics, _ = reconstruction_step(gamma_true, data, config)
+    engine = CarlemanLeastSquares(config.coefficients(gamma_true), config.carleman,
+                                  config.grid)
+    gamma_next, diagnostics, _ = reconstruction_step(gamma_true, data, config, engine)
     assert np.abs(gamma_next - gamma_true).max() <= 1e-8
     assert diagnostics.solver_iterations == 0
+
+
+def test_measured_data_mode_follows_the_synthetic_run():
+    # traces given, gamma unknown: the iterates are the synthetic run's on the
+    # same data, with no weighted error to record
+    config = make_config(41, 81, max_iterations=6)
+    data = synthetic_observations(config, canonical_gamma(config.grid))
+    synthetic = run_reconstruction(config, canonical_gamma(config.grid), data=data)
+    measured = run_reconstruction(config, None, data=data)
+    assert measured.iterations == synthetic.iterations
+    for ours, theirs in zip(measured.history, synthetic.history):
+        assert np.array_equal(ours.gamma, theirs.gamma)
+    assert all(record.weighted_error_sq is None for record in measured.history)
+    assert measured.ratios == []
+    assert measured.stop_reason != "diverged"
 
 
 def test_run_stops_immediately_on_zero_coefficient():
@@ -326,8 +351,10 @@ def test_config_rejects_bad_solver_cap_and_smooth_window(field, value):
 def test_missing_side_and_data_requirements():
     config = make_config(31, 61, data_refinement=1)
     gamma_true = canonical_gamma(config.grid)
+    gamma = np.zeros(config.grid.nx)
+    engine = CarlemanLeastSquares(config.coefficients(gamma), config.carleman, config.grid)
     with pytest.raises(ValueError, match="right"):
-        reconstruction_step(np.zeros(config.grid.nx), [], config)
+        reconstruction_step(gamma, [], config, engine)
     with pytest.raises(ValueError, match="gamma_true"):
         run_reconstruction(config)
 
