@@ -423,12 +423,14 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to a JSON configuration")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the seed used by noisy or sampled runs")
+                        help="override the seed, a nonnegative integer, of noisy or sampled runs")
     parser.add_argument("--suite", default=None,
                         help="verification suite: " + ", ".join(VERIFY_SUITES))
     args = parser.parse_args(argv)
 
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
         doc = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         _write_metadata(args.out, args)

@@ -68,8 +68,15 @@ L's only form in this module.
 
 ``CarlemanLeastSquares.minimize`` is the one minimization: it weights the
 data, solves and computes the diagnostics with one assembled engine, which
-the reconstruction loop keeps across its iterations.  ``minimize_J`` runs it
-on a fresh engine built from the coefficients and weights it is given.
+the reconstruction loop keeps across its iterations.  ``minimize_J`` and
+``minimizer_difference_check`` run it on a memoized engine, keyed on the
+whole problem: (grid, c, b, the bytes of gamma, box bound, Carleman setup,
+group width).  One entry is kept, so a batch of minimizations on one problem
+assembles once.  Neither function writes to the engine (the solve and the
+products only read its arrays), it is never returned and never updated, so
+a reused engine gives the bits a fresh one would.  Gamma is keyed by its
+bytes at call time: a caller who edits their array in place gets a new
+engine.
 """
 
 from __future__ import annotations
@@ -508,7 +515,9 @@ class CarlemanLeastSquares:
     and M^T in place and refactors, which is what the reconstruction loop
     needs.  ``minimize`` solves with the engine's own coefficients and
     weights.  ``omega`` is the normalized weight table;
-    :func:`minimizer_difference_check` reuses it.
+    :func:`minimizer_difference_check` reuses it.  :func:`minimize_J` and
+    :func:`minimizer_difference_check` share one memoized engine per problem
+    (see :func:`_shared_engine`), which is never updated.
     """
 
     def __init__(self, coeffs: MGTCoefficients, carleman: CarlemanSetup,
@@ -781,11 +790,28 @@ def weighted_data_norms(mu, g, carleman: CarlemanSetup, grid: SpaceTimeGrid):
     return _sum_of_squares(interior), _sum_of_squares(traces)
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_engine(grid: SpaceTimeGrid, c: float, b: float, gamma: bytes, box_bound: float,
+                   carleman: CarlemanSetup, group_nodes: int) -> CarlemanLeastSquares:
+    """The memoized engine of one problem, gamma given as its bytes; see the
+    module docstring.  ``group_nodes`` only keys the memo: the engine reads
+    the module's group width."""
+    coeffs = MGTCoefficients(c, b, np.frombuffer(gamma), box_bound)
+    return CarlemanLeastSquares(coeffs, carleman, grid)
+
+
+def _engine(coeffs: MGTCoefficients, carleman: CarlemanSetup,
+            grid: SpaceTimeGrid) -> CarlemanLeastSquares:
+    return _shared_engine(grid, coeffs.c, coeffs.b, coeffs.gamma.tobytes(), coeffs.box_bound,
+                          carleman, _GROUP_NODES)
+
+
 def minimize_J(mu, g, coeffs: MGTCoefficients, carleman: CarlemanSetup,
                grid: SpaceTimeGrid, solver_tol: float = 1e-9):
-    """Minimizer and diagnostics on a fresh engine; see
-    :meth:`CarlemanLeastSquares.minimize`, which reuses an assembled one."""
-    return CarlemanLeastSquares(coeffs, carleman, grid).minimize(mu, g, solver_tol)
+    """Minimizer and diagnostics by :meth:`CarlemanLeastSquares.minimize` on
+    the memoized engine of (grid, coeffs, carleman): a repeated problem is
+    not assembled again."""
+    return _engine(coeffs, carleman, grid).minimize(mu, g, solver_tol)
 
 
 @dataclass
@@ -809,9 +835,10 @@ def minimizer_difference_check(g1, g2, mu, coeffs: MGTCoefficients,
     slack reported here must stay nonnegative up to solver tolerance.  Also
     reported: the ratio sqrt(s) * weighted |difference of recovered initial
     accelerations|^2 / weighted |g1 - g2|^2, the empirical constant of the
-    corresponding stability statement.
+    corresponding stability statement.  Both minimizers come from the
+    memoized engine that :func:`minimize_J` uses.
     """
-    engine = CarlemanLeastSquares(coeffs, carleman, grid)
+    engine = _engine(coeffs, carleman, grid)
     y1, diag1 = engine.minimize(mu, g1, solver_tol)
     y2, diag2 = engine.minimize(mu, g2, solver_tol)
     s = engine.scales.s

@@ -78,7 +78,7 @@ def perturb_with_noise(obs: ObservationData, level: float,
 def check_smooth_window(window) -> None:
     """Accept 0, 1 (no smoothing) or an odd integer: a centered average over
     an even window lags the series by half a time step."""
-    if window < 0 or int(window) != window:
+    if not (window >= 0 and float(window).is_integer()):
         raise ValueError(f"smooth_window must be a nonnegative integer, got {window}")
     if window > 1 and window % 2 == 0:
         raise ValueError(f"smooth_window must be odd or at most 1, got {window}")

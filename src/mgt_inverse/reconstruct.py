@@ -12,6 +12,7 @@ scheme can be read off directly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -76,14 +77,18 @@ class ReconstructionConfig:
             raise ValueError(f"stop_tol must be positive, got {self.stop_tol}")
         if not self.noise_level >= 0:
             raise ValueError(f"noise level must be nonnegative, got {self.noise_level}")
-        if self.data_refinement < 1 or int(self.data_refinement) != self.data_refinement:
+        # written so that NaN and infinities fail before anything converts them
+        if not (self.data_refinement >= 1 and float(self.data_refinement).is_integer()):
             raise ValueError(
                 f"data refinement must be a positive integer, got {self.data_refinement}")
+        if not (isinstance(self.noise_seed, numbers.Integral) and self.noise_seed >= 0):
+            raise ValueError(
+                f"noise_seed must be a nonnegative integer, got {self.noise_seed!r}")
         check_smooth_window(self.smooth_window)
         if not self.solver_tol > 0:
             raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
-        if self.solver_cap is not None and (
-                self.solver_cap < 1 or int(self.solver_cap) != self.solver_cap):
+        if self.solver_cap is not None and not (
+                self.solver_cap >= 1 and float(self.solver_cap).is_integer()):
             raise ValueError(
                 f"solver_cap must be None or a positive integer, got {self.solver_cap}")
         self.carleman = replace(

@@ -73,6 +73,16 @@ def test_even_smooth_window_is_rejected_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_seed_is_rejected_before_any_output(tmp_path, capsys):
+    path = make_config(tmp_path)
+    for command in (["reconstruct"], ["verify", "--suite", "stability"]):
+        out = tmp_path / command[0]
+        assert run(command + ["--config", path, "--out", out, "--seed", -1]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed") and err.count("\n") == 1
+        assert not out.exists()
+
+
 def test_unknown_keys_are_rejected(tmp_path, capsys):
     path = make_config(tmp_path, mystery_knob=1.0)
     assert run(["forward", "--config", path, "--out", tmp_path / "o"]) == 1

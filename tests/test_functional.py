@@ -528,6 +528,81 @@ def test_minimizer_is_unchanged_after_another_weight_table():
         functional._band_pieces.cache_clear()
 
 
+def _counted_engine_builds(monkeypatch):
+    """Empty the engine memo, then record every engine built."""
+    functional._shared_engine.cache_clear()
+    original = CarlemanLeastSquares.__init__
+    built = []
+
+    def counted(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(CarlemanLeastSquares, "__init__", counted)
+    return built
+
+
+def test_minimizations_of_one_problem_share_one_engine(monkeypatch):
+    grid, coeffs, setup = make_problem(31, 61)
+    mu, g = random_data(grid, 67)
+    g2 = g + np.random.default_rng(71).normal(size=g.shape)
+    fresh = CarlemanLeastSquares(coeffs, setup, grid)
+    want, want_diag = fresh.minimize(mu, g, 1e-8)
+    want2, want_diag2 = fresh.minimize(mu, g2, 1e-8)
+
+    built = _counted_engine_builds(monkeypatch)
+    first = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8)
+    # equal values in another array are the same problem
+    same = MGTCoefficients(coeffs.c, coeffs.b, coeffs.gamma.copy(), coeffs.box_bound)
+    second = minimize_J(mu, g, same, setup, grid, solver_tol=1e-8)
+    report = minimizer_difference_check(g, g2, mu, coeffs, setup, grid, solver_tol=1e-8)
+    assert len(built) == 1
+    info = functional._shared_engine.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for y, diag in (first, second):
+        assert np.array_equal(y.values, want.values)
+        assert diag == want_diag
+    assert report.diagnostics_first == want_diag
+    assert report.diagnostics_second == want_diag2
+    assert report.minimizer_gap == np.abs(want.values - want2.values).max()
+
+
+def test_another_coefficient_weight_or_grid_builds_another_engine(monkeypatch):
+    grid, coeffs, setup = make_problem(21, 41)
+    mu, g = random_data(grid, 73)
+    shifted = coeffs.with_gamma(np.clip(coeffs.gamma + 0.2, 0.0, 1.0))
+    want, _ = CarlemanLeastSquares(shifted, setup, grid).minimize(mu, g, 1e-8)
+    other_grid, other_coeffs, _ = make_problem(13, 25)
+    other_mu, other_g = random_data(other_grid, 79)
+
+    built = _counted_engine_builds(monkeypatch)
+    minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8)
+    y, _ = minimize_J(mu, g, shifted, setup, grid, solver_tol=1e-8)
+    assert len(built) == 2
+    assert np.array_equal(y.values, want.values)
+    minimize_J(mu, g, shifted, CarlemanSetup(GEO, CarlemanScales(0.5, 1.0)), grid,
+               solver_tol=1e-8)
+    assert len(built) == 3
+    minimize_J(other_mu, other_g, other_coeffs, setup, other_grid, solver_tol=1e-8)
+    assert len(built) == 4
+
+
+def test_gamma_edited_in_place_builds_the_new_coefficient_s_engine(monkeypatch):
+    grid, coeffs, setup = make_problem(21, 41)
+    mu, g = random_data(grid, 83)
+    edited = np.clip(coeffs.gamma + 0.2, 0.0, 1.0)
+    want, want_diag = CarlemanLeastSquares(coeffs.with_gamma(edited.copy()), setup,
+                                           grid).minimize(mu, g, 1e-8)
+
+    built = _counted_engine_builds(monkeypatch)
+    before, _ = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8)
+    coeffs.gamma[:] = edited       # the caller's array, inside the box
+    after, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8)
+    assert len(built) == 2
+    assert np.array_equal(after.values, want.values) and diag == want_diag
+    assert not np.array_equal(before.values, after.values)
+
+
 def test_overflowing_band_fails_its_check_without_a_warning():
     # weight span 696 decades at 51x401: 11 band entries overflow, 10 of them
     # on the diagonal; the band check reports it, not a NumPy warning (an
@@ -658,6 +733,8 @@ def test_weight_table_is_built_once_per_assembly_or_evaluation(monkeypatch):
 
     grid, coeffs, setup = make_problem(21, 41)
     mu, g = random_data(grid, 41)
+    # an engine memoized by an earlier test would build no table below
+    functional._shared_engine.cache_clear()
     engine = CarlemanLeastSquares(coeffs, setup, grid)
     assert len(calls) == 1
     calls.clear()

@@ -81,12 +81,25 @@ def test_config_validation():
             make_config(nx, 61, **{field: math.nan})
     with pytest.raises(ValueError, match="refinement"):
         make_config(nx, 61, data_refinement=0)
+    # NaN and the infinities fail the integer fields with their names
+    for field, pattern in (("data_refinement", "refinement"), ("solver_cap", "solver_cap"),
+                           ("smooth_window", "smooth_window")):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=pattern):
+                make_config(nx, 61, **{field: bad})
     with pytest.raises(ValueError, match="^inadmissible observation geometry: .*beta"):
         grid = build_grid(0.0, 1.0, nx, 1.25, 61)
         setup = CarlemanSetup(CarlemanGeometry(-0.1, 0.5, 2.5, ("right",)),
                               CarlemanScales(0.5, 2.0))
         init = InitialData(np.zeros(nx), np.zeros(nx), np.ones(nx), eta=1.0)
         ReconstructionConfig(grid, 1.0, 1.0, 1.0, init, setup)
+
+
+def test_noise_seed_must_be_a_nonnegative_integer():
+    assert make_config(31, 61, noise_seed=np.int64(3)).noise_seed == 3
+    for bad in (-1, 2.5, math.nan, math.inf, "1"):
+        with pytest.raises(ValueError, match="noise_seed"):
+            make_config(31, 61, noise_seed=bad)
 
 
 def make_config_with_init(init):
