@@ -7,31 +7,56 @@ M stacks the operator rows and, per observed side, the trace and trace-rate
 rows, each times its square-root weight, and b is the weighted data
 [g; mu; mu_t].  It is minimized by LSMR (Fong & Saunders, SIAM J. Sci.
 Comput. 33, 2011) on M R^-1; the normal equations are never formed.  R^T R
-is block diagonal: one block per group of seven adjacent interior nodes (the
-last group may be shorter), made of those nodes' time series in M^T M.  M^T M
+is block diagonal: one block per group of adjacent interior nodes (the last
+group may be shorter), made of those nodes' time series in M^T M.  M^T M
 couples unknowns at most four time levels and two nodes apart, so with a
-group's unknowns ordered time-major each block is one band of half-width
-4 * 7 + 2 = 30.  M^T M itself is never formed: M depends on gamma only through
-alpha = gamma + c^2/b, as W^1/2 (F + A D_alpha), so each band entry is
+group's unknowns ordered time-major each block of q nodes is one band of
+half-width kd = 4q + 2.  M^T M itself is never formed: M depends on gamma only
+through alpha = gamma + c^2/b, as W^1/2 (F + A D_alpha), so each band entry is
 P0_ij + alpha_j Q_ij + alpha_i Q_ji + alpha_i alpha_j P2_ij with P0 = F^T W F,
 Q = F^T W A and P2 = A^T W A independent of gamma.  An assembly combines these
 pieces with alpha and scatters them into the bands; their diagonal is scaled
 by 1 + 1e-10 (without it the steepest weights leave a block numerically
-indefinite), and they are factored by banded Cholesky.  Seven nodes is the
-widest group whose band, 31 stored rows per unknown, stays below the about 32
-nonzeros per row of M^T M.
+indefinite), and they are factored by banded Cholesky.
+
+An engine starts with groups of seven nodes (kd = 30): the widest group whose
+band, 31 stored rows per unknown, stays below the about 32 nonzeros per row
+of M^T M, and enough where solves take a few iterations (s >= 2 on
+criterion 5's datum).  At small s the seven-node blocks leave hundreds of
+iterations per solve.  So when a solve has taken more LSMR iterations than
+``_widen_threshold(grid)``, the next ``update_gamma`` regroups the engine into
+one group over every interior node, and the engine keeps that width.  That
+one block is all of M^T M, whose factor is exact up to the shift (kd = 198 at
+51x101), and the solves after it take a handful of iterations.  The
+threshold is 64 at 51 nodes, near the measured break-even of 57-70 seven-node
+iterations per whole-width assembly, and grows with kd^2, the cost of the
+factor; a grid whose whole-width band would pass 2^21 values (16 MiB: 51x201
+fits, 101x101 does not) never widens.  The rule counts iterations, never time, so a
+run's reports do not depend on the machine.
+
+Every band is factored by LAPACK's unblocked ``dpbtf2``, reached through
+SciPy's Cython LAPACK table and ctypes.  ``dpbtrf`` calls it for kd <= 31,
+so the seven-node factor is unchanged; at whole width ``dpbtrf`` runs a
+blocked update on the BLAS threads, and its factor differed between one and
+two OpenBLAS threads.  At 51x101 ``dpbtf2`` takes 26 ms on that band, and
+``dpbtrf`` 15 ms on two threads; an engine widens at most once and then
+refactors once per outer step.
 
 Each LSMR iteration costs one product with M, one with M^T and the two
 triangular solves, so the engine keeps each in the form LAPACK and the sparse
-kernels run fastest.  The factor L is stored twice, in lower band storage
-and transposed in upper band storage: R^-1 = L^-T and R^-T = L^-1 are then
-each an untransposed banded solve, about half the time of LAPACK's
-transposed one.  M^T is stored as CSR beside M, whose CSC view multiplies at
-about half the speed.  M's columns and M^T's rows are permuted once into
-group order, and LSMR runs in that order throughout, so no vector is
-reordered inside the loop; y goes back to time-major order once per solve.
-LSMR is the engine's own loop: its norms are elementwise sums, not BLAS dot
-products, so its iterates do not depend on the BLAS thread count.
+kernels run fastest.  At seven-node width the factor L is stored twice, in
+lower band storage and transposed in upper band storage: R^-1 = L^-T and
+R^-T = L^-1 are then each an untransposed banded solve, about half the time
+of LAPACK's transposed one.  A widened engine stores L once, (kd + 1) n
+values (7.8 MB at 51x101), and R^-1 is LAPACK's transposed solve, whose lower
+speed a handful of iterations per solve does not feel.  M^T is stored as CSR
+beside M, whose CSC view multiplies at about half the speed.  M's columns and
+M^T's rows are permuted once into group order, and LSMR runs in that order
+throughout, so no vector is reordered inside the loop; y goes back to
+time-major order once per solve.  LSMR is the engine's own loop: its norms
+are elementwise sums, not BLAS dot products, and neither the triangular
+solves nor the unblocked factorization split a sum across BLAS threads, so
+its iterates do not depend on the BLAS thread count.
 
 The work that M's pattern alone fixes is done once per (grid, c, b, observed
 sides, group width) and cached read-only, shared by every engine and every
@@ -72,23 +97,27 @@ the reconstruction loop keeps across its iterations.  ``minimize_J`` and
 ``minimizer_difference_check`` run it on a memoized engine, keyed on the
 whole problem: (grid, c, b, the bytes of gamma, box bound, Carleman setup,
 group width).  One entry is kept, so a batch of minimizations on one problem
-assembles once.  Neither function writes to the engine (the solve and the
-products only read its arrays), it is never returned and never updated, so
-a reused engine gives the bits a fresh one would.  Gamma is keyed by its
-bytes at call time: a caller who edits their array in place gets a new
-engine.
+assembles once.  The products only read the engine's arrays, and a solve
+records only its iteration count, which matters only to ``update_gamma``;
+the engine is never returned and never updated, so it never widens, and a
+reused engine gives the bits a fresh one would.
+Gamma is keyed by its bytes at call time: a caller who edits their array in
+place gets a new engine.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dtbtrs
+from scipy.linalg import cython_lapack
+from scipy.linalg.lapack import dtbtrs
 
 from .carleman import CarlemanSetup, admissible_geometry, normalized_weight_table
 from .grid import (SpaceTimeGrid, boundary_normal_derivative, laplacian_matrix,
@@ -101,15 +130,92 @@ from .solver import MGTCoefficients
 # the third difference spans five levels, so its Gram product spans +-4.
 _TIME_BANDWIDTH = 4
 
-# Interior nodes per preconditioner block.  M^T M couples nodes at most two
-# apart, so a group of q nodes in time-major order is one band with
-# kd = 4q + 2: 4q + 3 = 31 stored rows per unknown, below the about 32
-# nonzeros per row of M^T M.
+# Interior nodes per preconditioner block of a new engine; _widen_threshold
+# says when it widens.  M^T M couples nodes at most two apart, so a group of
+# q nodes in time-major order is one band with kd = 4q + 2: 4q + 3 = 31
+# stored rows per unknown, below the about 32 nonzeros per row of M^T M.
 _GROUP_NODES = 7
 
 # Relative shift of the blocks' diagonal before factoring: without it the
 # steepest weights (s = 4) leave a group block numerically indefinite.
 _BLOCK_SHIFT = 1e-10
+
+# After a solve of more LSMR iterations than _widen_threshold(grid),
+# ``update_gamma`` regroups the engine into one group over every interior
+# node.  64 is the threshold at 51 nodes (kd = 198), where a whole-width
+# assembly cost 57-70 seven-node iterations (51x101, 51x201).
+_WIDEN_ITERATIONS = 64
+_WIDEN_KD = 198
+
+# Largest whole-width band, in stored values (16 MiB): 51x201 (1.95e6) and
+# 71x101 (1.93e6) fit, 101x101 (3.9e6) does not.
+_WIDE_BAND_VALUES = 2 ** 21
+
+
+def _widen_threshold(grid: SpaceTimeGrid) -> Optional[int]:
+    """LSMR iterations of one solve above which an engine on ``grid`` widens
+    to one group over every interior node, or None if it never widens.
+
+    An engine whose interior nodes fit one seven-node group is already
+    whole; one whose whole-width band would exceed ``_WIDE_BAND_VALUES``
+    keeps seven-node groups.  The threshold scales with kd^2, the cost of
+    factoring the band, from 64 at kd = 198, and never falls below 64.
+    Measured on a 2-core Xeon, the break-even (the extra time of a
+    whole-width assembly over one seven-node iteration) was 36 at 31x61, 37
+    at 41x81, 57 at 51x101, 70 at 51x201, 64 at 71x101 (rule 127), and 150
+    at 101x101 and 135 at 101x201 (rule 259, both above the cap), so the rule
+    widens late rather than early.
+    """
+    nodes = grid.nx - 2
+    kd = _band_kd(nodes)
+    if nodes <= _GROUP_NODES or (kd + 1) * nodes * (grid.nt - 1) > _WIDE_BAND_VALUES:
+        return None
+    return math.ceil(_WIDEN_ITERATIONS * max(1.0, (kd / _WIDEN_KD) ** 2))
+
+
+# Half-width of the seven-node band.  Bands up to it keep L in lower and in
+# upper storage; wider ones, reached by widening, keep L alone.
+_BOTH_STORAGES_KD = _TIME_BANDWIDTH * _GROUP_NODES + 2
+
+
+def _lapack_routine(name: str, signature: str, *argtypes):
+    """A routine of SciPy's LAPACK, from its Cython capsule, through ctypes.
+
+    The capsule's name is the routine's C signature, with SciPy's double
+    typedef written ``d``; it must equal ``signature``, so that a LAPACK
+    with other integer types (ILP64) raises ImportError instead of being
+    called with the wrong arguments."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    capsule_name = get_name(capsule)
+    found = re.sub(r"__pyx_t_\w*cython_lapack_d\b", "d", capsule_name.decode())
+    if found != signature:
+        raise ImportError(f"SciPy's LAPACK {name} has the signature {found!r}, "
+                          f"not {signature!r}")
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, capsule_name))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_dpbtf2 = _lapack_routine("dpbtf2", "void (char *, int *, int *, d *, int *, int *)",
+                          ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT, _INT)
+
+
+def _band_cholesky(band: np.ndarray) -> int:
+    """Factor a Fortran-ordered lower band in place by LAPACK's unblocked
+    ``dpbtf2``; returns its info.  ``dpbtrf`` runs the same routine up to
+    kd = 31, but above it runs a blocked update on the BLAS threads, whose
+    factor differed between one and two OpenBLAS threads at whole width
+    (kd = 198)."""
+    if band.ndim != 2 or band.dtype != np.float64 or not band.flags.f_contiguous:
+        raise ValueError("the band must be a Fortran-ordered 2-D float64 array")
+    rows, n = band.shape
+    info = ctypes.c_int(0)
+    _dpbtf2(b"L", ctypes.byref(ctypes.c_int(n)), ctypes.byref(ctypes.c_int(rows - 1)),
+            band.ctypes.data, ctypes.byref(ctypes.c_int(rows)), ctypes.byref(info))
+    return info.value
 
 
 class MinimizationError(RuntimeError):
@@ -508,7 +614,9 @@ class CarlemanLeastSquares:
     engine also holds M with its columns in group order (on the same
     entries), M^T as CSR with its rows in group order, and the banded
     Cholesky factor of the node-group time-series blocks of M^T M, the right
-    preconditioner of the solve, in lower and in upper band storage.  The
+    preconditioner of the solve: in lower and in upper band storage for
+    seven-node groups, in lower storage alone once a long solve has widened
+    the engine to one group over every interior node.  The
     blocks are combined from gamma-independent pieces that engines with the
     same pattern and weights share; M^T M is never formed.  M depends on the
     zeroth-order coefficient only through alpha; ``update_gamma`` refills M
@@ -526,9 +634,20 @@ class CarlemanLeastSquares:
         self.scales = carleman.scales
         self.grid = grid
 
-        sides = self.geometry.gamma0_sides
-        plan = self._plan = _pattern_plan(grid, coeffs.c, coeffs.b, sides, _GROUP_NODES)
-        self._root_weight = np.sqrt(_row_weights(grid, sides, self.omega, self.scales.s))
+        self._root_weight = np.sqrt(_row_weights(grid, self.geometry.gamma0_sides,
+                                                 self.omega, self.scales.s))
+        self.coeffs = coeffs
+        self._group(_GROUP_NODES)
+        self._widen_after = _widen_threshold(grid)
+        self._last_iterations = 0
+        self._assemble(coeffs)
+
+    def _group(self, group_nodes: int) -> None:
+        """Lay the engine out in groups of ``group_nodes`` nodes: M (time-major
+        and in group order, on shared entries) and M^T on that group order's
+        plan, with no factor yet."""
+        plan = self._plan = _pattern_plan(self.grid, self.coeffs.c, self.coeffs.b,
+                                          self.geometry.gamma0_sides, group_nodes)
         rows = plan.fixed
         self.operator = sp.csr_matrix((np.empty(rows.nnz), rows.indices, rows.indptr),
                                       shape=rows.shape)
@@ -540,16 +659,22 @@ class CarlemanLeastSquares:
             (np.empty(rows.nnz), plan.transpose_indices, plan.transpose_indptr),
             shape=rows.shape[::-1])
         self._block_factor = self._block_factor_upper = self._upper_store = None
-        self._assemble(coeffs)
 
     def update_gamma(self, gamma: np.ndarray) -> None:
-        """Swap the zeroth-order coefficient and refresh M and its preconditioner."""
+        """Swap the zeroth-order coefficient and refresh M and its preconditioner.
+
+        If the last solve took more than ``_widen_threshold(grid)`` LSMR
+        iterations, the engine is first regrouped into one group over every
+        interior node, and it keeps that width."""
+        if self._widen_after is not None and self._last_iterations > self._widen_after:
+            self._widen_after = None
+            self._group(self.grid.nx - 2)
         self._assemble(self.coeffs.with_gamma(gamma))
 
     def _assemble(self, coeffs: MGTCoefficients) -> None:
         """Refill M and M^T, combine the group blocks of M^T M from the pieces,
         and factor them by banded Cholesky."""
-        # The new factor is written over the previous one, in both storages:
+        # The new factor is written over the previous one, in each storage:
         # two fresh bands per assembly cost about 600 page faults at 51x101
         # and made a criterion-5 reconstruction 7 % slower.
         band, store = self._block_factor, self._upper_store
@@ -567,11 +692,14 @@ class CarlemanLeastSquares:
         pieces = _band_pieces(self.grid, coeffs.c, coeffs.b, self.geometry.gamma0_sides,
                               plan.group_nodes, self._root_weight.tobytes())
         kd = _band_kd(plan.group_nodes)
+        # a widened band keeps L alone: it is (kd + 1) n values, and its
+        # solves take a handful of iterations
+        whole = kd > _BOTH_STORAGES_KD
         if band is None:
             band = np.zeros((kd + 1, n), order="F")
             # the transposed factor's storage, with room after it for the
             # corner of the lower storage that the strided copy also moves
-            store = np.zeros((kd + 1) * (n + kd))
+            store = None if whole else np.zeros((kd + 1) * (n + kd))
         else:
             band.fill(0.0)
         band.ravel(order="F")[plan.slots] = _band_values(pieces, plan, coeffs.alpha[1:-1])
@@ -580,11 +708,14 @@ class CarlemanLeastSquares:
                 "normal matrix has non-finite or non-positive diagonal entries; "
                 "the weight range is too extreme for this grid")
         band[0] *= 1.0 + _BLOCK_SHIFT
-        factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
+        info = _band_cholesky(band)
         if info != 0:
             raise MinimizationError(
                 f"node-group preconditioner is not positive definite "
                 f"(banded Cholesky info {info})")
+        self._block_factor = band
+        if whole:
+            return
         # The same factor transposed, in upper band storage: L[offset, k] goes
         # to U[kd - offset, k + offset], flat (k + offset) (kd + 1) + kd - offset
         # = kd + offset kd + k (kd + 1), one strided copy.  The unused corner
@@ -592,8 +723,8 @@ class CarlemanLeastSquares:
         # zero.
         step = store.itemsize
         np.copyto(np.lib.stride_tricks.as_strided(
-            store[kd:], shape=(kd + 1, n), strides=(kd * step, (kd + 1) * step)), factor)
-        self._block_factor, self._upper_store = factor, store
+            store[kd:], shape=(kd + 1, n), strides=(kd * step, (kd + 1) * step)), band)
+        self._upper_store = store
         self._block_factor_upper = store[:(kd + 1) * n].reshape((kd + 1, n), order="F")
 
     def weighted_data(self, mu, g: Optional[np.ndarray]) -> np.ndarray:
@@ -606,9 +737,12 @@ class CarlemanLeastSquares:
 
         R is the transpose of the group blocks' lower Cholesky factor L: R^-1
         is an upper-triangular solve with the stored transpose, R^-T a
-        lower-triangular one with L, each untransposed.
+        lower-triangular one with L, each untransposed.  In a widened engine,
+        where only L is stored, R^-1 is LAPACK's transposed solve with L.
         """
         if trans == "T":
+            if self._block_factor_upper is None:
+                return dtbtrs(self._block_factor, v, uplo="L", trans="T")[0]
             return dtbtrs(self._block_factor_upper, v, uplo="U")[0]
         return dtbtrs(self._block_factor, v, uplo="L")[0]
 
@@ -715,6 +849,7 @@ class CarlemanLeastSquares:
                                     "LSMR was not started")
         cap = self._n_unknowns if max_iterations is None else max_iterations
         y, iterations, error = self._lsmr(b, tol, cap)
+        self._last_iterations = iterations
         if not error <= tol:
             raise MinimizationError(
                 f"LSMR stopped at backward error {error:.3e} after {iterations} "

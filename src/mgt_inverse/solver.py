@@ -44,14 +44,17 @@ class MGTCoefficients:
 
     def __post_init__(self) -> None:
         self.gamma = np.asarray(self.gamma, dtype=float)
-        if self.b <= 0:
-            raise ValueError(f"b must be positive, got {self.b}")
-        if self.c == 0:
-            raise ValueError("wave speed c must be nonzero")
-        if self.box_bound <= 0:
-            raise ValueError(f"box bound must be positive, got {self.box_bound}")
+        # written so that NaN fails each check with the field's name
+        if not (self.b > 0 and math.isfinite(self.b)):
+            raise ValueError(f"b must be positive and finite, got {self.b}")
+        if not (abs(self.c) > 0 and math.isfinite(self.c)):
+            raise ValueError(f"wave speed c must be nonzero and finite, got {self.c}")
+        if not (self.box_bound > 0 and math.isfinite(self.box_bound)):
+            raise ValueError(f"box bound must be positive and finite, got {self.box_bound}")
         if self.gamma.ndim != 1:
             raise ValueError("gamma must be a one-dimensional nodal field")
+        if not np.all(np.isfinite(self.gamma)):
+            raise ValueError("gamma must be finite")
         if self.gamma.min() < 0.0 or self.gamma.max() > self.box_bound:
             raise ValueError(
                 f"gamma must lie in [0, {self.box_bound}], got range "

@@ -327,11 +327,18 @@ def test_verify_energy_reports_bounded_ratios(tmp_path):
     assert report["laplacian_bound"]["ratio"] > 0.0
 
 
-def test_importing_the_cli_leaves_scipy_interpolate_unloaded():
-    # only the resampling of refined data uses scipy.interpolate, and it
-    # imports it there: a fresh interpreter that imports the CLI has not
+def test_importing_the_cli_leaves_scipy_interpolate_unloaded(tmp_path):
+    # the resampling of refined data writes out SciPy's cubic spline, so
+    # neither the import nor a reconstruction on 2x data loads
+    # scipy.interpolate (about 19 MB and 0.25 s per process)
     src = os.path.dirname(os.path.dirname(mgt_inverse.__file__))
-    code = "import sys, mgt_inverse.cli; print('scipy.interpolate' in sys.modules)"
+    path = make_config(tmp_path, reconstruction={"data_refinement": 2, "max_iterations": 2})
+    code = ("import sys, mgt_inverse.cli\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+            f"code = mgt_inverse.cli.main(['reconstruct', '--config', {str(path)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}])\n"
+            "print(code, 'scipy.interpolate' in sys.modules)\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["False", "2", "False"]
+    assert (tmp_path / "out" / "report.json").exists()

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import functools
 import os
@@ -864,11 +865,164 @@ print(hashlib.sha256(y.values.tobytes()).hexdigest(), diag.solver_iterations)
 """
 
 
-def test_minimizer_does_not_depend_on_the_blas_thread_count():
+def _outputs_under_one_and_two_blas_threads(script):
     src = os.path.dirname(os.path.dirname(mgt_inverse.__file__))
-    outputs = [subprocess.run([sys.executable, "-c", _THREADED_SOLVE], capture_output=True,
-                              text=True, check=True, timeout=120,
-                              env={**os.environ, "PYTHONPATH": src,
-                                   "OPENBLAS_NUM_THREADS": threads}).stdout
-               for threads in ("1", "2")]
+    return [subprocess.run([sys.executable, "-c", script], capture_output=True,
+                           text=True, check=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+
+
+def test_minimizer_does_not_depend_on_the_blas_thread_count():
+    outputs = _outputs_under_one_and_two_blas_threads(_THREADED_SOLVE)
     assert outputs[0] == outputs[1]
+
+
+# criterion 5's datum at s = 1, four outer iterations: the third solve takes
+# more than the widening threshold, so the fourth runs on one group over all
+# 49 interior nodes (kd = 198).  LAPACK's blocked dpbtrf factored that band
+# differently under one and two OpenBLAS threads; at 31x61 (kd = 118) it did
+# not run its blocked update on threads, so a smaller grid would not tell.
+_WIDENED_RUN = """
+import hashlib
+import numpy as np
+from mgt_inverse.carleman import CarlemanGeometry, CarlemanScales, CarlemanSetup
+from mgt_inverse.grid import build_grid
+from mgt_inverse.reconstruct import ReconstructionConfig, run_reconstruction
+from mgt_inverse.solver import InitialData
+grid = build_grid(0.0, 1.0, 51, 1.25, 101)
+init = InitialData(np.zeros(51), np.zeros(51), np.ones(51), eta=1.0)
+setup = CarlemanSetup(CarlemanGeometry(-0.1, 0.9, 2.5), CarlemanScales(1.0, 1.0))
+config = ReconstructionConfig(grid, 1.0, 1.0, 1.0, init, setup, max_iterations=4,
+                              data_refinement=2, solver_tol=1e-6)
+report = run_reconstruction(config, 0.4 + 0.3 * np.sin(np.pi * grid.x))
+gammas = np.array([record.gamma for record in report.history])
+print(hashlib.sha256(gammas.tobytes()).hexdigest(),
+      *[record.diagnostics.solver_iterations for record in report.history[1:]])
+"""
+
+
+def test_widened_reconstruction_does_not_depend_on_the_blas_thread_count():
+    outputs = _outputs_under_one_and_two_blas_threads(_WIDENED_RUN)
+    assert outputs[0] == outputs[1]
+    iterations = [int(word) for word in outputs[0].split()[1:]]
+    assert len(iterations) == 4
+    threshold = functional._widen_threshold(build_grid(0.0, 1.0, 51, 1.25, 101))
+    assert max(iterations[:2]) <= threshold < iterations[2]
+    assert iterations[3] <= 10
+
+
+def _long_solve_problem():
+    """21x41 at s = 0.5: the first solve to 1e-8 takes 112 LSMR iterations
+    on the seven-node groups, above the widening threshold."""
+    grid, coeffs, setup = make_problem(21, 41, s=0.5)
+    mu, g = random_data(grid, 1)
+    return grid, coeffs, setup, mu, g
+
+
+def test_engine_widens_after_a_long_solve_to_a_fresh_whole_width_engine_s_bits(monkeypatch):
+    grid, coeffs, setup, mu, g = _long_solve_problem()
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    _, diag = engine.minimize(mu, g, 1e-8)
+    assert diag.solver_iterations > functional._widen_threshold(grid)
+    assert engine._plan.group_nodes == 7
+    gamma = np.clip(coeffs.gamma + 0.1, 0.0, 1.0)
+    engine.update_gamma(gamma)
+    # one group over every interior node, its factor stored once
+    assert engine._plan.bounds.size == 2
+    assert engine._block_factor.shape == (4 * (grid.nx - 2) + 3, engine._n_unknowns)
+    assert engine._block_factor_upper is None
+    y, diag = engine.minimize(mu, g, 1e-8)
+    assert diag.solver_iterations <= 5
+
+    monkeypatch.setattr(functional, "_GROUP_NODES", grid.nx - 2)
+    fresh = CarlemanLeastSquares(coeffs.with_gamma(gamma), setup, grid)
+    assert np.array_equal(engine.operator.data, fresh.operator.data)
+    assert np.array_equal(engine._block_factor, fresh._block_factor)
+    want, want_diag = fresh.minimize(mu, g, 1e-8)
+    assert np.array_equal(y.values, want.values) and diag == want_diag
+    # the engine keeps its width after a short solve
+    engine.update_gamma(coeffs.gamma)
+    assert engine._plan.bounds.size == 2
+
+
+@pytest.mark.parametrize("nx, nt, threshold", [
+    (21, 41, 64), (51, 101, 64), (51, 201, 64), (71, 101, 127),
+    # one seven-node group is already whole
+    (9, 17, None),
+    # whole-width bands of 3.9e6, 7.9e6 and 6.4e7 values, above the cap
+    (101, 101, None), (101, 201, None), (201, 401, None)])
+def test_widening_threshold_grows_with_the_band_and_stops_at_the_cap(nx, nt, threshold):
+    assert functional._widen_threshold(build_grid(0.0, 1.0, nx, 1.25, nt)) == threshold
+
+
+def test_engine_over_the_band_cap_keeps_seven_node_groups(monkeypatch):
+    grid, coeffs, setup, mu, g = _long_solve_problem()
+    whole = (4 * (grid.nx - 2) + 3) * (grid.nt - 1) * (grid.nx - 2)
+    monkeypatch.setattr(functional, "_WIDE_BAND_VALUES", whole - 1)
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    _, diag = engine.minimize(mu, g, 1e-8)
+    assert diag.solver_iterations > 64
+    gamma = np.clip(coeffs.gamma + 0.1, 0.0, 1.0)
+    engine.update_gamma(gamma)
+    assert engine._plan.group_nodes == 7 and engine._block_factor_upper is not None
+    fresh = CarlemanLeastSquares(coeffs.with_gamma(gamma), setup, grid)
+    assert np.array_equal(engine._block_factor, fresh._block_factor)
+    assert np.array_equal(engine._block_factor_upper, fresh._block_factor_upper)
+
+
+def test_one_group_engine_keeps_both_factor_storages():
+    # seven interior nodes: the seven-node plan is one group, not a widened one
+    grid, coeffs, setup = make_problem(9, 17, s=0.5)
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    assert engine._plan.bounds.size == 2 and engine._block_factor_upper is not None
+
+
+def test_lapack_routine_refuses_another_signature():
+    argtypes = (ctypes.c_char_p, functional._INT, functional._INT, ctypes.c_void_p,
+                functional._INT, functional._INT)
+    functional._lapack_routine("dpbtf2", "void (char *, int *, int *, d *, int *, int *)",
+                               *argtypes)
+    with pytest.raises(ImportError, match="dpbtf2"):
+        functional._lapack_routine("dpbtf2", "void (char *, long *, long *, d *, long *, long *)",
+                                   *argtypes)
+    with pytest.raises(ImportError, match="dgesv"):
+        functional._lapack_routine("dgesv", "void (char *, int *, int *, d *, int *, int *)",
+                                   *argtypes)
+
+
+def test_memoized_engine_stays_at_seven_node_groups_after_a_long_solve():
+    grid, coeffs, setup, mu, g = _long_solve_problem()
+    functional._shared_engine.cache_clear()
+    first, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8)
+    assert diag.solver_iterations > functional._widen_threshold(grid)
+    again, again_diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8)
+    engine = functional._engine(coeffs, setup, grid)
+    assert functional._shared_engine.cache_info().misses == 1
+    assert engine._plan.group_nodes == 7 and engine._plan.bounds.size > 2
+    assert np.array_equal(again.values, first.values) and again_diag == diag
+
+
+def test_whole_width_preconditioner_inverts_the_shifted_normal_matrix(monkeypatch):
+    # one group: R^T R is all of M^T M with its diagonal scaled by 1 + shift,
+    # R^-1 the transposed solve with the one stored L.  That matrix is too
+    # ill-conditioned for a forward error near rounding, so the solve is held
+    # to a small residual.
+    grid, coeffs, setup = make_problem(21, 41, s=1.0)
+    monkeypatch.setattr(functional, "_GROUP_NODES", grid.nx - 2)
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    assert engine._block_factor_upper is None
+    mat = (engine.operator.T @ engine.operator).tocsr()
+    plan = engine._plan
+    rng = np.random.default_rng(37)
+    v = rng.normal(size=engine._n_unknowns)
+    shifted = mat + sp.diags(_BLOCK_SHIFT * mat.diagonal())
+    image = shifted @ v
+    solved = engine._right_solve(engine._right_solve(image[plan.group_order], "N"),
+                                 "T")[plan.position]
+    assert (np.linalg.norm(shifted @ solved - image)
+            <= 1e-12 * np.linalg.norm(image))
+    u, w = rng.normal(size=(2, engine._n_unknowns))
+    left, right = engine._right_solve(u, "T") @ w, u @ engine._right_solve(w, "N")
+    assert abs(left - right) <= 1e-12 * abs(right)

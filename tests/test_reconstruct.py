@@ -15,6 +15,7 @@ from mgt_inverse.functional import CarlemanLeastSquares, MinimizationError
 from mgt_inverse.grid import build_grid, time_difference, trapezoid_weights
 from mgt_inverse.observation import build_mu, extract_observation
 from mgt_inverse.reconstruct import (IterateRecord, ReconstructionConfig,
+                                     _resample,
                                      ReconstructionError, contraction_ratios,
                                      project_to_box,
                                      reconstruction_step, run_reconstruction,
@@ -370,6 +371,36 @@ def test_missing_side_and_data_requirements():
         reconstruction_step(gamma, [], config, engine)
     with pytest.raises(ValueError, match="gamma_true"):
         run_reconstruction(config)
+
+
+@pytest.mark.parametrize("nx", [5, 6, 11, 51, 201])
+@pytest.mark.parametrize("factor", [2, 3, 4])
+def test_resampling_gives_scipy_s_not_a_knot_spline_bit_for_bit(nx, factor):
+    from scipy.interpolate import CubicSpline
+    grid = build_grid(0.0, 1.0, nx, 1.25, 11)
+    fine = grid.refined(factor).x
+    rng = np.random.default_rng(nx * factor)
+    for values in (np.full(nx, 0.7), canonical_gamma(grid), rng.normal(size=nx)):
+        assert np.array_equal(_resample(values, grid.x, fine),
+                              CubicSpline(grid.x, values)(fine))
+
+
+def test_criterion_5_run_at_s_2_keeps_the_seven_node_groups(monkeypatch):
+    # every solve stays far below the widening threshold
+    config = make_config(51, 101, s=2.0, lam=1.0, max_iterations=10, stop_tol=1e-6,
+                         data_refinement=2, solver_tol=1e-6, solver_cap=300000)
+    widths = []
+    group = CarlemanLeastSquares._group
+
+    def recorded(engine, group_nodes):
+        widths.append(group_nodes)
+        group(engine, group_nodes)
+
+    monkeypatch.setattr(CarlemanLeastSquares, "_group", recorded)
+    report = run_reconstruction(config, canonical_gamma(config.grid))
+    assert [record.diagnostics.solver_iterations for record in report.history[1:]] == [
+        1, 1, 1, 1, 3, 2, 2, 2, 2, 2]
+    assert widths == [7]
 
 
 def test_scale_sweep_shares_data_and_reports_means():

@@ -45,6 +45,28 @@ def test_coefficients_validation():
     assert np.allclose(co.alpha, 0.25 + 1.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("c", np.nan, "wave speed c"), ("c", np.inf, "wave speed c"),
+    ("c", -np.inf, "wave speed c"),
+    ("b", np.nan, "b must be"), ("b", np.inf, "b must be"),
+    ("box_bound", np.nan, "box bound"), ("box_bound", np.inf, "box bound"),
+    ("gamma", np.nan, "gamma must be finite"), ("gamma", np.inf, "gamma must be finite"),
+])
+def test_non_finite_coefficients_are_refused_by_name(field, value, message):
+    # NaN passed the old checks (b <= 0, c == 0, box_bound <= 0 and the box
+    # test on gamma), and so did an infinite b or box bound
+    fields = {"c": 1.0, "b": 1.0, "gamma": np.full(5, 0.5), "box_bound": 1.0}
+    if field == "gamma":
+        fields["gamma"][2] = value
+    else:
+        fields[field] = value
+    with pytest.raises(ValueError, match=message):
+        MGTCoefficients(**fields)
+    # a negative finite c stays a wave speed
+    assert np.array_equal(MGTCoefficients(-2.0, 4.0, np.full(5, 0.25), 1.0).alpha,
+                          np.full(5, 1.25))
+
+
 def test_initial_data_validation():
     g = canonical_grid()
     with pytest.raises(ValueError):
