@@ -28,19 +28,23 @@ iterations per solve.  So when a solve has taken more LSMR iterations than
 one group over every interior node, and the engine keeps that width.  That
 one block is all of M^T M, whose factor is exact up to the shift (kd = 198 at
 51x101), and the solves after it take a handful of iterations.  The
-threshold is 64 at 51 nodes, near the measured break-even of 57-70 seven-node
-iterations per whole-width assembly, and grows with kd^2, the cost of the
-factor; a grid whose whole-width band would pass 2^21 values (16 MiB: 51x201
-fits, 101x101 does not) never widens.  The rule counts iterations, never time, so a
-run's reports do not depend on the machine.
+threshold is 64 at 51 nodes, set at the break-even of 57-70 seven-node
+iterations per whole-width assembly measured with the unblocked factor; with
+the pinned blocked one (below) it is 17-26, so the rule now widens later
+than break-even.  It grows with kd^2, the cost of the factor; a grid whose
+whole-width band would pass 2^21 values (16 MiB: 51x201 fits, 101x101 does
+not) never widens.  The rule counts iterations, never time, so a run's
+reports do not depend on the machine.
 
-Every band is factored by LAPACK's unblocked ``dpbtf2``, reached through
-SciPy's Cython LAPACK table and ctypes.  ``dpbtrf`` calls it for kd <= 31,
-so the seven-node factor is unchanged; at whole width ``dpbtrf`` runs a
-blocked update on the BLAS threads, and its factor differed between one and
-two OpenBLAS threads.  At 51x101 ``dpbtf2`` takes 26 ms on that band, and
-``dpbtrf`` 15 ms on two threads; an engine widens at most once and then
-refactors once per outer step.
+Every band is factored by LAPACK's ``dpbtrf`` with SciPy's OpenBLAS pinned
+to one thread by ``openblas_set_num_threads_local``, and the previous setting
+restored.  For kd <= 31 ``dpbtrf`` runs the unblocked ``dpbtf2``, so the
+seven-node factor is that routine's.  At whole width it runs a blocked
+update, whose factor differed between one and two OpenBLAS threads when left
+to the BLAS threads; pinned, it is the same under any thread count.  On the
+whole-width band at 51x101 (2-core Xeon) pinned ``dpbtrf`` takes 7-11 ms,
+against 11-13 ms on two threads unpinned and 20-23 ms for ``dpbtf2``; an
+engine widens at most once and then refactors once per outer step.
 
 Each LSMR iteration costs one product with M, one with M^T and the two
 triangular solves, so the engine keeps each in the form LAPACK and the sparse
@@ -54,9 +58,9 @@ beside M, whose CSC view multiplies at about half the speed.  M's columns and
 M^T's rows are permuted once into group order, and LSMR runs in that order
 throughout, so no vector is reordered inside the loop; y goes back to
 time-major order once per solve.  LSMR is the engine's own loop: its norms
-are elementwise sums, not BLAS dot products, and neither the triangular
-solves nor the unblocked factorization split a sum across BLAS threads, so
-its iterates do not depend on the BLAS thread count.
+are elementwise sums, not BLAS dot products, the triangular solves split no
+sum across BLAS threads, and the factorization runs on one, so its iterates
+do not depend on the BLAS thread count.
 
 The work that M's pattern alone fixes is done once per (grid, c, b, observed
 sides, group width) and cached read-only, shared by every engine and every
@@ -110,14 +114,13 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg import _flapack
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .carleman import CarlemanSetup, admissible_geometry, normalized_weight_table
 from .grid import (SpaceTimeGrid, boundary_normal_derivative, laplacian_matrix,
@@ -143,7 +146,8 @@ _BLOCK_SHIFT = 1e-10
 # After a solve of more LSMR iterations than _widen_threshold(grid),
 # ``update_gamma`` regroups the engine into one group over every interior
 # node.  64 is the threshold at 51 nodes (kd = 198), where a whole-width
-# assembly cost 57-70 seven-node iterations (51x101, 51x201).
+# assembly cost 57-70 seven-node iterations (51x101, 51x201) when ``dpbtf2``
+# factored it; see _widen_threshold for the cost with ``dpbtrf``.
 _WIDEN_ITERATIONS = 64
 _WIDEN_KD = 198
 
@@ -161,10 +165,14 @@ def _widen_threshold(grid: SpaceTimeGrid) -> Optional[int]:
     keeps seven-node groups.  The threshold scales with kd^2, the cost of
     factoring the band, from 64 at kd = 198, and never falls below 64.
     Measured on a 2-core Xeon, the break-even (the extra time of a
-    whole-width assembly over one seven-node iteration) was 36 at 31x61, 37
-    at 41x81, 57 at 51x101, 70 at 51x201, 64 at 71x101 (rule 127), and 150
-    at 101x101 and 135 at 101x201 (rule 259, both above the cap), so the rule
-    widens late rather than early.
+    whole-width ``update_gamma`` over a seven-node one, in seven-node LSMR
+    iterations) was, with the unblocked ``dpbtf2``, 36 at 31x61, 37 at
+    41x81, 57 at 51x101, 70 at 51x201, 64 at 71x101 (rule 127), and 150 at
+    101x101 and 135 at 101x201 (rule 259, both above the cap).  With
+    ``dpbtrf`` on one thread it is 9-10 at 31x61, 13-17 at 41x81, 17-19 at
+    51x101, 26 at 51x201 and 40-41 at 71x101 (the unblocked factor, measured
+    alongside: 27, 41-42, 55-65, 60-63 and 66-92), so the rule widens late
+    rather than early.
     """
     nodes = grid.nx - 2
     kd = _band_kd(nodes)
@@ -178,44 +186,39 @@ def _widen_threshold(grid: SpaceTimeGrid) -> Optional[int]:
 _BOTH_STORAGES_KD = _TIME_BANDWIDTH * _GROUP_NODES + 2
 
 
-def _lapack_routine(name: str, signature: str, *argtypes):
-    """A routine of SciPy's LAPACK, from its Cython capsule, through ctypes.
-
-    The capsule's name is the routine's C signature, with SciPy's double
-    typedef written ``d``; it must equal ``signature``, so that a LAPACK
-    with other integer types (ILP64) raises ImportError instead of being
-    called with the wrong arguments."""
-    capsule = cython_lapack.__pyx_capi__[name]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    capsule_name = get_name(capsule)
-    found = re.sub(r"__pyx_t_\w*cython_lapack_d\b", "d", capsule_name.decode())
-    if found != signature:
-        raise ImportError(f"SciPy's LAPACK {name} has the signature {found!r}, "
-                          f"not {signature!r}")
-    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, capsule_name))
+def _blas_thread_setter(library: str):
+    """OpenBLAS's ``openblas_set_num_threads_local``, found in ``library`` or
+    the libraries it links; ImportError if none exports it."""
+    try:
+        setter = ctypes.CDLL(library).openblas_set_num_threads_local
+    except AttributeError:
+        raise ImportError(f"{library} links no OpenBLAS exporting "
+                          "openblas_set_num_threads_local") from None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
 
 
-_INT = ctypes.POINTER(ctypes.c_int)
-_dpbtf2 = _lapack_routine("dpbtf2", "void (char *, int *, int *, d *, int *, int *)",
-                          ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT, _INT)
+# looked up through the extension that holds dpbtrf, so it sets SciPy's
+# OpenBLAS, not the separate ILP64 one numpy loads.  In SciPy's OpenBLAS
+# 0.3.30 the setting, despite its name, is seen by every thread.
+_set_blas_threads = _blas_thread_setter(_flapack.__file__)
 
 
 def _band_cholesky(band: np.ndarray) -> int:
-    """Factor a Fortran-ordered lower band in place by LAPACK's unblocked
-    ``dpbtf2``; returns its info.  ``dpbtrf`` runs the same routine up to
-    kd = 31, but above it runs a blocked update on the BLAS threads, whose
-    factor differed between one and two OpenBLAS threads at whole width
-    (kd = 198)."""
+    """Factor a Fortran-ordered lower band in place by LAPACK's ``dpbtrf`` on
+    one OpenBLAS thread; returns its info.  Up to kd = 31 ``dpbtrf`` runs the
+    unblocked ``dpbtf2``; above it, its blocked update run on two OpenBLAS
+    threads gave another factor than on one (whole width, kd = 198), and on
+    one thread it is the same factor under every ``OPENBLAS_NUM_THREADS``.
+    The previous thread setting is restored, whatever the outcome."""
+    # SciPy would factor any other array in a copy, leaving ``band`` as it was
     if band.ndim != 2 or band.dtype != np.float64 or not band.flags.f_contiguous:
         raise ValueError("the band must be a Fortran-ordered 2-D float64 array")
-    rows, n = band.shape
-    info = ctypes.c_int(0)
-    _dpbtf2(b"L", ctypes.byref(ctypes.c_int(n)), ctypes.byref(ctypes.c_int(rows - 1)),
-            band.ctypes.data, ctypes.byref(ctypes.c_int(rows)), ctypes.byref(info))
-    return info.value
+    previous = _set_blas_threads(1)
+    try:
+        return dpbtrf(band, lower=1, overwrite_ab=1)[1]
+    finally:
+        _set_blas_threads(previous)
 
 
 class MinimizationError(RuntimeError):

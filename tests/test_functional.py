@@ -1,4 +1,5 @@
 import ctypes
+import ctypes.util
 import dataclasses
 import functools
 import os
@@ -866,24 +867,28 @@ print(hashlib.sha256(y.values.tobytes()).hexdigest(), diag.solver_iterations)
 
 
 def _outputs_under_one_and_two_blas_threads(script):
+    """The script's stdout under OPENBLAS_NUM_THREADS 1 and 2, then with no
+    thread variable set, where OpenBLAS takes the machine's core count."""
     src = os.path.dirname(os.path.dirname(mgt_inverse.__file__))
+    unset = {name: value for name, value in os.environ.items()
+             if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     return [subprocess.run([sys.executable, "-c", script], capture_output=True,
                            text=True, check=True, timeout=120,
-                           env={**os.environ, "PYTHONPATH": src,
-                                "OPENBLAS_NUM_THREADS": threads}).stdout
-            for threads in ("1", "2")]
+                           env={**unset, "PYTHONPATH": src, **threads}).stdout
+            for threads in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {})]
 
 
 def test_minimizer_does_not_depend_on_the_blas_thread_count():
     outputs = _outputs_under_one_and_two_blas_threads(_THREADED_SOLVE)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 # criterion 5's datum at s = 1, four outer iterations: the third solve takes
 # more than the widening threshold, so the fourth runs on one group over all
-# 49 interior nodes (kd = 198).  LAPACK's blocked dpbtrf factored that band
-# differently under one and two OpenBLAS threads; at 31x61 (kd = 118) it did
-# not run its blocked update on threads, so a smaller grid would not tell.
+# 49 interior nodes (kd = 198).  LAPACK's blocked dpbtrf, left to the BLAS
+# threads, factored that band differently under one and two OpenBLAS threads;
+# the engine runs it pinned to one.  At 31x61 (kd = 118) dpbtrf did not run
+# its blocked update on threads, so a smaller grid would not tell.
 _WIDENED_RUN = """
 import hashlib
 import numpy as np
@@ -905,12 +910,51 @@ print(hashlib.sha256(gammas.tobytes()).hexdigest(),
 
 def test_widened_reconstruction_does_not_depend_on_the_blas_thread_count():
     outputs = _outputs_under_one_and_two_blas_threads(_WIDENED_RUN)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     iterations = [int(word) for word in outputs[0].split()[1:]]
     assert len(iterations) == 4
     threshold = functional._widen_threshold(build_grid(0.0, 1.0, 51, 1.25, 101))
     assert max(iterations[:2]) <= threshold < iterations[2]
     assert iterations[3] <= 10
+
+
+# The same run to its first whole-width factor: the band (kd = 198) as the
+# engine factors it, and LAPACK's dpbtrf of a copy, called with no pin.
+_WIDE_FACTOR = """
+import hashlib
+import numpy as np
+from scipy.linalg.lapack import dpbtrf
+from mgt_inverse import functional
+from mgt_inverse.carleman import CarlemanGeometry, CarlemanScales, CarlemanSetup
+from mgt_inverse.grid import build_grid
+from mgt_inverse.reconstruct import ReconstructionConfig, run_reconstruction
+from mgt_inverse.solver import InitialData
+factors = []
+def factor(band):
+    if not factors and band.shape[0] == 199:
+        copy = band.copy(order="F")
+        info = engine_factor(band)
+        factors.extend([band.copy(), dpbtrf(copy, lower=1)[0]])
+        return info
+    return engine_factor(band)
+engine_factor, functional._band_cholesky = functional._band_cholesky, factor
+grid = build_grid(0.0, 1.0, 51, 1.25, 101)
+init = InitialData(np.zeros(51), np.zeros(51), np.ones(51), eta=1.0)
+setup = CarlemanSetup(CarlemanGeometry(-0.1, 0.9, 2.5), CarlemanScales(1.0, 1.0))
+config = ReconstructionConfig(grid, 1.0, 1.0, 1.0, init, setup, max_iterations=4,
+                              data_refinement=2, solver_tol=1e-6)
+run_reconstruction(config, 0.4 + 0.3 * np.sin(np.pi * grid.x))
+print(*[hashlib.sha256(f.tobytes()).hexdigest() for f in factors])
+"""
+
+
+def test_whole_width_factor_does_not_depend_on_the_blas_thread_count():
+    outputs = [output.split() for output in
+               _outputs_under_one_and_two_blas_threads(_WIDE_FACTOR)]
+    assert all(len(output) == 2 for output in outputs)
+    # the engine's factor under 1, 2 and the machine's threads; unpinned
+    # dpbtrf on one thread gives the same bits
+    assert outputs[0][0] == outputs[1][0] == outputs[2][0] == outputs[0][1]
 
 
 def _long_solve_problem():
@@ -979,17 +1023,39 @@ def test_one_group_engine_keeps_both_factor_storages():
     assert engine._plan.bounds.size == 2 and engine._block_factor_upper is not None
 
 
-def test_lapack_routine_refuses_another_signature():
-    argtypes = (ctypes.c_char_p, functional._INT, functional._INT, ctypes.c_void_p,
-                functional._INT, functional._INT)
-    functional._lapack_routine("dpbtf2", "void (char *, int *, int *, d *, int *, int *)",
-                               *argtypes)
-    with pytest.raises(ImportError, match="dpbtf2"):
-        functional._lapack_routine("dpbtf2", "void (char *, long *, long *, d *, long *, long *)",
-                                   *argtypes)
-    with pytest.raises(ImportError, match="dgesv"):
-        functional._lapack_routine("dgesv", "void (char *, int *, int *, d *, int *, int *)",
-                                   *argtypes)
+def test_thread_setter_lookup_refuses_a_library_without_it():
+    with pytest.raises(ImportError, match="openblas_set_num_threads_local"):
+        functional._blas_thread_setter(ctypes.util.find_library("c"))
+
+
+def _small_band(first_diagonal=4.0):
+    """A lower band with kd = 3, diagonally dominant unless its first
+    diagonal entry is made negative."""
+    band = np.zeros((4, 12), order="F")
+    band[0], band[1:] = 4.0, -0.5
+    band[0, 0] = first_diagonal
+    return band
+
+
+@pytest.mark.parametrize("band, outcome", [
+    (_small_band(), 0),
+    # dpbtrf stops at column 1
+    (_small_band(-4.0), 1),
+    (np.ascontiguousarray(_small_band()), ValueError)])
+def test_band_cholesky_restores_the_blas_thread_setting(band, outcome):
+    # 3 is neither the pin's 1 nor a 2-core machine's default
+    previous = functional._set_blas_threads(3)
+    try:
+        if outcome is ValueError:
+            with pytest.raises(ValueError, match="Fortran-ordered"):
+                functional._band_cholesky(band)
+        else:
+            want, want_info = dpbtrf(band, lower=1)
+            assert functional._band_cholesky(band) == want_info == outcome
+            if outcome == 0:
+                assert np.array_equal(band, want)
+    finally:
+        assert functional._set_blas_threads(previous) == 3
 
 
 def test_memoized_engine_stays_at_seven_node_groups_after_a_long_solve():
