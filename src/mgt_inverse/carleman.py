@@ -246,18 +246,27 @@ def _estimate_terms(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGe
                           c4 * y ** 2 + yt ** 2, ly ** 2, tuple(fluxes))
 
 
-def _estimate_sides(terms: _EstimateTerms, weight: np.ndarray, scales: CarlemanScales,
+def _phi_growth(geometry: CarlemanGeometry, lam: float, grid: SpaceTimeGrid):
+    """e^(lambda phi) on the grid and its cube, the factors of the estimate's
+    gradient and value terms.  They depend on lambda and the geometry alone,
+    so one pair serves every field and every s."""
+    phil = np.exp(lam * phi(grid.x[None, :], grid.t[:, None], geometry))
+    return phil, phil ** 3
+
+
+def _estimate_sides(terms: _EstimateTerms, weight: np.ndarray, growth, scales: CarlemanScales,
                     grid: SpaceTimeGrid) -> CarlemanEvaluation:
     """Weighted quadrature of both sides at one scale pair; ``weight`` is its
-    weight table up to a positive factor, which cancels in the ratio."""
+    weight table up to a positive factor, which cancels in the ratio, and
+    ``growth`` is ``_phi_growth`` at its lambda."""
     lam, s = scales.lam, scales.s
-    phil = np.exp(lam * phi(grid.x[None, :], grid.t[:, None], terms.geometry))
+    phil, phil3 = growth
     qx = trapezoid_weights(grid.nx, grid.h)
     qt = trapezoid_weights(grid.nt, grid.dt)
 
     lhs = (np.sqrt(s) * float(qx @ (weight[0] * terms.acceleration))
            + s * lam * float(qt @ ((weight * phil * terms.gradients) @ qx))
-           + s ** 3 * lam ** 3 * float(qt @ ((weight * phil ** 3 * terms.values) @ qx)))
+           + s ** 3 * lam ** 3 * float(qt @ ((weight * phil3 * terms.values) @ qx)))
     rhs_interior = float(qt @ ((weight * terms.residual) @ interior_weights(grid.nx, grid.h)))
     rhs_boundary = sum(s * lam * float(qt @ (weight[:, col] * flux))
                        for col, flux in terms.fluxes)
@@ -285,4 +294,5 @@ def carleman_lhs_rhs(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanG
     """
     terms = _estimate_terms(y, coeffs, geometry, grid)
     weight = normalized_weight_table(grid, terms.geometry, scales)
-    return _estimate_sides(terms, weight, scales, grid)
+    return _estimate_sides(terms, weight, _phi_growth(terms.geometry, scales.lam, grid),
+                           scales, grid)

@@ -20,12 +20,13 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .carleman import (CarlemanGeometry, CarlemanScales, _estimate_sides,
-                       _estimate_terms, admissible_geometry, normalized_weight_table,
-                       weight_statistics)
+                       _estimate_terms, _phi_growth, admissible_geometry,
+                       normalized_weight_table, weight_statistics)
 from .grid import (SpaceTimeGrid, build_grid, sine_sum, time_difference,
                    trapezoid_weights)
 from .observation import extract_observation
-from .solver import InitialData, MGTCoefficients, solve_forward
+from .solver import (ForwardSolveError, InitialData, MGTCoefficients, forward_traces,
+                     solve_forward)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +113,19 @@ class StabilityReport:
     c_empirical: float
 
 
-def _trace_h2_mismatch_sq(traj_a, traj_b, sides, grid: SpaceTimeGrid) -> float:
+# members per forward_traces call: ten pairs, so a campaign's memory does not
+# grow with its pair count.  Twenty members at 201x401 took 77 ms in one
+# batch, 93 ms in batches of 10 and 122 ms in batches of 6 (2-core Xeon).
+STABILITY_BATCH = 20
+
+
+def _trace_h2_mismatch_sq(traces_a: np.ndarray, traces_b: np.ndarray,
+                          grid: SpaceTimeGrid) -> float:
+    """Squared H2(0, T) mismatch of two members' traces, one row per observed
+    side, summed over the sides."""
     qt = trapezoid_weights(grid.nt, grid.dt)
     total = 0.0
-    for side in sides:
-        d = (extract_observation(traj_a, side).samples
-             - extract_observation(traj_b, side).samples)
+    for d in traces_a - traces_b:
         d1 = time_difference(d, grid.dt, 1)
         d2 = time_difference(d, grid.dt, 2)
         total += float(qt @ (d ** 2 + d1 ** 2 + d2 ** 2))
@@ -137,31 +145,50 @@ def stability_two_sided(gamma_pairs, init: InitialData, grid: SpaceTimeGrid,
     from the aggregate.  The aggregate c_empirical covers both inequality
     directions: max(largest quotient, 1 / smallest quotient).
 
+    Every pair is validated before any solve.  The solves run through
+    :func:`forward_traces`, STABILITY_BATCH members at a time, which keeps
+    the traces alone.  Those are solve_forward's numbers bit for bit, and
+    the first member of each campaign is also solved by solve_forward to
+    check it: a mismatch raises ForwardSolveError instead of reporting other
+    numbers.
+
     Keep the window below one transit of the fast front: a nonzero initial
     acceleration at a Dirichlet endpoint launches a front moving at speed
     sqrt(b), and once it crosses the domain and reaches the observed side the
     second time-difference of the trace acquires a non-integrable signature,
     so the quotient grows without bound under refinement instead of settling.
     """
+    pairs = []
+    for k, (gamma_a, gamma_b) in enumerate(gamma_pairs):
+        try:
+            pairs.append((MGTCoefficients(c, b, np.asarray(gamma_a, dtype=float), box_bound),
+                          MGTCoefficients(c, b, np.asarray(gamma_b, dtype=float), box_bound)))
+        except ValueError as exc:
+            raise ValueError(f"pair {k}: {exc}") from exc
+    if pairs:
+        full = solve_forward(pairs[0][0], init, None, grid)
+        check = np.array([extract_observation(full, side).samples for side in sides])
+        del full
+
     qx = trapezoid_weights(grid.nx, grid.h)
     records = []
     quotients = []
-    for k, (gamma_a, gamma_b) in enumerate(gamma_pairs):
-        try:
-            ca = MGTCoefficients(c, b, np.asarray(gamma_a, dtype=float), box_bound)
-            cb = MGTCoefficients(c, b, np.asarray(gamma_b, dtype=float), box_bound)
-        except ValueError as exc:
-            raise ValueError(f"pair {k}: {exc}") from exc
-        traj_a = solve_forward(ca, init, None, grid)
-        traj_b = solve_forward(cb, init, None, grid)
-        coeff_sq = float(qx @ (ca.gamma - cb.gamma) ** 2)
-        trace_sq = _trace_h2_mismatch_sq(traj_a, traj_b, sides, grid)
-        if coeff_sq > 0.0:
-            quotient = trace_sq / coeff_sq
-            quotients.append(quotient)
-        else:
-            quotient = math.nan
-        records.append(PairStability(coeff_sq, trace_sq, quotient))
+    per_batch = STABILITY_BATCH // 2
+    for start in range(0, len(pairs), per_batch):
+        batch = pairs[start:start + per_batch]
+        traces = forward_traces(c, b, box_bound, [co.gamma for pair in batch for co in pair],
+                                init, grid, sides)
+        if start == 0 and not np.array_equal(traces[0], check):
+            raise ForwardSolveError("batched traces of pair 0 differ from solve_forward's")
+        for (ca, cb), traces_a, traces_b in zip(batch, traces[0::2], traces[1::2]):
+            coeff_sq = float(qx @ (ca.gamma - cb.gamma) ** 2)
+            trace_sq = _trace_h2_mismatch_sq(traces_a, traces_b, grid)
+            if coeff_sq > 0.0:
+                quotient = trace_sq / coeff_sq
+                quotients.append(quotient)
+            else:
+                quotient = math.nan
+            records.append(PairStability(coeff_sq, trace_sq, quotient))
     if quotients:
         ratio_min = min(quotients)
         ratio_max = max(quotients)
@@ -198,10 +225,10 @@ def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
     The same ``sample_count`` fields (drawn once from ``seed``) are evaluated
     at every scale pair, so entries are comparable across scales; rerunning
     with the same seed on a refined grid evaluates the same underlying
-    functions.  Each field's stencils are evaluated once and each scale
-    pair's weight table is built once, then combined as ``carleman_lhs_rhs``
-    does for one pair; the weight range of each scale pair is guarded before
-    any exponentiation.
+    functions.  Each field's stencils are evaluated once, each scale pair's
+    weight table is built once and e^(lambda phi) with its cube once per
+    lambda, then combined as ``carleman_lhs_rhs`` does for one pair; the
+    weight range of each scale pair is guarded before any exponentiation.
     """
     if sample_count < 0:
         raise ValueError("sample_count must be nonnegative")
@@ -212,11 +239,12 @@ def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
     scales_list = list(scales_list)
     geometry = admissible_geometry(geometry, grid)
     weights = [normalized_weight_table(grid, geometry, scales) for scales in scales_list]
+    growth = {lam: _phi_growth(geometry, lam, grid) for lam in {sc.lam for sc in scales_list}}
     evals = [[] for _ in scales_list]
     for sample in samples:
         terms = _estimate_terms(sample.values(grid), coeffs, geometry, grid)
         for scales, weight, row in zip(scales_list, weights, evals):
-            row.append(_estimate_sides(terms, weight, scales, grid))
+            row.append(_estimate_sides(terms, weight, growth[scales.lam], scales, grid))
     entries = []
     for scales, row in zip(scales_list, evals):
         ratios = tuple(ev.ratio for ev in row)

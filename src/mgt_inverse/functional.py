@@ -705,8 +705,10 @@ class CarlemanLeastSquares:
             store = None if whole else np.zeros((kd + 1) * (n + kd))
         else:
             band.fill(0.0)
-        band.ravel(order="F")[plan.slots] = _band_values(pieces, plan, coeffs.alpha[1:-1])
-        if not np.all(np.isfinite(band)) or np.any(band[0] <= 0):
+        values = _band_values(pieces, plan, coeffs.alpha[1:-1])
+        band.ravel(order="F")[plan.slots] = values
+        # every other band entry is a zero just written
+        if not np.all(np.isfinite(values)) or np.any(band[0] <= 0):
             raise MinimizationError(
                 "normal matrix has non-finite or non-positive diagonal entries; "
                 "the weight range is too extreme for this grid")

@@ -109,11 +109,22 @@ def boundary_normal_derivative(field: np.ndarray, grid: SpaceTimeGrid,
     if field.ndim not in (1, 2) or field.shape[-1] != grid.nx:
         raise ValueError(f"field has shape {field.shape}, expected ({grid.nx},) "
                          f"or (nt, {grid.nx})")
-    h = grid.h
+    return edge_normal_derivative(field, grid.h, side)
+
+
+# the nodes the one-sided stencils read: three at the left end, three at the right
+EDGE_NODES = (0, 1, 2, -3, -2, -1)
+
+
+def edge_normal_derivative(edge: np.ndarray, h: float, side: str) -> float | np.ndarray:
+    """The stencil of :func:`boundary_normal_derivative` along the last axis
+    of ``edge``, which is a whole field or only its ``EDGE_NODES`` columns:
+    either way the left stencil reads entries 0, 1, 2 and the right one
+    entries -1, -2, -3, so both give the same numbers."""
     if side == "right":
-        return (3.0 * field[..., -1] - 4.0 * field[..., -2] + field[..., -3]) / (2.0 * h)
+        return (3.0 * edge[..., -1] - 4.0 * edge[..., -2] + edge[..., -3]) / (2.0 * h)
     if side == "left":
-        return (3.0 * field[..., 0] - 4.0 * field[..., 1] + field[..., 2]) / (2.0 * h)
+        return (3.0 * edge[..., 0] - 4.0 * edge[..., 1] + edge[..., 2]) / (2.0 * h)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 

@@ -14,19 +14,38 @@ a front from each corner of the space-time domain along which u_tt jumps.  The
 front is narrower than a grid cell at the first time levels, so the solver
 splits off a closed-form corner part (:func:`corner_part`) and time-steps only
 the remainder.
+
+One stepping loop (``_march``) advances a batch of k members that share c, b,
+the box bound, the initial data and the grid, each with its own gamma.
+:func:`solve_forward` runs it with k = 1 and keeps every level;
+:func:`forward_traces` runs many members at once and keeps only the current
+and the next level and the columns that trace extraction reads.  A step of
+one member is about a dozen NumPy calls on arrays of nx values, whose call
+overhead outweighs their arithmetic at these sizes, so the elementwise
+updates act on (k, nx) arrays and pay it once per batch.  Each member keeps
+its own ``dgttrf`` factor and its own ``dgttrs`` solve per level: the
+members' matrices differ in alpha, and in one stacked block-diagonal system
+a member that turned non-finite would spread NaN into the others through
+the shared elimination.  The Laplacian of all members is one ``np.convolve`` over the
+flattened (k, nx) array z = 2 c^2 u + (c^2 dt + 2 b) u_t + kappa P u_tt,
+whose boundary entries are zero: each interior output is the same
+three-term product of the member's own three nodes as when its row is
+convolved alone, so the result is the same bits, and the outputs that
+straddle two members fall on boundary nodes, which are discarded.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .grid import (SpaceTimeGrid, apply_laplacian, boundary_normal_derivative,
-                   discrete_norms, trapezoid_weights)
+from .grid import (EDGE_NODES, SpaceTimeGrid, apply_laplacian, boundary_normal_derivative,
+                   discrete_norms, edge_normal_derivative, trapezoid_weights)
 
 
 class ForwardSolveError(RuntimeError):
@@ -291,6 +310,98 @@ def corner_part(c: float, b: float, reference: float, left: float, right: float,
     return CornerPart(reference, profile, u, ut, utt, source, average, correction)
 
 
+def _check_shapes(coeffs: MGTCoefficients, data: InitialData, grid: SpaceTimeGrid) -> None:
+    if coeffs.gamma.shape != (grid.nx,):
+        raise ValueError(f"gamma has shape {coeffs.gamma.shape}, expected ({grid.nx},)")
+    if data.u0.shape != (grid.nx,):
+        raise ValueError(f"initial data has shape {data.u0.shape}, expected ({grid.nx},)")
+
+
+def _corner_split(c: float, b: float, box_bound: float, data: InitialData,
+                  grid: SpaceTimeGrid):
+    """The :func:`corner_part` of ``data`` and the u2 that is time-stepped:
+    (None, u2) when u2 vanishes at the ends, within 1e-9 of its scale (the
+    tolerance InitialData applies to u0 and u1)."""
+    scale = max(np.abs(data.u2).max(initial=0.0), 1.0)
+    if max(abs(data.u2[0]), abs(data.u2[-1])) > 1e-9 * scale:
+        corner = corner_part(c, b, 0.5 * box_bound, float(data.u2[0]), float(data.u2[-1]),
+                             grid)
+        return corner, data.u2 - corner.profile
+    return None, data.u2
+
+
+def _march(c: float, b: float, alphas: np.ndarray, u: np.ndarray, ut: np.ndarray,
+           utt: np.ndarray, sources, grid: SpaceTimeGrid, edges=None) -> None:
+    """Advance the k members of a batch from level 0 to level nt - 1.
+
+    ``alphas`` is (k, nx).  ``u``, ``ut`` and ``utt`` are (L, k, nx) level
+    stores that hold level n in row n % L: L = nt keeps every level, L = 2
+    the current and the next.  Row 0 holds the start, with zero boundary
+    values of u and u_t, which are never written.  ``sources`` yields
+    half (f_n + f_n+1) for each step, broadcastable to (k, nx).  ``edges``,
+    when given, is (nt, k, len(EDGE_NODES)) and receives u's EDGE_NODES
+    columns at every level from 1 on.
+    """
+    # (I + half alpha - half kappa Lap P) w+ = (I - half alpha) w
+    #     + half Lap (2 c^2 u + (c^2 dt + 2 b) v + kappa P w) + half (f_n + f_n+1),
+    # with P the interior projection and Lap the three-point Laplacian with
+    # zero boundary rows
+    nx, nt = grid.nx, grid.nt
+    half = 0.5 * grid.dt
+    c2 = c ** 2
+    kappa = 0.25 * c2 * grid.dt ** 2 + half * b
+    mix = c2 * grid.dt + 2.0 * b
+    lap_scale = half / grid.h ** 2
+    off = np.zeros(nx - 1)
+    off[1:-1] = -kappa * lap_scale
+    factors = []
+    for alpha in alphas:
+        diag = 1.0 + half * alpha
+        diag[1:-1] += 2.0 * kappa * lap_scale
+        dl, d, du, du2, ipiv, info = dgttrf(off, diag, off)
+        if info != 0:
+            raise ForwardSolveError(f"step matrix factorization failed: dgttrf info {info}")
+        factors.append((dl, d, du, du2, ipiv))
+    explicit = 1.0 - half * alphas
+
+    k, levels = len(factors), u.shape[0]
+    ui, vi, wi = u[..., 1:-1], ut[..., 1:-1], utt[..., 1:-1]
+    z = np.zeros((k, nx))                # 2 c^2 u + mix v + kappa P w, member by member
+    zi, flat = z[:, 1:-1], z.reshape(-1)
+    step = np.empty((k, nx - 2))
+    lap = lap_scale * np.array([1.0, -2.0, 1.0])
+    nodes = np.array(EDGE_NODES)
+    u_new, v_new, w_new, w_new_i = ui[0], vi[0], utt[0], wi[0]
+    # a non-finite state propagates to every later level; callers locate it
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in range(nt - 1):
+            u_now, v_now, w_now, w_now_i = u_new, v_new, w_new, w_new_i
+            new = (n + 1) % levels
+            u_new, v_new, w_new, w_new_i = ui[new], vi[new], utt[new], wi[new]
+            np.multiply(2.0 * c2, u_now, out=zi)
+            zi += mix * v_now + kappa * w_now_i
+            np.multiply(explicit, w_now, out=w_new)
+            w_new += next(sources)
+            # z's zero boundary entries part the members in the flat array
+            w_new_i += np.convolve(flat, lap, "same").reshape(k, nx)[:, 1:-1]
+            for factor, row in zip(factors, w_new):
+                row[...] = dgttrs(*factor, row, overwrite_b=True)[0]
+            # v+ = v + half (w + w+), then u+ = u + half (v + v+)
+            np.add(w_now_i, w_new_i, out=step)
+            step *= half
+            np.add(v_now, step, out=v_new)
+            np.add(v_now, v_new, out=step)
+            step *= half
+            np.add(u_now, step, out=u_new)
+            if edges is not None:
+                np.take(u[new], nodes, axis=1, out=edges[n + 1])
+
+
+def _finite(u: np.ndarray, ut: np.ndarray, utt: np.ndarray) -> np.ndarray:
+    """Whether the state is finite at every node, along the last axis."""
+    return (np.isfinite(u) & np.isfinite(ut) & np.isfinite(utt)).all(axis=-1)
+
+
 def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
                   grid: SpaceTimeGrid) -> Trajectory:
     """Trapezoidal time stepping of the first-order system, one tridiagonal
@@ -320,59 +431,21 @@ def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
     f = np.zeros((nt, nx)) if f is None else np.asarray(f, dtype=float)
     if f.shape != (nt, nx):
         raise ValueError(f"source has shape {f.shape}, expected ({nt}, {nx})")
-    if coeffs.gamma.shape != (nx,):
-        raise ValueError(f"gamma has shape {coeffs.gamma.shape}, expected ({nx},)")
-    if data.u0.shape != (nx,):
-        raise ValueError(f"initial data has shape {data.u0.shape}, expected ({nx},)")
+    _check_shapes(coeffs, data, grid)
 
-    corner = None
-    u2 = data.u2
-    # same tolerance as InitialData applies to u0 and u1 at the ends
-    scale = max(np.abs(data.u2).max(initial=0.0), 1.0)
-    if max(abs(data.u2[0]), abs(data.u2[-1])) > 1e-9 * scale:
-        corner = corner_part(coeffs.c, coeffs.b, 0.5 * coeffs.box_bound,
-                             float(data.u2[0]), float(data.u2[-1]), grid)
+    corner, u2 = _corner_split(coeffs.c, coeffs.b, coeffs.box_bound, data, grid)
+    if corner is not None:
         f = f - corner.source - (coeffs.gamma - corner.reference) * corner.utt_average
-        u2 = data.u2 - corner.profile
-
-    # (I + half alpha - half kappa Lap P) w+ = (I - half alpha) w
-    #     + half Lap (2 c^2 u + (c^2 dt + 2 b) v + kappa P w) + half (f_n + f_n+1),
-    # with P the interior projection and Lap the three-point Laplacian with
-    # zero boundary rows; the boundary rows of u and v are never written
-    half = 0.5 * grid.dt
-    c2 = coeffs.c ** 2
-    kappa = 0.25 * c2 * grid.dt ** 2 + half * coeffs.b
-    mix = c2 * grid.dt + 2.0 * coeffs.b
-    lap_scale = half / grid.h ** 2
-    diag = 1.0 + half * coeffs.alpha
-    diag[1:-1] += 2.0 * kappa * lap_scale
-    off = np.zeros(nx - 1)
-    off[1:-1] = -kappa * lap_scale
-    dl, d, du, du2, ipiv, info = dgttrf(off, diag, off)
-    if info != 0:
-        raise ForwardSolveError(f"step matrix factorization failed: dgttrf info {info}")
-    explicit = 1.0 - half * coeffs.alpha
-    source = half * (f[:-1] + f[1:])
 
     u, ut, utt = np.zeros((nt, nx)), np.zeros((nt, nx)), np.empty((nt, nx))
     u[0, 1:-1], ut[0, 1:-1], utt[0] = data.u0[1:-1], data.u1[1:-1], u2   # exact Dirichlet start
-    ui, vi, wi = u[:, 1:-1], ut[:, 1:-1], utt[:, 1:-1]
-    z = np.zeros(nx)                     # 2 c^2 u + mix v + kappa P w
-    lap = lap_scale * np.array([1.0, -2.0, 1.0])
-    # a non-finite state propagates to every later level; it is located after the loop
-    with np.errstate(invalid="ignore", over="ignore"):
-        for n in range(nt - 1):
-            np.multiply(2.0 * c2, ui[n], out=z[1:-1])
-            z[1:-1] += mix * vi[n] + kappa * wi[n]
-            w = utt[n + 1]
-            np.multiply(explicit, utt[n], out=w)
-            w += source[n]
-            w[1:-1] += np.convolve(z, lap, "valid")
-            utt[n + 1] = dgttrs(dl, d, du, du2, ipiv, w, overwrite_b=True)[0]
-            vi[n + 1] = vi[n] + half * (wi[n] + wi[n + 1])
-            ui[n + 1] = ui[n] + half * (vi[n] + vi[n + 1])
-    bad = ~(np.isfinite(u) & np.isfinite(ut) & np.isfinite(utt)).all(axis=1)[1:]
-    if bad.any():
+    # a batch of one member whose level n is row n
+    source = 0.5 * grid.dt * (f[:-1] + f[1:])
+    _march(coeffs.c, coeffs.b, coeffs.alpha[None], u[:, None], ut[:, None], utt[:, None],
+           iter(source[:, None]), grid)
+    # a non-finite state persists to every later level, so the last one shows it
+    if not _finite(u[-1], ut[-1], utt[-1]):
+        bad = ~_finite(u, ut, utt)[1:]
         raise ForwardSolveError(f"non-finite state at time step {int(np.argmax(bad)) + 1}")
     u[0], ut[0] = data.u0, data.u1
     if corner is None:
@@ -383,6 +456,67 @@ def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
     utt += corner.utt
     utt[0] = data.u2
     return Trajectory(grid, u, ut, utt, dict(corner.flux_correction))
+
+
+def _corner_sources(corner: CornerPart, gammas: np.ndarray, half: float):
+    """half (f_n + f_n+1) of each step for the members' sources
+    f = -corner source - (gamma - reference) utt_average, level by level:
+    the numbers solve_forward forms from its whole-grid source with f None."""
+    offsets = gammas - corner.reference
+    now = (0.0 - corner.source[0]) - offsets * corner.utt_average[0]
+    for source, average in zip(corner.source[1:], corner.utt_average[1:]):
+        new = (0.0 - source) - offsets * average
+        yield half * (now + new)
+        now = new
+
+
+def forward_traces(c: float, b: float, box_bound: float, gammas, init: InitialData,
+                   grid: SpaceTimeGrid, sides) -> np.ndarray:
+    """Observed traces of source-free solves that differ only in gamma.
+
+    Member j starts from ``init`` with damping offset ``gammas[j]``; entry
+    [j, i] of the (len(gammas), len(sides), nt) result is, bit for bit,
+    ``extract_observation(solve_forward(...), sides[i]).samples``.  The
+    members advance together, and only their current and next levels are
+    kept, with u's EDGE_NODES columns at every level: no member's (nt, nx)
+    field is formed.  A member whose state turns non-finite raises the
+    ForwardSolveError that solve_forward raises for it, time step included.
+    """
+    nx, nt = grid.nx, grid.nt
+    members = [MGTCoefficients(c, b, gamma, box_bound) for gamma in gammas]
+    for member in members:
+        _check_shapes(member, init, grid)
+    k = len(members)
+    if k == 0:
+        return np.empty((0, len(sides), nt))
+
+    corner, u2 = _corner_split(c, b, box_bound, init, grid)
+    u, ut, utt = np.zeros((2, k, nx)), np.zeros((2, k, nx)), np.empty((2, k, nx))
+    u[0, :, 1:-1], ut[0, :, 1:-1], utt[0] = init.u0[1:-1], init.u1[1:-1], u2
+    edges = np.empty((nt, k, len(EDGE_NODES)))
+    edges[0] = np.take(init.u0, EDGE_NODES)
+    if corner is None:
+        sources = itertools.repeat(np.zeros((k, nx)), nt - 1)
+    else:
+        sources = _corner_sources(corner, np.array([m.gamma for m in members]), 0.5 * grid.dt)
+    _march(c, b, np.array([m.alpha for m in members]), u, ut, utt, sources, grid, edges)
+
+    # the last level shows a non-finite state; solve_forward, which keeps
+    # every level, raises naming the first for the first member that failed
+    last = (nt - 1) % 2
+    finite = _finite(u[last], ut[last], utt[last])
+    if not finite.all():
+        solve_forward(members[int(np.argmin(finite))], init, None, grid)
+
+    if corner is not None:
+        edges += np.take(corner.u, EDGE_NODES, axis=1)[:, None]
+    traces = np.empty((k, len(sides), nt))
+    for i, side in enumerate(sides):
+        series = edge_normal_derivative(edges, grid.h, side)
+        if corner is not None:
+            series += corner.flux_correction[side][:, None]
+        traces[:, i] = series.T
+    return traces
 
 
 # ---------------------------------------------------------------------------

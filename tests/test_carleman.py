@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
                                   WeightOverflowError, _estimate_sides,
-                                  _estimate_terms, admissible_geometry,
+                                  _estimate_terms, _phi_growth, admissible_geometry,
                                   carleman_lhs_rhs,
                                   log_weight, log_weight_table,
                                   normalized_weight_table, phi,
@@ -255,7 +255,8 @@ def test_estimate_ratio_is_invariant_under_weight_offset(offset, seed):
     y = powers.T @ rng.normal(size=(3, 3)) @ modes
     terms = _estimate_terms(y, coeffs, GEO, grid)
     weight = normalized_weight_table(grid, terms.geometry, scales)
-    base = _estimate_sides(terms, weight, scales, grid)
+    growth = _phi_growth(terms.geometry, scales.lam, grid)
+    base = _estimate_sides(terms, weight, growth, scales, grid)
     assert base.ratio == carleman_lhs_rhs(y, coeffs, GEO, scales, grid).ratio
-    shifted = _estimate_sides(terms, weight * np.exp(offset), scales, grid)
+    shifted = _estimate_sides(terms, weight * np.exp(offset), growth, scales, grid)
     assert shifted.ratio == pytest.approx(base.ratio, rel=1e-12)

@@ -1,17 +1,22 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgt_inverse import experiments
 from mgt_inverse.carleman import CarlemanGeometry, CarlemanScales, WeightOverflowError
-from mgt_inverse.experiments import (carleman_constant_sweep,
+from mgt_inverse.experiments import (STABILITY_BATCH, PairStability, StabilityReport,
+                                     carleman_constant_sweep,
                                      draw_coefficient_sample, draw_field_sample,
                                      stability_two_sided, steep_weight_preset,
                                      weight_ratio_report)
-from mgt_inverse.grid import build_grid
-from mgt_inverse.solver import InitialData, MGTCoefficients
+from mgt_inverse.grid import build_grid, time_difference, trapezoid_weights
+from mgt_inverse.observation import extract_observation
+from mgt_inverse.solver import (ForwardSolveError, InitialData, MGTCoefficients,
+                                forward_traces, solve_forward)
 
 GEO = CarlemanGeometry(-0.1, 0.9, 2.5)
 
@@ -121,6 +126,129 @@ def test_inadmissible_pair_is_rejected_with_its_index():
     bad = 1.5 * np.ones(grid.nx)
     with pytest.raises(ValueError, match="pair 1"):
         stability_two_sided([(good, good), (good, bad)], init, grid)
+
+
+def per_pair_stability(gamma_pairs, init, grid, sides=("right",), c=1.0, b=1.0,
+                       box_bound=1.0):
+    """The campaign as two full solves per pair, each observed by
+    extract_observation: the reference the batched campaign is held to."""
+    qx = trapezoid_weights(grid.nx, grid.h)
+    qt = trapezoid_weights(grid.nt, grid.dt)
+    records = []
+    quotients = []
+    for gamma_a, gamma_b in gamma_pairs:
+        ca = MGTCoefficients(c, b, np.asarray(gamma_a, dtype=float), box_bound)
+        cb = MGTCoefficients(c, b, np.asarray(gamma_b, dtype=float), box_bound)
+        traj_a = solve_forward(ca, init, None, grid)
+        traj_b = solve_forward(cb, init, None, grid)
+        coeff_sq = float(qx @ (ca.gamma - cb.gamma) ** 2)
+        trace_sq = 0.0
+        for side in sides:
+            d = (extract_observation(traj_a, side).samples
+                 - extract_observation(traj_b, side).samples)
+            d1 = time_difference(d, grid.dt, 1)
+            d2 = time_difference(d, grid.dt, 2)
+            trace_sq += float(qt @ (d ** 2 + d1 ** 2 + d2 ** 2))
+        if coeff_sq > 0.0:
+            quotient = trace_sq / coeff_sq
+            quotients.append(quotient)
+        else:
+            quotient = math.nan
+        records.append(PairStability(coeff_sq, trace_sq, quotient))
+    if quotients:
+        ratio_min = min(quotients)
+        ratio_max = max(quotients)
+        c_emp = max(ratio_max, 1.0 / ratio_min) if ratio_min > 0 else math.inf
+    else:
+        ratio_min = ratio_max = c_emp = math.nan
+    return StabilityReport(tuple(records), ratio_min, ratio_max, c_emp)
+
+
+@pytest.mark.parametrize("corner", [True, False])
+@pytest.mark.parametrize("sides", [("right",), ("left", "right")])
+def test_batched_campaign_equals_the_per_pair_solves(monkeypatch, corner, sides):
+    # three pairs more than a batch holds, one of them identical
+    grid = build_grid(0.0, 1.0, 41, 0.9, 81)
+    u2 = np.ones(grid.nx) if corner else np.sin(np.pi * grid.x)
+    init = InitialData(np.zeros(grid.nx), 0.3 * np.sin(2.0 * np.pi * grid.x), u2)
+    rng = np.random.default_rng(4)
+    pairs = [(draw_coefficient_sample(rng, 1.0).values(grid),
+              draw_coefficient_sample(rng, 1.0).values(grid))
+             for _ in range(STABILITY_BATCH // 2 + 3)]
+    pairs[3] = (pairs[3][0], pairs[3][0])
+    sizes = []
+
+    def counted(c, b, box_bound, gammas, *args):
+        sizes.append(len(gammas))
+        return forward_traces(c, b, box_bound, gammas, *args)
+
+    monkeypatch.setattr(experiments, "forward_traces", counted)
+    report = stability_two_sided(pairs, init, grid, sides=sides, c=1.2, b=0.8)
+    want = per_pair_stability(pairs, init, grid, sides=sides, c=1.2, b=0.8)
+    # repr writes each float's shortest exact form, NaN and -0.0 included
+    assert repr(report) == repr(want)
+    assert math.isnan(report.pairs[3].ratio)
+    assert sizes == [STABILITY_BATCH, 6]
+
+
+def test_every_pair_is_validated_before_any_solve(monkeypatch):
+    grid, init = stability_setup()
+    good = 0.5 * np.ones(grid.nx)
+
+    def refuse(*args):
+        raise AssertionError("solved before every pair was validated")
+
+    monkeypatch.setattr(experiments, "solve_forward", refuse)
+    monkeypatch.setattr(experiments, "forward_traces", refuse)
+    with pytest.raises(ValueError, match="^pair 6: gamma must lie in"):
+        stability_two_sided([(good, good)] * 6 + [(good, 3.0 * good)], init, grid)
+
+
+def test_campaign_refuses_batched_traces_that_differ_from_solve_forward(monkeypatch):
+    # one ulp on the last sample of the first member is enough
+    grid, init = stability_setup()
+    gamma = 0.4 + 0.3 * np.sin(np.pi * grid.x)
+
+    def shifted(*args):
+        traces = forward_traces(*args)
+        traces[0, 0, -1] = np.nextafter(traces[0, 0, -1], np.inf)
+        return traces
+
+    monkeypatch.setattr(experiments, "forward_traces", shifted)
+    with pytest.raises(ForwardSolveError, match="differ from solve_forward's"):
+        stability_two_sided([(gamma, 0.5 * np.ones(grid.nx))], init, grid)
+
+
+def test_campaign_memory_does_not_grow_with_its_pairs():
+    # 201x401 with the corner part cached.  A batch of STABILITY_BATCH
+    # members keeps less than one member's full trajectory; the campaign's
+    # largest allocation is the one full solve that checks its first member,
+    # and twice the pairs do not raise it.  Solving each pair in full held
+    # two trajectories at once.
+    grid, init = stability_setup(201, 401, 1.25)
+    rng = np.random.default_rng(8)
+    pairs = [(draw_coefficient_sample(rng, 1.0).values(grid),
+              draw_coefficient_sample(rng, 1.0).values(grid)) for _ in range(20)]
+    stability_two_sided(pairs[:1], init, grid)      # the corner part and time stencils
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    trajectory = 3 * grid.nt * grid.nx * 8
+    members = [gamma for pair in pairs[:STABILITY_BATCH // 2] for gamma in pair]
+    assert peak(lambda: forward_traces(1.0, 1.0, 1.0, members, init, grid, ("right",))) \
+        < trajectory
+    one_solve = peak(lambda: extract_observation(
+        solve_forward(MGTCoefficients(1.0, 1.0, pairs[0][0], 1.0), init, None, grid),
+        "right"))
+    campaign = peak(lambda: stability_two_sided(pairs[:10], init, grid))
+    assert campaign < one_solve + trajectory / 8
+    assert peak(lambda: stability_two_sided(pairs, init, grid)) < campaign + trajectory / 64
 
 
 def sweep_inputs(nx=41, nt=81):

@@ -12,7 +12,7 @@ from mgt_inverse.grid import (apply_laplacian, build_grid, discrete_norms, lapla
                               time_derivative_matrix, time_derivative_matrix_zero_start)
 from mgt_inverse.observation import extract_observation
 from mgt_inverse.solver import (ForwardSolveError, InitialData, MGTCoefficients,
-                                Trajectory, corner_part, energy_e,
+                                Trajectory, corner_part, energy_e, forward_traces,
                                 manufactured_solution, solve_forward, total_energy,
                                 verify_energy_bound, verify_laplacian_bound)
 
@@ -201,6 +201,49 @@ def test_non_finite_source_names_its_time_step():
     f[5, 15] = np.inf
     with pytest.raises(ForwardSolveError, match="non-finite state at time step 5$"):
         solve_forward(constant_alpha_coeffs(g), zero_data(g), f, g)
+
+
+@pytest.mark.parametrize("nx, nt", [(21, 41), (41, 81)])
+@pytest.mark.parametrize("corner", [True, False])
+def test_forward_traces_are_the_observed_traces_of_solve_forward(nx, nt, corner):
+    # the members advance together and only u's edge columns are kept, yet
+    # each member's traces are extract_observation's of its own full solve,
+    # bit for bit; u0 = sin(pi x) is 1.2e-16 at x = 1, which the trace at
+    # level 0 reads
+    grid = build_grid(0.0, 1.0, nx, 1.25, nt)
+    c, b, box_bound = 1.3, 0.7, 2.0
+    # u2 = 1 + ... launches corner fronts; sin(2 pi x) vanishes at the ends
+    u2 = 1.0 + 0.5 * np.sin(np.pi * grid.x) if corner else np.sin(2.0 * np.pi * grid.x)
+    data = InitialData(0.2 * np.sin(np.pi * grid.x), 0.5 * np.sin(np.pi * grid.x), u2)
+    rng = np.random.default_rng(nx + corner)
+    for k in (1, 2, 7):
+        gammas = [rng.uniform(0.0, box_bound, nx) for _ in range(k)]
+        full = [solve_forward(MGTCoefficients(c, b, gamma, box_bound), data, None, grid)
+                for gamma in gammas]
+        assert all(bool(traj.flux_correction) == corner for traj in full)
+        for sides in (("left",), ("right",), ("left", "right")):
+            traces = forward_traces(c, b, box_bound, gammas, data, grid, sides)
+            want = [[extract_observation(traj, side).samples for side in sides]
+                    for traj in full]
+            assert traces.shape == (k, len(sides), nt)
+            assert np.array_equal(traces, want)
+
+
+def test_forward_traces_name_the_time_step_of_a_non_finite_member():
+    # u1 = 2.4 * 2^1018 sin(pi x) overflows a few steps in: at step 5 with
+    # gamma = 5, at step 4 with gamma = 10, never with gamma = 0.  The batch
+    # raises solve_forward's error for its first member that fails.
+    grid = build_grid(0.0, 1.0, 21, 1.25, 41)
+    data = InitialData(np.zeros(grid.nx), 2.4 * 2.0 ** 1018 * np.sin(np.pi * grid.x),
+                       np.zeros(grid.nx))
+    gammas = {value: np.full(grid.nx, value) for value in (0.0, 5.0, 10.0)}
+    solve_forward(MGTCoefficients(1.0, 1.0, gammas[0.0], 10.0), data, None, grid)
+    for value, step in ((5.0, 5), (10.0, 4)):
+        with pytest.raises(ForwardSolveError, match=f"^non-finite state at time step {step}$"):
+            solve_forward(MGTCoefficients(1.0, 1.0, gammas[value], 10.0), data, None, grid)
+    for order, step in (((0.0, 5.0, 10.0), 5), ((0.0, 10.0, 5.0), 4)):
+        with pytest.raises(ForwardSolveError, match=f"^non-finite state at time step {step}$"):
+            forward_traces(1.0, 1.0, 10.0, [gammas[v] for v in order], data, grid, ("right",))
 
 
 def test_corner_split_resolves_early_trace_below_gamma_signal():
