@@ -63,12 +63,11 @@ sum across BLAS threads, and the factorization runs on one, so its iterates
 do not depend on the BLAS thread count.
 
 The work that M's pattern alone fixes is done once per (grid, c, b, observed
-sides, group width) and cached read-only, shared by every engine and every
-objective evaluation on that key: M's unweighted rows, each entry's interior
-node, M's column indices in group order, M^T's pattern with the permutation
-that fills it from M's entries, and the band entries with their band
-positions, from the group blocks of the product of M's pattern with unit
-entries.  The pieces P0, Q and P2 at the band entries are built once per
+sides, group width) and cached read-only, shared by every engine on that
+key: M's unweighted rows, each entry's interior node, M's column indices in
+group order, M^T's pattern with the permutation that fills it from M's
+entries, and the band entries with their band positions, from the group
+blocks of the product of M's pattern with unit entries.  The pieces P0, Q and P2 at the band entries are built once per
 pattern key and row weights, forming only the group blocks of one product
 at a time, and the last ones built are kept read-only.  An assembly does the work alpha
 changes: it refills M's entries (and M^T's) in place, combines the pieces,
@@ -91,20 +90,26 @@ All weighted sums use weights normalized by the global minimum exponent, a
 positive rescaling of the objective that does not move the minimizer; every
 reported weighted value therefore carries the common factor
 exp(-log_weight_min).  The table is ``carleman.normalized_weight_table``,
-built once per assembly or evaluation.  The solve, the objective, the norms
-and the minimizer diagnostics all evaluate the cached rows of M; they are
-L's only form in this module.
+built once per engine.  The solve, the objective, the graph norm and the
+minimizer diagnostics all evaluate an engine's assembled M and weighted data.
+``weighted_data_norms`` takes no coefficients, so it has no engine: it builds
+its own table and weights the data at s = 1.
 
 ``CarlemanLeastSquares.minimize`` is the one minimization: it weights the
 data, solves and computes the diagnostics with one assembled engine, which
-the reconstruction loop keeps across its iterations.  ``minimize_J`` and
-``minimizer_difference_check`` run it on a memoized engine, keyed on the
-whole problem: (grid, c, b, the bytes of gamma, box bound, Carleman setup,
-group width).  One entry is kept, so a batch of minimizations on one problem
-assembles once.  The products only read the engine's arrays, and a solve
-records only its iteration count, which matters only to ``update_gamma``;
-the engine is never returned and never updated, so it never widens, and a
-reused engine gives the bits a fresh one would.
+the reconstruction loop keeps across its iterations.  ``minimize_J``,
+``minimizer_difference_check``, ``evaluate_J`` and ``v_norm_sq`` use a
+memoized engine, keyed on the whole problem: (grid, c, b, the bytes of
+gamma, box bound, Carleman setup, group width).  One entry is kept, so a
+batch of minimizations and evaluations on one problem assembles once and
+builds one weight table, and the diagnostics at a minimizer equal
+``evaluate_J`` and ``v_norm_sq`` there bit for bit.  Evaluating a problem not
+seen before assembles and factors its engine, so it raises
+:class:`MinimizationError` where that band cannot be factored.  The products
+only read the engine's arrays, and a solve records only its iteration count,
+which matters only to ``update_gamma``; the engine is never returned and
+never updated, so it never widens, and a reused engine gives the bits a
+fresh one would.
 Gamma is keyed by its bytes at call time: a caller who edits their array in
 place gets a new engine.
 """
@@ -626,9 +631,10 @@ class CarlemanLeastSquares:
     and M^T in place and refactors, which is what the reconstruction loop
     needs.  ``minimize`` solves with the engine's own coefficients and
     weights.  ``omega`` is the normalized weight table;
-    :func:`minimizer_difference_check` reuses it.  :func:`minimize_J` and
-    :func:`minimizer_difference_check` share one memoized engine per problem
-    (see :func:`_shared_engine`), which is never updated.
+    :func:`minimizer_difference_check` reuses it.  :func:`minimize_J`,
+    :func:`minimizer_difference_check`, :func:`evaluate_J` and
+    :func:`v_norm_sq` share one memoized engine per problem (see
+    :func:`_shared_engine`), which is never updated.
     """
 
     def __init__(self, coeffs: MGTCoefficients, carleman: CarlemanSetup,
@@ -887,32 +893,25 @@ class CarlemanLeastSquares:
 
 
 # ---------------------------------------------------------------------------
-# objective evaluation (the cached rows of M, weighted by the same table)
+# objective evaluation (the memoized engine's assembled M and weighted data)
 # ---------------------------------------------------------------------------
-
-def _weighted_residual(y: TrajectoryVariable, mu, g, coeffs: MGTCoefficients,
-                       carleman: CarlemanSetup, grid: SpaceTimeGrid) -> np.ndarray:
-    """M y - b for the coefficient ``coeffs``, without assembling M."""
-    geometry, omega = _weighting(carleman, grid)
-    sides = geometry.gamma0_sides
-    root_weight = np.sqrt(_row_weights(grid, sides, omega, carleman.scales.s))
-    plan = _pattern_plan(grid, coeffs.c, coeffs.b, sides, _GROUP_NODES)
-    vec = y.to_vector()
-    alpha = np.tile(coeffs.alpha[1:-1], grid.nt - 1)
-    image = plan.fixed @ vec + plan.alpha_rows @ (alpha * vec)
-    return root_weight * image - _weighted_data(root_weight, grid, sides, mu, g)
-
 
 def evaluate_J(y: TrajectoryVariable, mu, g, coeffs: MGTCoefficients,
                carleman: CarlemanSetup, grid: SpaceTimeGrid) -> float:
-    """Value of the weighted least-squares objective at ``y``: half |M y - b|^2."""
-    return 0.5 * _sum_of_squares(_weighted_residual(y, mu, g, coeffs, carleman, grid))
+    """Value of the weighted least-squares objective at ``y``: half |M y - b|^2,
+    with M and b those of the memoized engine of (grid, coeffs, carleman).
+    A problem not seen before is assembled and factored first, so this raises
+    :class:`MinimizationError` where its band cannot be factored."""
+    engine = _engine(coeffs, carleman, grid)
+    return 0.5 * _sum_of_squares(engine.operator @ y.to_vector()
+                                 - engine.weighted_data(mu, g))
 
 
 def v_norm_sq(y: TrajectoryVariable, coeffs: MGTCoefficients,
               carleman: CarlemanSetup, grid: SpaceTimeGrid) -> float:
-    """Squared weighted graph norm |M y|^2: twice the objective at zero data."""
-    return _sum_of_squares(_weighted_residual(y, None, None, coeffs, carleman, grid))
+    """Squared weighted graph norm |M y|^2: twice the objective at zero data.
+    M is the memoized engine's, as in :func:`evaluate_J`."""
+    return _sum_of_squares(_engine(coeffs, carleman, grid).operator @ y.to_vector())
 
 
 def weighted_data_norms(mu, g, carleman: CarlemanSetup, grid: SpaceTimeGrid):

@@ -66,7 +66,7 @@ def perturb_with_noise(obs: ObservationData, level: float,
     The standard deviation is ``level * max |samples|``, so ``level`` reads
     as a relative noise magnitude; level 0 returns the samples unchanged.
     """
-    if level < 0:
+    if not level >= 0:
         raise ValueError(f"noise level must be nonnegative, got {level}")
     if level == 0.0:
         return obs

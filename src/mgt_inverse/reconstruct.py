@@ -132,7 +132,7 @@ class ReconstructionReport:
 
 def project_to_box(gamma_tilde: np.ndarray, box_bound: float) -> np.ndarray:
     """Nodewise clamp onto [0, box_bound]."""
-    if box_bound <= 0:
+    if not box_bound > 0:
         raise ValueError(f"box bound must be positive, got {box_bound}")
     return np.clip(np.asarray(gamma_tilde, dtype=float), 0.0, box_bound)
 
@@ -259,22 +259,6 @@ def reconstruction_step(gamma_k: np.ndarray, data_obs: Sequence[ObservationData]
     return gamma_next, diagnostics, increment
 
 
-def contraction_ratios(history) -> list:
-    """rho_k = e_{k+1}/e_k from recorded weighted errors.
-
-    Accepts IterateRecord sequences or plain floats.  Entries whose base error
-    is at or below the floor come out as nan rather than a division artifact.
-    """
-    errors = []
-    for item in history:
-        value = getattr(item, "weighted_error_sq", item)
-        if value is None:
-            raise ValueError("history carries no weighted errors; run with gamma_true")
-        errors.append(float(value))
-    return [after / before if before > RATIO_FLOOR else math.nan
-            for before, after in zip(errors, errors[1:])]
-
-
 def run_reconstruction(config: ReconstructionConfig, gamma_true=None,
                        data: Optional[Sequence[ObservationData]] = None) -> ReconstructionReport:
     """Iterate from gamma = 0 until the update stalls or the budget runs out.
@@ -330,7 +314,9 @@ def run_reconstruction(config: ReconstructionConfig, gamma_true=None,
         if rising >= 3:
             stop_reason = "diverged"
             break
-    ratios = contraction_ratios(records) if synthetic else []
+    errors = [rec.weighted_error_sq for rec in records] if synthetic else []
+    ratios = [after / before if before > RATIO_FLOOR else math.nan
+              for before, after in zip(errors, errors[1:])]
     return ReconstructionReport(records, stop_reason, ratios)
 
 

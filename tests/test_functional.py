@@ -644,18 +644,20 @@ def test_group_preconditioner_halves_node_preconditioner_iterations(monkeypatch)
 
 
 def test_minimizer_diagnostics_match_the_standalone_objective():
-    # J, |y*|_V^2 and the factor-4 slack read from the engine's M and b are
-    # the values the standalone functions give at y*
-    grid, coeffs, setup = make_problem(31, 61)
-    mu, g = random_data(grid, 43)
-    y, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8)
-    norm_sq = v_norm_sq(y, coeffs, setup, grid)
-    g_norm, mu_norm = weighted_data_norms(mu, g, setup, grid)
-    slack = 4.0 * (g_norm / setup.scales.s + mu_norm) - norm_sq
-    assert diag.j_value == pytest.approx(evaluate_J(y, mu, g, coeffs, setup, grid),
-                                         rel=1e-12)
-    assert diag.v_norm_sq == pytest.approx(norm_sq, rel=1e-12)
-    assert diag.bound_slack == pytest.approx(slack, rel=1e-12)
+    # J and |y*|_V^2 read from the engine's M and b are the values the
+    # standalone functions give at y*, bit for bit: both evaluate the one
+    # memoized engine.  The factor-4 slack is approximate, because
+    # weighted_data_norms weights the data at s = 1 on its own table.
+    for nx, nt in ((31, 61), (51, 201)):
+        grid, coeffs, setup = make_problem(nx, nt)
+        mu, g = random_data(grid, 43)
+        y, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8)
+        norm_sq = v_norm_sq(y, coeffs, setup, grid)
+        g_norm, mu_norm = weighted_data_norms(mu, g, setup, grid)
+        slack = 4.0 * (g_norm / setup.scales.s + mu_norm) - norm_sq
+        assert diag.j_value == evaluate_J(y, mu, g, coeffs, setup, grid)
+        assert diag.v_norm_sq == norm_sq
+        assert diag.bound_slack == pytest.approx(slack, rel=1e-12)
 
 
 def test_unweighted_rows_are_built_once_per_key_and_read_only():
@@ -742,10 +744,19 @@ def test_weight_table_is_built_once_per_assembly_or_evaluation(monkeypatch):
     calls.clear()
     y_star, _ = engine.minimize(mu, g, 1e-8)
     assert len(calls) == 0
+    # the first evaluation of a problem builds its memoized engine and table;
+    # evaluations and minimizations of that problem build none
     evaluate_J(y_star, mu, g, coeffs, setup, grid)
     assert len(calls) == 1
     calls.clear()
+    v_norm_sq(y_star, coeffs, setup, grid)
+    evaluate_J(y_star, None, 2.0 * g, coeffs, setup, grid)
+    minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8)
     minimizer_difference_check(g, 2.0 * g, mu, coeffs, setup, grid, solver_tol=1e-8)
+    assert len(calls) == 0
+    assert functional._shared_engine.cache_info().misses == 1
+    # weighted_data_norms takes no coefficients, so it has no engine
+    weighted_data_norms(mu, g, setup, grid)
     assert len(calls) == 1
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,8 +80,9 @@ def test_noise_scaling_and_determinism():
 
     clean = perturb_with_noise(obs, 0.0, np.random.default_rng(1))
     assert np.array_equal(clean.samples, obs.samples)
-    with pytest.raises(ValueError):
-        perturb_with_noise(obs, -0.1, np.random.default_rng(1))
+    for level in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="noise level"):
+            perturb_with_noise(obs, level, np.random.default_rng(1))
 
 
 def test_build_mu_differentiates_the_mismatch():
