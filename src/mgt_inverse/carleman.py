@@ -1,5 +1,6 @@
-"""Carleman weight machinery: admissibility of the observation geometry,
-the convexified weight phi_lambda = exp(lambda * phi) with
+"""Carleman weight machinery: admissibility of the observation geometry
+(``admissible_geometry`` checks it and raises where it fails), the
+convexified weight phi_lambda = exp(lambda * phi) with
 
     phi(x, t) = |x - x0|^2 - beta t^2 + M0,
 
@@ -34,7 +35,7 @@ class CarlemanGeometry:
     """Observation point x0, time slope beta, offset M0 and boundary subset.
 
     ``gamma0_sides`` lists the observed endpoints; leave empty to have
-    :func:`validate_admissibility` derive the required subset.
+    :func:`admissible_geometry` derive the required subset.
     """
 
     x0: float
@@ -62,15 +63,6 @@ class CarlemanSetup:
     scales: CarlemanScales
 
 
-@dataclass
-class AdmissibilityReport:
-    accepted: bool
-    violations: list
-    gamma0_sides: tuple
-    sup_distance: float
-    phi_min: float
-
-
 def required_sides(geometry: CarlemanGeometry, grid: SpaceTimeGrid) -> tuple:
     """Endpoints p with (p - x0) . n(p) >= 0; the multiplier condition."""
     sides = []
@@ -81,8 +73,10 @@ def required_sides(geometry: CarlemanGeometry, grid: SpaceTimeGrid) -> tuple:
     return tuple(sides)
 
 
-def validate_admissibility(geometry: CarlemanGeometry, grid: SpaceTimeGrid) -> AdmissibilityReport:
-    """Check every geometric condition the weighted estimate relies on."""
+def admissible_geometry(geometry: CarlemanGeometry, grid: SpaceTimeGrid) -> CarlemanGeometry:
+    """Copy of ``geometry`` with the observed sides filled in, once every
+    geometric condition the weighted estimate relies on holds; otherwise
+    ValueError naming each violated one."""
     violations = []
     sup_distance = max(abs(grid.x_left - geometry.x0), abs(grid.x_right - geometry.x0))
     T = grid.t_final
@@ -107,18 +101,9 @@ def validate_admissibility(geometry: CarlemanGeometry, grid: SpaceTimeGrid) -> A
     if missing:
         violations.append(f"observation boundary must include {sorted(missing)}")
 
-    dmin = min(abs(grid.x_left - geometry.x0), abs(grid.x_right - geometry.x0))
-    phi_min = dmin ** 2 - geometry.beta * T ** 2 + geometry.m0
-    return AdmissibilityReport(not violations, violations, tuple(sides),
-                               float(sup_distance), float(phi_min))
-
-
-def admissible_geometry(geometry: CarlemanGeometry, grid: SpaceTimeGrid) -> CarlemanGeometry:
-    """Validated copy of ``geometry`` with the observed sides filled in."""
-    report = validate_admissibility(geometry, grid)
-    if not report.accepted:
-        raise ValueError("inadmissible observation geometry: " + "; ".join(report.violations))
-    return replace(geometry, gamma0_sides=report.gamma0_sides)
+    if violations:
+        raise ValueError("inadmissible observation geometry: " + "; ".join(violations))
+    return replace(geometry, gamma0_sides=tuple(sides))
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +184,12 @@ class CarlemanEvaluation:
 
 @dataclass(frozen=True)
 class _EstimateTerms:
-    """Scale-independent integrands of the estimate for one field, on its
-    admissible geometry: the squared encoded initial acceleration; the
-    gradient terms c^4 (y_t^2 + y_x^2) + y_tt^2 + y_xt^2 and the value terms
-    c^4 y^2 + y_t^2, weighted with e^(lambda phi) and e^(3 lambda phi);
-    (L y)^2; and per observed side its column and y_nt^2 + c^4 y_n^2."""
+    """Scale-independent integrands of the estimate for one field: the
+    squared encoded initial acceleration; the gradient terms
+    c^4 (y_t^2 + y_x^2) + y_tt^2 + y_xt^2 and the value terms c^4 y^2 + y_t^2,
+    weighted with e^(lambda phi) and e^(3 lambda phi); (L y)^2; and per
+    observed side its column and y_nt^2 + c^4 y_n^2."""
 
-    geometry: CarlemanGeometry
     acceleration: np.ndarray
     gradients: np.ndarray
     values: np.ndarray
@@ -215,7 +199,8 @@ class _EstimateTerms:
 
 def _estimate_terms(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGeometry,
                     grid: SpaceTimeGrid) -> _EstimateTerms:
-    """Validate ``y`` and evaluate its stencils, once for any number of scales."""
+    """Validate ``y`` and evaluate its stencils, once for any number of scales;
+    ``geometry`` is an :func:`admissible_geometry`, whose sides it reads."""
     y = np.asarray(y, dtype=float)
     if y.shape != (grid.nt, grid.nx):
         raise ValueError(f"field has shape {y.shape}, expected ({grid.nt}, {grid.nx})")
@@ -224,7 +209,6 @@ def _estimate_terms(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGe
         raise ValueError("field must vanish at the boundary columns")
     if np.abs(y[0]).max() > 1e-10 * scale:
         raise ValueError("field must vanish at time level zero")
-    geometry = admissible_geometry(geometry, grid)
     c4 = coeffs.c ** 4
 
     d1, d2, d3 = (time_derivative_matrix_zero_start(grid.nt, grid.dt, order)
@@ -241,7 +225,7 @@ def _estimate_terms(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGe
         fluxes.append((0 if side == "left" else grid.nx - 1,
                        (d1 @ dyn) ** 2 + c4 * dyn ** 2))
     ytt0 = 2.0 * y[1] / grid.dt ** 2          # encoded initial acceleration
-    return _EstimateTerms(geometry, ytt0 ** 2,
+    return _EstimateTerms(ytt0 ** 2,
                           c4 * (yt ** 2 + yx ** 2) + ytt ** 2 + yxt ** 2,
                           c4 * y ** 2 + yt ** 2, ly ** 2, tuple(fluxes))
 
@@ -292,7 +276,8 @@ def carleman_lhs_rhs(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanG
     lhs / rhs is the empirical estimate constant; it is invariant under the
     weight normalization used internally.
     """
+    geometry = admissible_geometry(geometry, grid)
     terms = _estimate_terms(y, coeffs, geometry, grid)
-    weight = normalized_weight_table(grid, terms.geometry, scales)
-    return _estimate_sides(terms, weight, _phi_growth(terms.geometry, scales.lam, grid),
+    weight = normalized_weight_table(grid, geometry, scales)
+    return _estimate_sides(terms, weight, _phi_growth(geometry, scales.lam, grid),
                            scales, grid)

@@ -31,8 +31,7 @@ import jsonschema
 import numpy as np
 
 from .carleman import (CarlemanGeometry, CarlemanScales, CarlemanSetup,
-                       WeightOverflowError, admissible_geometry,
-                       validate_admissibility)
+                       WeightOverflowError, admissible_geometry, required_sides)
 from .experiments import (carleman_constant_sweep, draw_coefficient_sample,
                           stability_two_sided, steep_weight_preset,
                           weight_ratio_report)
@@ -305,9 +304,10 @@ def _verify_stability(doc, out_dir, seed):
     ver = doc.get("verify", {})
     c = doc["coefficients"]
     init = _config_init(doc, grid)
-    # the observed sides alone: this suite also runs at horizons shorter than
-    # the weighted estimate needs
-    sides = validate_admissibility(_config_geometry(doc), grid).gamma0_sides
+    # the observed sides alone, without the admissibility check: this suite
+    # also runs at horizons shorter than the weighted estimate needs
+    # (perfbench/tests/test_tracing.py's SMALL_STABILITY runs it at t_final 0.9)
+    sides = required_sides(_config_geometry(doc), grid)
     rng = np.random.default_rng(seed)
     pairs = [(draw_coefficient_sample(rng, c["box_bound"]).values(grid),
               draw_coefficient_sample(rng, c["box_bound"]).values(grid))
@@ -336,7 +336,7 @@ def _verify_stability(doc, out_dir, seed):
 def _verify_weights(doc, out_dir, seed):
     grid, geometry, scales, m0_values = steep_weight_preset()
     label = "steep"
-    rows = weight_ratio_report(grid, geometry, scales, m0_values, label=label)
+    rows = weight_ratio_report(grid, geometry, scales, m0_values)
     write_json(os.path.join(out_dir, "weights_report.json"), {
         "label": label,
         "s": scales.s,
@@ -346,7 +346,7 @@ def _verify_weights(doc, out_dir, seed):
     })
     write_csv(os.path.join(out_dir, "weights_report.csv"),
               ("label", "m0", "s", "lam", "log_min", "log_max", "log10_ratio"),
-              [(r.label, r.m0, r.s, r.lam, r.log_min, r.log_max, r.log10_ratio)
+              [(label, r.m0, scales.s, scales.lam, r.log_min, r.log_max, r.log10_ratio)
                for r in rows])
     return 0
 

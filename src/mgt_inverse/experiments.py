@@ -232,12 +232,12 @@ def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
     """
     if sample_count < 0:
         raise ValueError("sample_count must be nonnegative")
+    geometry = admissible_geometry(geometry, grid)
     rng = np.random.default_rng(seed)
     samples = [draw_field_sample(rng) for _ in range(sample_count)]
     if not samples:
         return CarlemanSweepReport(seed, 0, ())
     scales_list = list(scales_list)
-    geometry = admissible_geometry(geometry, grid)
     weights = [normalized_weight_table(grid, geometry, scales) for scales in scales_list]
     growth = {lam: _phi_growth(geometry, lam, grid) for lam in {sc.lam for sc in scales_list}}
     evals = [[] for _ in scales_list]
@@ -259,18 +259,14 @@ def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
 
 @dataclass(frozen=True)
 class WeightRatioRow:
-    label: str
     m0: float
-    s: float
-    lam: float
     log_min: float
     log_max: float
     log10_ratio: float
 
 
 def weight_ratio_report(grid: SpaceTimeGrid, geometry: CarlemanGeometry,
-                        scales: CarlemanScales, m0_values,
-                        label: str = "weights") -> Tuple[WeightRatioRow, ...]:
+                        scales: CarlemanScales, m0_values) -> Tuple[WeightRatioRow, ...]:
     """Weight dynamic range, in decades, across an offset sweep.
 
     The additive constant m0 only shifts phi, yet the double exponential
@@ -282,8 +278,8 @@ def weight_ratio_report(grid: SpaceTimeGrid, geometry: CarlemanGeometry,
     for m0 in m0_values:
         geo = replace(geometry, m0=float(m0))
         stats = weight_statistics(grid, geo, scales)
-        rows.append(WeightRatioRow(label, float(m0), scales.s, scales.lam,
-                                   stats.log_min, stats.log_max, stats.log10_ratio))
+        rows.append(WeightRatioRow(float(m0), stats.log_min, stats.log_max,
+                                   stats.log10_ratio))
     return tuple(rows)
 
 

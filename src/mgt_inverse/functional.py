@@ -28,13 +28,12 @@ iterations per solve.  So when a solve has taken more LSMR iterations than
 one group over every interior node, and the engine keeps that width.  That
 one block is all of M^T M, whose factor is exact up to the shift (kd = 198 at
 51x101), and the solves after it take a handful of iterations.  The
-threshold is 64 at 51 nodes, set at the break-even of 57-70 seven-node
-iterations per whole-width assembly measured with the unblocked factor; with
-the pinned blocked one (below) it is 17-26, so the rule now widens later
-than break-even.  It grows with kd^2, the cost of the factor; a grid whose
-whole-width band would pass 2^21 values (16 MiB: 51x201 fits, 101x101 does
-not) never widens.  The rule counts iterations, never time, so a run's
-reports do not depend on the machine.
+threshold is 64 iterations on every grid that widens, above the break-even
+of the pinned factor (below): 17-19 seven-node iterations per whole-width
+assembly at 51x101 and 40-41 at 71x101, so the rule widens later than
+break-even.  A grid whose whole-width band would pass 2^21 values (16 MiB:
+51x201 fits, 101x101 does not) never widens.  The rule counts iterations,
+never time, so a run's reports do not depend on the machine.
 
 Every band is factored by LAPACK's ``dpbtrf`` with SciPy's OpenBLAS pinned
 to one thread by ``openblas_set_num_threads_local``, and the previous setting
@@ -43,8 +42,8 @@ seven-node factor is that routine's.  At whole width it runs a blocked
 update, whose factor differed between one and two OpenBLAS threads when left
 to the BLAS threads; pinned, it is the same under any thread count.  On the
 whole-width band at 51x101 (2-core Xeon) pinned ``dpbtrf`` takes 7-11 ms,
-against 11-13 ms on two threads unpinned and 20-23 ms for ``dpbtf2``; an
-engine widens at most once and then refactors once per outer step.
+against 11-13 ms on two threads unpinned; an engine widens at most once and
+then refactors once per outer step.
 
 Each LSMR iteration costs one product with M, one with M^T and the two
 triangular solves, so the engine keeps each in the form LAPACK and the sparse
@@ -100,7 +99,7 @@ data, solves and computes the diagnostics with one assembled engine, which
 the reconstruction loop keeps across its iterations.  ``minimize_J``,
 ``minimizer_difference_check``, ``evaluate_J`` and ``v_norm_sq`` use a
 memoized engine, keyed on the whole problem: (grid, c, b, the bytes of
-gamma, box bound, Carleman setup, group width).  One entry is kept, so a
+gamma, box bound, Carleman setup).  One entry is kept, so a
 batch of minimizations and evaluations on one problem assembles once and
 builds one weight table, and the diagnostics at a minimizer equal
 ``evaluate_J`` and ``v_norm_sq`` there bit for bit.  Evaluating a problem not
@@ -150,11 +149,8 @@ _BLOCK_SHIFT = 1e-10
 
 # After a solve of more LSMR iterations than _widen_threshold(grid),
 # ``update_gamma`` regroups the engine into one group over every interior
-# node.  64 is the threshold at 51 nodes (kd = 198), where a whole-width
-# assembly cost 57-70 seven-node iterations (51x101, 51x201) when ``dpbtf2``
-# factored it; see _widen_threshold for the cost with ``dpbtrf``.
+# node; see _widen_threshold for the break-evens below this threshold.
 _WIDEN_ITERATIONS = 64
-_WIDEN_KD = 198
 
 # Largest whole-width band, in stored values (16 MiB): 51x201 (1.95e6) and
 # 71x101 (1.93e6) fit, 101x101 (3.9e6) does not.
@@ -167,23 +163,18 @@ def _widen_threshold(grid: SpaceTimeGrid) -> Optional[int]:
 
     An engine whose interior nodes fit one seven-node group is already
     whole; one whose whole-width band would exceed ``_WIDE_BAND_VALUES``
-    keeps seven-node groups.  The threshold scales with kd^2, the cost of
-    factoring the band, from 64 at kd = 198, and never falls below 64.
-    Measured on a 2-core Xeon, the break-even (the extra time of a
-    whole-width ``update_gamma`` over a seven-node one, in seven-node LSMR
-    iterations) was, with the unblocked ``dpbtf2``, 36 at 31x61, 37 at
-    41x81, 57 at 51x101, 70 at 51x201, 64 at 71x101 (rule 127), and 150 at
-    101x101 and 135 at 101x201 (rule 259, both above the cap).  With
-    ``dpbtrf`` on one thread it is 9-10 at 31x61, 13-17 at 41x81, 17-19 at
-    51x101, 26 at 51x201 and 40-41 at 71x101 (the unblocked factor, measured
-    alongside: 27, 41-42, 55-65, 60-63 and 66-92), so the rule widens late
-    rather than early.
+    keeps seven-node groups; every other engine widens after a solve of more
+    than 64 iterations.  Measured on a 2-core Xeon with ``dpbtrf`` on one
+    thread, the break-even (the extra time of a whole-width ``update_gamma``
+    over a seven-node one, in seven-node LSMR iterations) is 9-10 at 31x61,
+    13-17 at 41x81, 17-19 at 51x101, 26 at 51x201 and 40-41 at 71x101, so the
+    rule widens late rather than early on every grid it lets widen.
     """
     nodes = grid.nx - 2
     kd = _band_kd(nodes)
     if nodes <= _GROUP_NODES or (kd + 1) * nodes * (grid.nt - 1) > _WIDE_BAND_VALUES:
         return None
-    return math.ceil(_WIDEN_ITERATIONS * max(1.0, (kd / _WIDEN_KD) ** 2))
+    return _WIDEN_ITERATIONS
 
 
 # Half-width of the seven-node band.  Bands up to it keep L in lower and in
@@ -931,10 +922,9 @@ def weighted_data_norms(mu, g, carleman: CarlemanSetup, grid: SpaceTimeGrid):
 
 @functools.lru_cache(maxsize=1)
 def _shared_engine(grid: SpaceTimeGrid, c: float, b: float, gamma: bytes, box_bound: float,
-                   carleman: CarlemanSetup, group_nodes: int) -> CarlemanLeastSquares:
+                   carleman: CarlemanSetup) -> CarlemanLeastSquares:
     """The memoized engine of one problem, gamma given as its bytes; see the
-    module docstring.  ``group_nodes`` only keys the memo: the engine reads
-    the module's group width."""
+    module docstring."""
     coeffs = MGTCoefficients(c, b, np.frombuffer(gamma), box_bound)
     return CarlemanLeastSquares(coeffs, carleman, grid)
 
@@ -942,7 +932,7 @@ def _shared_engine(grid: SpaceTimeGrid, c: float, b: float, gamma: bytes, box_bo
 def _engine(coeffs: MGTCoefficients, carleman: CarlemanSetup,
             grid: SpaceTimeGrid) -> CarlemanLeastSquares:
     return _shared_engine(grid, coeffs.c, coeffs.b, coeffs.gamma.tobytes(), coeffs.box_bound,
-                          carleman, _GROUP_NODES)
+                          carleman)
 
 
 def minimize_J(mu, g, coeffs: MGTCoefficients, carleman: CarlemanSetup,

@@ -8,6 +8,7 @@ arrays of shape ``(nt, nx)`` with time as the leading axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,7 +44,7 @@ class SpaceTimeGrid:
 
     def refined(self, factor: int) -> "SpaceTimeGrid":
         """Grid with both spacings divided by ``factor``; nodes stay aligned."""
-        if factor < 1 or int(factor) != factor:
+        if not (factor >= 1 and float(factor).is_integer()):
             raise ValueError(f"refinement factor must be a positive integer, got {factor}")
         factor = int(factor)
         return SpaceTimeGrid(self.x_left, self.x_right, factor * (self.nx - 1) + 1,
@@ -52,13 +53,17 @@ class SpaceTimeGrid:
 
 def build_grid(x_left: float, x_right: float, nx: int, t_final: float, nt: int) -> SpaceTimeGrid:
     """Validate and build a uniform space-time grid."""
+    for name, value in (("x_left", x_left), ("x_right", x_right), ("t_final", t_final)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not x_right > x_left:
         raise ValueError(f"domain must satisfy x_right > x_left, got [{x_left}, {x_right}]")
     if not t_final > 0:
         raise ValueError(f"final time must be positive, got {t_final}")
-    if nx < 5 or nt < 5:
+    for name, size in (("nx", nx), ("nt", nt)):
         # one-sided second-order closures need at least five points per axis
-        raise ValueError(f"need nx >= 5 and nt >= 5, got nx={nx}, nt={nt}")
+        if not (size >= 5 and float(size).is_integer()):
+            raise ValueError(f"{name} must be an integer >= 5, got {size}")
     return SpaceTimeGrid(float(x_left), float(x_right), int(nx), float(t_final), int(nt))
 
 
@@ -200,7 +205,7 @@ def time_difference(samples: np.ndarray, dt: float, order: int) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim not in (1, 2):
         raise ValueError("samples must be a series or a (time, space) field")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     return time_derivative_matrix(samples.shape[0], float(dt), order) @ samples
 

@@ -30,7 +30,7 @@ class ObservationData:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         if self.samples.ndim != 1 or self.samples.size < 5:
             raise ValueError("observation needs at least five time samples")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
 

@@ -399,7 +399,7 @@ def test_criterion_8_boundary_trace_regularity(criterion):
 def test_criterion_9_weight_dynamic_range(criterion):
     t0 = time.time()
     grid, geometry, scales, m0_values = steep_weight_preset()
-    report = weight_ratio_report(grid, geometry, scales, m0_values, label="steep")
+    report = weight_ratio_report(grid, geometry, scales, m0_values)
     by_m0 = {row.m0: row for row in report}
 
     all_large = all(row.log10_ratio > 40.0 for row in report)

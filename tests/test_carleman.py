@@ -10,8 +10,7 @@ from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
                                   _estimate_terms, _phi_growth, admissible_geometry,
                                   carleman_lhs_rhs,
                                   log_weight, log_weight_table,
-                                  normalized_weight_table, phi,
-                                  validate_admissibility, weight_statistics)
+                                  normalized_weight_table, phi, weight_statistics)
 from mgt_inverse.grid import build_grid
 from mgt_inverse.solver import MGTCoefficients
 from test_solver import apply_operator
@@ -33,42 +32,27 @@ def test_phi_point_values():
 
 
 def test_admissibility_accepts_reference_geometry():
-    report = validate_admissibility(GEO, canonical_grid())
-    assert report.accepted, report.violations
-    assert report.gamma0_sides == ("right",)
-    assert report.sup_distance == pytest.approx(1.1)
-    assert report.phi_min == pytest.approx(1.10375)
+    geo = admissible_geometry(GEO, canonical_grid())
+    assert geo == CarlemanGeometry(GEO.x0, GEO.beta, GEO.m0, gamma0_sides=("right",))
 
 
 def test_admissibility_rejections():
     grid = canonical_grid()
-    # beta*T = 1.0 < sup distance 1.1
-    report = validate_admissibility(CarlemanGeometry(-0.1, 0.8, 2.5), grid)
-    assert not report.accepted
-    assert any("beta*T" in v for v in report.violations)
-
-    # observation point inside the domain
-    report = validate_admissibility(CarlemanGeometry(0.5, 0.9, 2.5), grid)
-    assert not report.accepted
-    assert any("strictly outside" in v for v in report.violations)
-
-    # offset below the floor beta*T^2 + 1 = 2.40625
-    report = validate_admissibility(CarlemanGeometry(-0.1, 0.9, 2.0), grid)
-    assert not report.accepted
-    assert any("M0" in v for v in report.violations)
-
-    # declared observation boundary misses the required side
-    report = validate_admissibility(
-        CarlemanGeometry(-0.1, 0.9, 2.5, gamma0_sides=("left",)), grid)
-    assert not report.accepted
-    assert any("right" in v for v in report.violations)
+    for geometry, violation in (
+            # beta*T = 1.0 < sup distance 1.1
+            (CarlemanGeometry(-0.1, 0.8, 2.5), r"beta\*T"),
+            # observation point inside the domain
+            (CarlemanGeometry(0.5, 0.9, 2.5), "strictly outside"),
+            # offset below the floor beta*T^2 + 1 = 2.40625
+            (CarlemanGeometry(-0.1, 0.9, 2.0), "M0"),
+            # declared observation boundary misses the required side
+            (CarlemanGeometry(-0.1, 0.9, 2.5, gamma0_sides=("left",)), r"\['right'\]")):
+        with pytest.raises(ValueError, match="^inadmissible observation geometry: .*" + violation):
+            admissible_geometry(geometry, grid)
 
     # time horizon shorter than the distance to the far endpoint
-    report = validate_admissibility(GEO, build_grid(0.0, 1.0, 51, 1.0, 101))
-    assert not report.accepted
-
-    with pytest.raises(ValueError):
-        admissible_geometry(CarlemanGeometry(0.5, 0.9, 2.5), grid)
+    with pytest.raises(ValueError, match=r"need T > sup \|x - x0\| = 1.1, got T = 1.0"):
+        admissible_geometry(GEO, build_grid(0.0, 1.0, 51, 1.0, 101))
 
 
 def test_required_side_flips_with_observation_point():
@@ -253,9 +237,10 @@ def test_estimate_ratio_is_invariant_under_weight_offset(offset, seed):
     modes = np.array([np.sin((m + 1) * np.pi * grid.x) for m in range(3)])
     powers = np.array([grid.t ** (p + 2) for p in range(3)])   # y = y_t = 0 at t = 0
     y = powers.T @ rng.normal(size=(3, 3)) @ modes
-    terms = _estimate_terms(y, coeffs, GEO, grid)
-    weight = normalized_weight_table(grid, terms.geometry, scales)
-    growth = _phi_growth(terms.geometry, scales.lam, grid)
+    geometry = admissible_geometry(GEO, grid)
+    terms = _estimate_terms(y, coeffs, geometry, grid)
+    weight = normalized_weight_table(grid, geometry, scales)
+    growth = _phi_growth(geometry, scales.lam, grid)
     base = _estimate_sides(terms, weight, growth, scales, grid)
     assert base.ratio == carleman_lhs_rhs(y, coeffs, GEO, scales, grid).ratio
     shifted = _estimate_sides(terms, weight * np.exp(offset), growth, scales, grid)

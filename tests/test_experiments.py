@@ -264,6 +264,9 @@ def test_sweep_with_no_samples_is_empty():
     assert report.sample_count == 0
     with pytest.raises(ValueError):
         carleman_constant_sweep(-1, [], grid, GEO, coeffs)
+    # no samples still checks the geometry
+    with pytest.raises(ValueError, match="^inadmissible observation geometry"):
+        carleman_constant_sweep(0, [], grid, CarlemanGeometry(0.5, 0.9, 2.5), coeffs)
 
 
 def test_sweep_ratios_are_finite_and_rhs_is_coercive():
@@ -305,7 +308,7 @@ def test_weight_report_reference_row():
 
 def test_steep_preset_table():
     grid, geometry, scales, m0_values = steep_weight_preset()
-    rows = weight_ratio_report(grid, geometry, scales, m0_values, label="steep")
+    rows = weight_ratio_report(grid, geometry, scales, m0_values)
     assert len(rows) == 17
     assert all(row.log10_ratio > 40.0 for row in rows)
     by_m0 = {row.m0: row for row in rows}
@@ -314,7 +317,7 @@ def test_steep_preset_table():
     assert by_m0[2.0].log10_ratio == pytest.approx(21062.41, abs=0.5)
     # the exponent is linear in s, so doubling s doubles every row exactly
     doubled = weight_ratio_report(grid, geometry, CarlemanScales(scales.lam, 2 * scales.s),
-                                  m0_values, label="steep")
+                                  m0_values)
     for row, drow in zip(rows, doubled):
         assert drow.log10_ratio == pytest.approx(2.0 * row.log10_ratio, rel=1e-12)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -23,6 +25,24 @@ def test_build_grid_rejects_bad_input():
         build_grid(0.0, 1.0, 11, 1.0, 3)
     with pytest.raises(ValueError):
         build_grid(0.0, 1.0, 11, -1.0, 11)
+    # every field is named; NaN and infinities are refused, not truncated
+    for args, field in (((0.0, math.inf, 11, 1.0, 11), "x_right"),
+                        ((-math.inf, 1.0, 11, 1.0, 11), "x_left"),
+                        ((0.0, 1.0, 11, math.inf, 11), "t_final"),
+                        ((0.0, 1.0, 11, math.nan, 11), "t_final"),
+                        ((0.0, 1.0, 11.7, 1.0, 11), "nx"),
+                        ((0.0, 1.0, math.nan, 1.0, 11), "nx"),
+                        ((0.0, 1.0, 11, 1.0, math.inf), "nt")):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            build_grid(*args)
+    # integral sizes of any type keep working
+    grid = build_grid(0.0, 1.0, np.int64(11), 1.0, 11.0)
+    assert (grid.nx, grid.nt) == (11, 11)
+    assert type(grid.nx) is int and type(grid.nt) is int
+    for factor in (math.nan, math.inf, 0, 1.5):
+        with pytest.raises(ValueError, match="^refinement factor"):
+            grid.refined(factor)
+    assert grid.refined(np.int64(2)).nx == grid.refined(2.0).nx == 21
 
 
 def test_laplacian_exact_on_quadratic():
@@ -114,6 +134,12 @@ def test_time_difference_rejects_short_series():
         time_difference(np.zeros(3), 0.1, 2)
     with pytest.raises(ValueError):
         time_difference(np.zeros(10), 0.1, 4)
+
+
+def test_time_difference_rejects_a_non_positive_step():
+    for dt in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="^dt must be positive"):
+            time_difference(np.zeros(10), dt, 1)
 
 
 def test_h1_trace_norm_of_linear_ramp():

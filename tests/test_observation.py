@@ -63,8 +63,9 @@ def test_observation_validation():
         ObservationData("top", np.zeros(9), 0.1)
     with pytest.raises(ValueError):
         ObservationData("left", np.zeros(3), 0.1)
-    with pytest.raises(ValueError):
-        ObservationData("left", np.zeros(9), 0.0)
+    for dt in (0.0, math.nan):
+        with pytest.raises(ValueError, match="^dt must be positive"):
+            ObservationData("left", np.zeros(9), dt)
 
 
 def test_noise_scaling_and_determinism():
