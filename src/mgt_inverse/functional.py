@@ -7,10 +7,11 @@ M stacks the operator rows and, per observed side, the trace and trace-rate
 rows, each times its square-root weight, and b is the weighted data
 [g; mu; mu_t].  It is minimized by LSMR (Fong & Saunders, SIAM J. Sci.
 Comput. 33, 2011) on M R^-1; the normal equations are never formed.  R^T R
-is block diagonal: one block per group of adjacent interior nodes (the last
-group may be shorter), made of those nodes' time series in M^T M.  M^T M
-couples unknowns at most four time levels and two nodes apart, so with a
-group's unknowns ordered time-major each block of q nodes is one band of
+is block diagonal: one block per group of adjacent interior nodes (counted
+from the observed end, so the one group that may be shorter sits at the end
+nearer to x0), made of those nodes' time series in M^T M.  M^T M couples
+unknowns at most four time levels and two nodes apart, so with a group's
+unknowns ordered time-major each block of q nodes is one band of
 half-width kd = 4q + 2.  M^T M itself is never formed: M depends on gamma only
 through alpha = gamma + c^2/b, as W^1/2 (F + A D_alpha), so each band entry is
 P0_ij + alpha_j Q_ij + alpha_i Q_ji + alpha_i alpha_j P2_ij with P0 = F^T W F,
@@ -22,7 +23,11 @@ indefinite), and they are factored by banded Cholesky.
 An engine starts with groups of seven nodes (kd = 30): the widest group whose
 band, 31 stored rows per unknown, stays below the about 32 nonzeros per row
 of M^T M, and enough where solves take a few iterations (s >= 2 on
-criterion 5's datum).  At small s the seven-node blocks leave hundreds of
+criterion 5's datum).  The groups are counted from the observed end, the
+end farther from x0, where the weight is steepest and the trace rows sit:
+the iteration count follows the width of the group there, so the group that
+may be shorter goes to the other end.  On 49 interior nodes (7 x 7) the
+origin changes nothing.  At small s the seven-node blocks leave hundreds of
 iterations per solve.  So when a solve has taken more LSMR iterations than
 ``_widen_threshold(grid)``, the next ``update_gamma`` regroups the engine into
 one group over every interior node, and the engine keeps that width.  That
@@ -50,10 +55,11 @@ triangular solves, so the engine keeps each in the form LAPACK and the sparse
 kernels run fastest.  At seven-node width the factor L is stored twice, in
 lower band storage and transposed in upper band storage: R^-1 = L^-T and
 R^-T = L^-1 are then each an untransposed banded solve, about half the time
-of LAPACK's transposed one.  A widened engine stores L once, (kd + 1) n
-values (7.8 MB at 51x101), and R^-1 is LAPACK's transposed solve, whose lower
-speed a handful of iterations per solve does not feel.  M^T is stored as CSR
-beside M, whose CSC view multiplies at about half the speed.  M's columns and
+of LAPACK's transposed one.  A wider engine, the memoized one (below) or a
+widened one, stores L once, (kd + 1) n values (7.8 MB at 51x101 when
+widened), and R^-1 is LAPACK's transposed solve, whose lower speed its few
+iterations per solve do not feel.  M^T is stored as CSR beside M, whose CSC
+view multiplies at about half the speed.  M's columns and
 M^T's rows are permuted once into group order, and LSMR runs in that order
 throughout, so no vector is reordered inside the loop; y goes back to
 time-major order once per solve.  LSMR is the engine's own loop: its norms
@@ -62,13 +68,14 @@ sum across BLAS threads, and the factorization runs on one, so its iterates
 do not depend on the BLAS thread count.
 
 The work that M's pattern alone fixes is done once per (grid, c, b, observed
-sides, group width) and cached read-only, shared by every engine on that
-key: M's unweighted rows, each entry's interior node, M's column indices in
-group order, M^T's pattern with the permutation that fills it from M's
-entries, and the band entries with their band positions, from the group
-blocks of the product of M's pattern with unit entries.  The pieces P0, Q and P2 at the band entries are built once per
-pattern key and row weights, forming only the group blocks of one product
-at a time, and the last ones built are kept read-only.  An assembly does the work alpha
+sides, group width, origin) and cached read-only, shared by every engine on
+that key: M's unweighted rows, each entry's interior node, M's column
+indices in group order, M^T's pattern with the permutation that fills it
+from M's entries, and the band entries with their band positions, from the
+group blocks of the product of M's pattern with unit entries.  The pieces
+P0, Q and P2 at the band entries are built once per pattern key and row
+weights, forming only the group blocks of one product at a time, and the
+last ones built are kept read-only.  An assembly does the work alpha
 changes: it refills M's entries (and M^T's) in place, combines the pieces,
 checks the band for finite values and a positive diagonal, and factors it.
 
@@ -99,16 +106,20 @@ data, solves and computes the diagnostics with one assembled engine, which
 the reconstruction loop keeps across its iterations.  ``minimize_J``,
 ``minimizer_difference_check``, ``evaluate_J`` and ``v_norm_sq`` use a
 memoized engine, keyed on the whole problem: (grid, c, b, the bytes of
-gamma, box bound, Carleman setup).  One entry is kept, so a
-batch of minimizations and evaluations on one problem assembles once and
-builds one weight table, and the diagnostics at a minimizer equal
-``evaluate_J`` and ``v_norm_sq`` there bit for bit.  Evaluating a problem not
-seen before assembles and factors its engine, so it raises
-:class:`MinimizationError` where that band cannot be factored.  The products
-only read the engine's arrays, and a solve records only its iteration count,
-which matters only to ``update_gamma``; the engine is never returned and
-never updated, so it never widens, and a reused engine gives the bits a
-fresh one would.
+gamma, box bound, Carleman setup).  Two entries are kept, so a batch of
+minimizations and evaluations on one problem, or alternating between two,
+assembles once per problem and builds one weight table, and the diagnostics
+at a minimizer equal ``evaluate_J`` and ``v_norm_sq`` there bit for bit.
+Evaluating a problem not seen before assembles and factors its engine, so it
+raises :class:`MinimizationError` where that band cannot be factored.  That
+engine is factored once for many solves, so it is built on groups of
+``_SHARED_GROUP_NODES`` = 16 nodes (kd = 66), counted from the observed end,
+with L stored once: criterion 2's 60 solves at 51x201 take 70 LSMR
+iterations, against 395 on seven-node groups.  The products only read the
+engine's arrays, and a solve records only its iteration count, which matters
+only to ``update_gamma``; the engine is never returned and never updated, so
+it keeps its width, and a reused engine gives the bits a fresh one on that
+width would.
 Gamma is keyed by its bytes at call time: a caller who edits their array in
 place gets a new engine.
 """
@@ -137,11 +148,19 @@ from .solver import MGTCoefficients
 # the third difference spans five levels, so its Gram product spans +-4.
 _TIME_BANDWIDTH = 4
 
-# Interior nodes per preconditioner block of a new engine; _widen_threshold
-# says when it widens.  M^T M couples nodes at most two apart, so a group of
-# q nodes in time-major order is one band with kd = 4q + 2: 4q + 3 = 31
-# stored rows per unknown, below the about 32 nonzeros per row of M^T M.
+# Interior nodes per preconditioner block of a new engine, counted from the
+# observed end; _widen_threshold says when it widens.  M^T M couples nodes
+# at most two apart, so a group of q nodes in time-major order is one band
+# with kd = 4q + 2: 4q + 3 = 31 stored rows per unknown, below the about 32
+# nonzeros per row of M^T M.
 _GROUP_NODES = 7
+
+# Interior nodes per block of the memoized engine (kd = 66), which is
+# factored once for every solve on its problem.  Criterion 2's 60 solves at
+# 51x201 take 395 LSMR iterations on seven-node groups (0.45 s on a 2-core
+# Xeon), 136 on 13-node ones (0.32 s), 70 on 16 (0.19 s) and 60 on 19
+# (0.21 s): past 16 the wider solves cost more than the iterations saved.
+_SHARED_GROUP_NODES = 16
 
 # Relative shift of the blocks' diagonal before factoring: without it the
 # steepest weights (s = 4) leave a group block numerically indefinite.
@@ -178,7 +197,8 @@ def _widen_threshold(grid: SpaceTimeGrid) -> Optional[int]:
 
 
 # Half-width of the seven-node band.  Bands up to it keep L in lower and in
-# upper storage; wider ones, reached by widening, keep L alone.
+# upper storage; wider ones, the memoized engine's and a widened one's, keep
+# L alone.
 _BOTH_STORAGES_KD = _TIME_BANDWIDTH * _GROUP_NODES + 2
 
 
@@ -334,12 +354,14 @@ def _unweighted_rows(grid: SpaceTimeGrid, c: float, b: float, sides: tuple):
 @dataclass(frozen=True)
 class _PatternPlan:
     """Read-only structure of M that its pattern alone fixes, shared by every
-    engine on one (grid, c, b, observed sides, group width).
+    engine on one (grid, c, b, observed sides, group width, origin).
 
     Unknowns are numbered time-major (level t of interior node j at t * m + j)
-    or in group order: groups of ``group_nodes`` adjacent interior nodes, the
-    last one possibly shorter, each group's unknowns contiguous and
-    time-major within it, so that level t of node j sits at
+    or in group order: groups of ``group_nodes`` adjacent interior nodes
+    counted from the right end if ``from_right``, else from the left, so that
+    the one group possibly shorter sits at the other end; each group's
+    unknowns are contiguous and time-major within it, so that level t of node
+    j, in the group of nodes start to start + width - 1, sits at
     nt1 * start + t * width + j - start.  ``position`` maps each time-major
     index there and ``group_order`` back; ``bounds`` holds each group's first
     group-order index, then n.
@@ -365,6 +387,7 @@ class _PatternPlan:
     group_order: np.ndarray
     bounds: np.ndarray
     group_nodes: int
+    from_right: bool
     slots: np.ndarray
     alpha_runs: np.ndarray          # rows: row node, column node, run length
 
@@ -404,7 +427,7 @@ def _upper_entries(block: sp.coo_matrix, kd: int) -> tuple:
 
 @functools.lru_cache(maxsize=4)
 def _pattern_plan(grid: SpaceTimeGrid, c: float, b: float, sides: tuple,
-                  group_nodes: int) -> _PatternPlan:
+                  group_nodes: int, from_right: bool) -> _PatternPlan:
     """The pattern work of an engine, done once per key; see _PatternPlan.
 
     The band entries come from the group blocks of the product of M's
@@ -414,14 +437,17 @@ def _pattern_plan(grid: SpaceTimeGrid, c: float, b: float, sides: tuple,
     fixed, alpha_rows = _unweighted_rows(grid, c, b, sides)
     nt1, m = grid.nt - 1, grid.nx - 2
     n = nt1 * m
+    # counted from the right, the first group lacks ``missing`` nodes
+    missing = -m % group_nodes if from_right else 0
+    edges = np.clip(np.arange(-missing, m + group_nodes, group_nodes), 0, m)
     node = np.arange(m)
-    start = node // group_nodes * group_nodes
-    width = np.minimum(start + group_nodes, m) - start
+    group = (node + missing) // group_nodes
+    start, width = edges[group], np.diff(edges)[group]
     position = (nt1 * start[None, :] + np.arange(nt1)[:, None] * width[None, :]
                 + (node - start)[None, :]).ravel()
     group_order = np.empty(n, dtype=np.intp)
     group_order[position] = np.arange(n)
-    bounds = nt1 * np.append(np.arange(0, m, group_nodes), m)
+    bounds = nt1 * edges
 
     indices, indptr = fixed.indices, fixed.indptr
     grouped_indices = position[indices].astype(indices.dtype)
@@ -457,7 +483,8 @@ def _pattern_plan(grid: SpaceTimeGrid, c: float, b: float, sides: tuple,
         transpose_indptr=flipped.indptr, transpose_indices=flipped.indices,
         transpose_order=flipped.data,
         position=position, group_order=group_order, bounds=bounds,
-        group_nodes=group_nodes, slots=slots[order].astype(np.int32),
+        group_nodes=group_nodes, from_right=from_right,
+        slots=slots[order].astype(np.int32),
         alpha_runs=runs)
     for array in (plan.entry_node, plan.row_sizes, grouped_indices, flipped.indptr,
                   flipped.indices, flipped.data, position, group_order, bounds,
@@ -489,20 +516,23 @@ class _BandPieces:
 
 @functools.lru_cache(maxsize=1)
 def _band_pieces(grid: SpaceTimeGrid, c: float, b: float, sides: tuple,
-                 group_nodes: int, root_weight: bytes) -> _BandPieces:
-    """The band's pieces for the plan of (grid, c, b, sides, group_nodes)
-    and the rows' square-root weights (as bytes, so that they key the cache).
+                 group_nodes: int, from_right: bool, root_weight: bytes) -> _BandPieces:
+    """The band's pieces for the plan of (grid, c, b, sides, group_nodes,
+    from_right) and the rows' square-root weights (as bytes, so that they key
+    the cache).
 
-    One entry is kept, so a change of weight table rebuilds it: a
+    One entry is kept, so a change of weight table or of plan rebuilds it: a
     reconstruction keeps one table, but the scale sweep runs one per s value
-    and rebuilds at each.  A rebuild (about 16 ms at 51x101, 26 ms at
-    51x201) costs what three to five assemblies save.
+    and rebuilds at each, and the memoized engine's sixteen-node groups are
+    another plan than a new engine's seven-node ones.  A rebuild (about
+    16 ms at 51x101, 26 ms at 51x201 on seven-node groups) costs what three
+    to five assemblies save.
 
     Only the group blocks of each product are formed, one product at a
     time; each is read at the band entries through a zeroed band and
     dropped before the next.
     """
-    plan = _pattern_plan(grid, c, b, sides, group_nodes)
+    plan = _pattern_plan(grid, c, b, sides, group_nodes, from_right)
     order = plan.transpose_order
     # W^1/2 F and W^1/2 A transposed, as CSR with their rows in group order;
     # A on its own entries, since the pattern it shares also holds F's
@@ -614,8 +644,9 @@ class CarlemanLeastSquares:
     entries), M^T as CSR with its rows in group order, and the banded
     Cholesky factor of the node-group time-series blocks of M^T M, the right
     preconditioner of the solve: in lower and in upper band storage for
-    seven-node groups, in lower storage alone once a long solve has widened
-    the engine to one group over every interior node.  The
+    seven-node groups, in lower storage alone for the memoized engine's
+    sixteen-node groups and once a long solve has widened the engine to one
+    group over every interior node.  The
     blocks are combined from gamma-independent pieces that engines with the
     same pattern and weights share; M^T M is never formed.  M depends on the
     zeroth-order coefficient only through alpha; ``update_gamma`` refills M
@@ -625,11 +656,14 @@ class CarlemanLeastSquares:
     :func:`minimizer_difference_check` reuses it.  :func:`minimize_J`,
     :func:`minimizer_difference_check`, :func:`evaluate_J` and
     :func:`v_norm_sq` share one memoized engine per problem (see
-    :func:`_shared_engine`), which is never updated.
+    :func:`_shared_engine`), which is never updated.  Every engine counts
+    its node groups from the observed end.
     """
 
     def __init__(self, coeffs: MGTCoefficients, carleman: CarlemanSetup,
-                 grid: SpaceTimeGrid):
+                 grid: SpaceTimeGrid, group_nodes: Optional[int] = None):
+        """``group_nodes`` (by default ``_GROUP_NODES``) is the width of the
+        engine's first node groups; only :func:`_shared_engine` sets it."""
         self.geometry, self.omega = _weighting(carleman, grid)
         self.scales = carleman.scales
         self.grid = grid
@@ -637,17 +671,20 @@ class CarlemanLeastSquares:
         self._root_weight = np.sqrt(_row_weights(grid, self.geometry.gamma0_sides,
                                                  self.omega, self.scales.s))
         self.coeffs = coeffs
-        self._group(_GROUP_NODES)
+        self._group(min(_GROUP_NODES if group_nodes is None else group_nodes,
+                        grid.nx - 2))
         self._widen_after = _widen_threshold(grid)
         self._last_iterations = 0
         self._assemble(coeffs)
 
     def _group(self, group_nodes: int) -> None:
-        """Lay the engine out in groups of ``group_nodes`` nodes: M (time-major
-        and in group order, on shared entries) and M^T on that group order's
-        plan, with no factor yet."""
+        """Lay the engine out in groups of ``group_nodes`` nodes counted from
+        the observed end, the one farther from x0: M (time-major and in group
+        order, on shared entries) and M^T on that group order's plan, with no
+        factor yet."""
         plan = self._plan = _pattern_plan(self.grid, self.coeffs.c, self.coeffs.b,
-                                          self.geometry.gamma0_sides, group_nodes)
+                                          self.geometry.gamma0_sides, group_nodes,
+                                          self.geometry.x0 < self.grid.x_left)
         rows = plan.fixed
         self.operator = sp.csr_matrix((np.empty(rows.nnz), rows.indices, rows.indptr),
                                       shape=rows.shape)
@@ -690,16 +727,16 @@ class CarlemanLeastSquares:
         np.take(data, plan.transpose_order, out=self._operator_t.data)
 
         pieces = _band_pieces(self.grid, coeffs.c, coeffs.b, self.geometry.gamma0_sides,
-                              plan.group_nodes, self._root_weight.tobytes())
+                              plan.group_nodes, plan.from_right, self._root_weight.tobytes())
         kd = _band_kd(plan.group_nodes)
-        # a widened band keeps L alone: it is (kd + 1) n values, and its
-        # solves take a handful of iterations
-        whole = kd > _BOTH_STORAGES_KD
+        # a band wider than seven nodes keeps L alone: it is (kd + 1) n
+        # values, and its solves take few iterations
+        wide = kd > _BOTH_STORAGES_KD
         if band is None:
             band = np.zeros((kd + 1, n), order="F")
             # the transposed factor's storage, with room after it for the
             # corner of the lower storage that the strided copy also moves
-            store = None if whole else np.zeros((kd + 1) * (n + kd))
+            store = None if wide else np.zeros((kd + 1) * (n + kd))
         else:
             band.fill(0.0)
         values = _band_values(pieces, plan, coeffs.alpha[1:-1])
@@ -716,7 +753,7 @@ class CarlemanLeastSquares:
                 f"node-group preconditioner is not positive definite "
                 f"(banded Cholesky info {info})")
         self._block_factor = band
-        if whole:
+        if wide:
             return
         # The same factor transposed, in upper band storage: L[offset, k] goes
         # to U[kd - offset, k + offset], flat (k + offset) (kd + 1) + kd - offset
@@ -739,8 +776,9 @@ class CarlemanLeastSquares:
 
         R is the transpose of the group blocks' lower Cholesky factor L: R^-1
         is an upper-triangular solve with the stored transpose, R^-T a
-        lower-triangular one with L, each untransposed.  In a widened engine,
-        where only L is stored, R^-1 is LAPACK's transposed solve with L.
+        lower-triangular one with L, each untransposed.  In an engine wider
+        than seven nodes, where only L is stored, R^-1 is LAPACK's transposed
+        solve with L.
         """
         if trans == "T":
             if self._block_factor_upper is None:
@@ -920,13 +958,13 @@ def weighted_data_norms(mu, g, carleman: CarlemanSetup, grid: SpaceTimeGrid):
     return _sum_of_squares(interior), _sum_of_squares(traces)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _shared_engine(grid: SpaceTimeGrid, c: float, b: float, gamma: bytes, box_bound: float,
                    carleman: CarlemanSetup) -> CarlemanLeastSquares:
-    """The memoized engine of one problem, gamma given as its bytes; see the
-    module docstring."""
+    """The memoized engine of one problem, gamma given as its bytes, on
+    ``_SHARED_GROUP_NODES``-node groups; see the module docstring."""
     coeffs = MGTCoefficients(c, b, np.frombuffer(gamma), box_bound)
-    return CarlemanLeastSquares(coeffs, carleman, grid)
+    return CarlemanLeastSquares(coeffs, carleman, grid, group_nodes=_SHARED_GROUP_NODES)
 
 
 def _engine(coeffs: MGTCoefficients, carleman: CarlemanSetup,

@@ -29,6 +29,7 @@ from mgt_inverse.grid import (boundary_normal_derivative, build_grid,
                               trapezoid_weights)
 from mgt_inverse.observation import MuPair
 from mgt_inverse.solver import MGTCoefficients
+import test_acceptance as acceptance
 from test_solver import apply_operator
 
 GEO = CarlemanGeometry(x0=-0.1, beta=0.9, m0=2.5)
@@ -326,7 +327,7 @@ def test_difference_check_second_minimizer_is_a_cold_solve():
     mu, g = random_data(grid, 23)
     g2 = g + np.random.default_rng(29).normal(size=g.shape)
     report = minimizer_difference_check(g, g2, mu, coeffs, setup, grid, solver_tol=1e-8)
-    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    engine = _fresh_shared_width_engine(coeffs, setup, grid)
     y1, diag1 = engine.minimize(mu, g, 1e-8)
     y2, diag2 = engine.minimize(mu, g2, 1e-8)
     assert report.diagnostics_first == diag1
@@ -457,23 +458,50 @@ def test_preconditioner_inverts_each_node_group_block():
     coo = mat.tocoo()
     assert np.abs(coo.row // m - coo.col // m).max() == 4
     assert np.abs(coo.row % m - coo.col % m).max() == 2
-    # m = 29: groups of 7, 7, 7, 7 and 1 nodes; first, middle and last group
+    # m = 29: groups of 1, 7, 7, 7 and 7 nodes, counted from the observed
+    # right end.  The block at that end holds the steepest weights and the
+    # trace rows: its forward error is 2e-8 at a residual of 1e-16, so it is
+    # held to a small residual, as the whole-width block is, and every other
+    # block to a forward error near rounding
     assert m == 29
     rng = np.random.default_rng(29)
-    for first, last in ((0, 7), (14, 21), (28, 29)):
+    for first, last in ((0, 1), (1, 8), (8, 15), (15, 22), (22, 29)):
         in_group = np.zeros((nt1, m), dtype=bool)
         in_group[:, first:last] = True
         in_group = in_group.ravel()
+
+        def block(w):
+            # the factored block R^T R is the group's part of the matrix with
+            # its diagonal scaled by 1 + shift; R^-1 R^-T inverts it
+            return np.where(in_group, mat @ w, 0.0) + _BLOCK_SHIFT * mat.diagonal() * w
+
         v = np.where(in_group, rng.normal(size=nt1 * m), 0.0)
-        # the factored block R^T R is the group's part of the matrix with its
-        # diagonal scaled by 1 + shift; R^-1 R^-T inverts it
-        block_image = (np.where(in_group, mat @ v, 0.0)
-                       + _BLOCK_SHIFT * mat.diagonal() * v)
+        block_image = block(v)
         # the solves take and return vectors in group order
         plan = engine._plan
         solved = engine._right_solve(engine._right_solve(block_image[plan.group_order], "N"),
                                      "T")[plan.position]
-        assert np.allclose(solved, v, rtol=0.0, atol=1e-10)
+        if last < m:
+            assert np.allclose(solved, v, rtol=0.0, atol=1e-10)
+        else:
+            assert (np.linalg.norm(block(solved) - block_image)
+                    <= 1e-12 * np.linalg.norm(block_image))
+
+
+@pytest.mark.parametrize("x0, widths", [
+    # right end observed: the full groups at x = 1, the one-node group at x0's end
+    (-0.1, [1, 7, 7, 7, 7]),
+    # the mirrored geometry: left end observed
+    (1.1, [7, 7, 7, 7, 1])])
+def test_node_groups_are_counted_from_the_observed_end(x0, widths):
+    grid, coeffs, _ = make_problem(31, 61)
+    setup = CarlemanSetup(CarlemanGeometry(x0, 0.9, 2.5), CarlemanScales(1.0, 2.0))
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    assert engine.geometry.gamma0_sides == (("right",) if x0 < 0.0 else ("left",))
+    assert list(np.diff(engine._plan.bounds) // (grid.nt - 1)) == widths
+    # group order lists each group's nodes in turn, time-major within it
+    first = engine._plan.group_order[:widths[0] * 2] % (grid.nx - 2)
+    assert list(first) == list(range(widths[0])) * 2
 
 
 def test_preconditioner_solves_are_adjoint():
@@ -501,7 +529,7 @@ def test_band_pieces_are_built_once_per_weight_table_and_read_only():
         assert (info.misses, info.hits) == (1, 2)
         pieces = functional._band_pieces(grid, coeffs.c, coeffs.b,
                                          first.geometry.gamma0_sides, first._plan.group_nodes,
-                                         first._root_weight.tobytes())
+                                         first._plan.from_right, first._root_weight.tobytes())
         for array in (pieces.fixed, pieces.mixed, pieces.mixed_t, pieces.alpha):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
@@ -514,20 +542,31 @@ def test_band_pieces_are_built_once_per_weight_table_and_read_only():
 
 
 def test_minimizer_is_unchanged_after_another_weight_table():
-    # key A, then key B, then key A again (rebuilt if B evicted it): the
-    # second minimizer on A is the first, bit for bit
+    # key A, then key B, then key A again on a rebuilt engine, whose pieces
+    # are rebuilt because B's replaced them: the second minimizer on A is the
+    # first, bit for bit
     grid, coeffs, setup = make_problem(21, 41)
     other = CarlemanSetup(GEO, CarlemanScales(0.5, 1.0))
     mu, g = random_data(grid, 61)
+    # an engine memoized by an earlier test would build no pieces below
+    functional._shared_engine.cache_clear()
     functional._band_pieces.cache_clear()
     try:
         first, _ = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-10)
         minimize_J(mu, g, coeffs, other, grid, solver_tol=1e-10)
+        # the memo keeps both engines; emptied, it builds A's again
+        functional._shared_engine.cache_clear()
         again, _ = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-10)
-        assert functional._band_pieces.cache_info().misses >= 2
+        assert functional._band_pieces.cache_info().misses == 3
         assert np.array_equal(first.values, again.values)
     finally:
         functional._band_pieces.cache_clear()
+
+
+def _fresh_shared_width_engine(coeffs, setup, grid):
+    """A fresh engine on the memoized engine's group width."""
+    return CarlemanLeastSquares(coeffs, setup, grid,
+                                group_nodes=functional._SHARED_GROUP_NODES)
 
 
 def _counted_engine_builds(monkeypatch):
@@ -536,9 +575,9 @@ def _counted_engine_builds(monkeypatch):
     original = CarlemanLeastSquares.__init__
     built = []
 
-    def counted(self, *args):
+    def counted(self, *args, **kwargs):
         built.append(args)
-        original(self, *args)
+        original(self, *args, **kwargs)
 
     monkeypatch.setattr(CarlemanLeastSquares, "__init__", counted)
     return built
@@ -548,7 +587,7 @@ def test_minimizations_of_one_problem_share_one_engine(monkeypatch):
     grid, coeffs, setup = make_problem(31, 61)
     mu, g = random_data(grid, 67)
     g2 = g + np.random.default_rng(71).normal(size=g.shape)
-    fresh = CarlemanLeastSquares(coeffs, setup, grid)
+    fresh = _fresh_shared_width_engine(coeffs, setup, grid)
     want, want_diag = fresh.minimize(mu, g, 1e-8)
     want2, want_diag2 = fresh.minimize(mu, g2, 1e-8)
 
@@ -573,7 +612,7 @@ def test_another_coefficient_weight_or_grid_builds_another_engine(monkeypatch):
     grid, coeffs, setup = make_problem(21, 41)
     mu, g = random_data(grid, 73)
     shifted = coeffs.with_gamma(np.clip(coeffs.gamma + 0.2, 0.0, 1.0))
-    want, _ = CarlemanLeastSquares(shifted, setup, grid).minimize(mu, g, 1e-8)
+    want, _ = _fresh_shared_width_engine(shifted, setup, grid).minimize(mu, g, 1e-8)
     other_grid, other_coeffs, _ = make_problem(13, 25)
     other_mu, other_g = random_data(other_grid, 79)
 
@@ -593,8 +632,8 @@ def test_gamma_edited_in_place_builds_the_new_coefficient_s_engine(monkeypatch):
     grid, coeffs, setup = make_problem(21, 41)
     mu, g = random_data(grid, 83)
     edited = np.clip(coeffs.gamma + 0.2, 0.0, 1.0)
-    want, want_diag = CarlemanLeastSquares(coeffs.with_gamma(edited.copy()), setup,
-                                           grid).minimize(mu, g, 1e-8)
+    want, want_diag = _fresh_shared_width_engine(coeffs.with_gamma(edited.copy()), setup,
+                                                 grid).minimize(mu, g, 1e-8)
 
     built = _counted_engine_builds(monkeypatch)
     before, _ = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8)
@@ -603,6 +642,58 @@ def test_gamma_edited_in_place_builds_the_new_coefficient_s_engine(monkeypatch):
     assert len(built) == 2
     assert np.array_equal(after.values, want.values) and diag == want_diag
     assert not np.array_equal(before.values, after.values)
+
+
+def test_memoized_engine_is_a_fresh_engine_on_sixteen_node_groups():
+    grid, coeffs, setup = make_problem(51, 101)
+    mu, g = random_data(grid, 89)
+    functional._shared_engine.cache_clear()
+    y, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8)
+    engine = functional._engine(coeffs, setup, grid)
+    # m = 49: groups of 1, 16, 16 and 16 nodes, L stored once (kd = 66)
+    assert list(engine._plan.bounds // (grid.nt - 1)) == [0, 1, 17, 33, 49]
+    assert engine._block_factor.shape == (67, engine._n_unknowns)
+    assert engine._block_factor_upper is None
+    fresh = _fresh_shared_width_engine(coeffs, setup, grid)
+    assert np.array_equal(engine.operator.data, fresh.operator.data)
+    assert np.array_equal(engine._block_factor, fresh._block_factor)
+    want, want_diag = fresh.minimize(mu, g, 1e-8)
+    assert np.array_equal(y.values, want.values) and diag == want_diag
+
+
+def test_alternating_between_two_problems_builds_two_engines(monkeypatch):
+    # the memo keeps two entries, so a caller that alternates between two
+    # coefficients does not assemble and factor on every call
+    grid, coeffs, setup = make_problem(21, 41)
+    shifted = coeffs.with_gamma(np.clip(coeffs.gamma + 0.2, 0.0, 1.0))
+    y = random_variable(grid, 97)
+    mu, g = random_data(grid, 101)
+    built = _counted_engine_builds(monkeypatch)
+    values = [evaluate_J(y, mu, g, (coeffs, shifted)[k % 2], setup, grid)
+              for k in range(20)]
+    assert len(built) == 2
+    assert values[0::2] == [values[0]] * 10 and values[1::2] == [values[1]] * 10
+    assert values[0] != values[1]
+
+
+def test_criterion_2_minimizations_take_few_lsmr_iterations():
+    # criterion 2's 20 minimizations at 51x201 on its own data, in its draw
+    # order: 26 LSMR iterations in all on the memoized engine's sixteen-node
+    # groups counted from the observed end, against 132 on seven-node groups
+    # counted from x = 0
+    grid = build_grid(0.0, 1.0, 51, 1.25, 201)
+    setup = CarlemanSetup(acceptance.GEO, CarlemanScales(1.0, 2.0))
+    coeffs = acceptance.canonical_coeffs(grid)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        acceptance.random_variable(rng, grid)
+    iterations = 0
+    for _ in range(20):
+        g = rng.normal(size=(grid.nt, grid.nx))
+        mu = acceptance.random_mu(rng, grid)
+        _, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-6)
+        iterations += diag.solver_iterations
+    assert iterations <= 26
 
 
 def test_overflowing_band_fails_its_check_without_a_warning():
@@ -666,6 +757,7 @@ def test_minimizer_diagnostics_match_the_standalone_objective():
 def test_unweighted_rows_are_built_once_per_key_and_read_only():
     # the rows are part of the pattern plan: one cache holds them
     functional._pattern_plan.cache_clear()
+    functional._shared_engine.cache_clear()
     try:
         grid, coeffs, setup = make_problem(21, 41)
         mu, g = random_data(grid, 47)
@@ -673,10 +765,12 @@ def test_unweighted_rows_are_built_once_per_key_and_read_only():
         first = CarlemanLeastSquares(coeffs, setup, grid)
         second = CarlemanLeastSquares(coeffs, setup, grid)
         second.update_gamma(np.clip(coeffs.gamma + 0.2, 0.0, 1.0))
-        for target in (None, g, 2.0 * g):
-            evaluate_J(y, mu, target, coeffs, setup, grid)
         assert functional._pattern_plan.cache_info().misses == 1
         assert first._plan.fixed is second._plan.fixed
+        # the memoized engine's wider groups are another key
+        for target in (None, g, 2.0 * g):
+            evaluate_J(y, mu, target, coeffs, setup, grid)
+        assert functional._pattern_plan.cache_info().misses == 2
 
         for rows in (first._plan.fixed, first._plan.alpha_rows):
             for array in (rows.data, rows.indices, rows.indptr):
@@ -684,10 +778,10 @@ def test_unweighted_rows_are_built_once_per_key_and_read_only():
                     array[0] = 1
 
         CarlemanLeastSquares(MGTCoefficients(2.0, 1.0, coeffs.gamma, 1.0), setup, grid)
-        assert functional._pattern_plan.cache_info().misses == 2
+        assert functional._pattern_plan.cache_info().misses == 3
         other_grid, other_coeffs, _ = make_problem(13, 25)
         v_norm_sq(random_variable(other_grid, 59), other_coeffs, setup, other_grid)
-        assert functional._pattern_plan.cache_info().misses == 3
+        assert functional._pattern_plan.cache_info().misses == 4
     finally:
         functional._pattern_plan.cache_clear()
 
@@ -825,8 +919,11 @@ def test_fresh_assembly_matches_an_explicit_product_and_scatter():
 
     normal = (mat.T.tocsr() @ mat).tocoo()
     node, level = np.arange(n) % m, np.arange(n) // m
-    start = node // 7 * 7
-    width = np.minimum(start + 7, m) - start
+    # m = 19: groups of 5, 7 and 7 nodes, counted from the observed right end
+    assert m == 19
+    end = (node + 2) // 7 * 7 + 5
+    start = np.maximum(end - 7, 0)
+    width = end - start
     position = nt1 * start + level * width + node - start
     row, col = normal.row, normal.col
     keep = (col >= row) & (start[row] == start[col])
@@ -836,7 +933,8 @@ def test_fresh_assembly_matches_an_explicit_product_and_scatter():
 
     plan = engine._plan
     pieces = functional._band_pieces(grid, coeffs.c, coeffs.b, engine.geometry.gamma0_sides,
-                                     plan.group_nodes, engine._root_weight.tobytes())
+                                     plan.group_nodes, plan.from_right,
+                                     engine._root_weight.tobytes())
     band = np.zeros((kd + 1, n), order="F")
     band.ravel(order="F")[plan.slots] = functional._band_values(pieces, plan,
                                                                 coeffs.alpha[1:-1])
@@ -972,8 +1070,9 @@ def test_whole_width_factor_does_not_depend_on_the_blas_thread_count():
 
 
 def _long_solve_problem():
-    """21x41 at s = 0.5: the first solve to 1e-8 takes 112 LSMR iterations
-    on the seven-node groups, above the widening threshold."""
+    """21x41 at s = 0.5: the first solve to 1e-8 takes 117 LSMR iterations
+    on seven-node groups and 75 on sixteen-node ones, both above the
+    widening threshold."""
     grid, coeffs, setup = make_problem(21, 41, s=0.5)
     mu, g = random_data(grid, 1)
     return grid, coeffs, setup, mu, g
@@ -1073,7 +1172,7 @@ def test_band_cholesky_restores_the_blas_thread_setting(band, outcome):
         assert functional._set_blas_threads(previous) == 3
 
 
-def test_memoized_engine_stays_at_seven_node_groups_after_a_long_solve():
+def test_memoized_engine_keeps_its_sixteen_node_groups_after_a_long_solve():
     grid, coeffs, setup, mu, g = _long_solve_problem()
     functional._shared_engine.cache_clear()
     first, diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8)
@@ -1081,7 +1180,9 @@ def test_memoized_engine_stays_at_seven_node_groups_after_a_long_solve():
     again, again_diag = minimize_J(mu, g, coeffs, setup, grid, solver_tol=1e-8)
     engine = functional._engine(coeffs, setup, grid)
     assert functional._shared_engine.cache_info().misses == 1
-    assert engine._plan.group_nodes == 7 and engine._plan.bounds.size > 2
+    # m = 19: groups of 3 and 16 nodes, the full one at the observed end
+    assert engine._plan.group_nodes == 16
+    assert list(engine._plan.bounds // (grid.nt - 1)) == [0, 3, 19]
     assert np.array_equal(again.values, first.values) and again_diag == diag
 
 

@@ -324,7 +324,7 @@ def test_ratio_floor_turns_a_zero_base_error_into_nan():
     assert errors[0] == 0.0 and report.iterations == 3
     assert math.isnan(report.ratios[0])
     assert report.ratios[1:] == [errors[2] / errors[1], errors[3] / errors[2]]
-    assert report.ratios[1:] == pytest.approx([0.856, 1.512], abs=5e-4)
+    assert report.ratios[1:] == pytest.approx([0.857, 1.5186], abs=5e-4)
 
 
 def test_reconstruction_error_preserves_partial_history():
