@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import (SpaceTimeGrid, apply_laplacian, boundary_normal_derivative,
                    interior_weights, time_derivative_matrix_zero_start,
-                   trapezoid_weights)
+                   trapezoid_weights, zero_start_acceleration)
 from .solver import MGTCoefficients
 
 LOG_RANGE_LIMIT = 700.0   # exp() overflows just above this in double precision
@@ -130,6 +130,7 @@ def log_weight_table(grid: SpaceTimeGrid, geometry: CarlemanGeometry,
 
 @dataclass
 class WeightStatistics:
+    m0: float           # the geometry's offset, which moves the range by decades
     log_min: float
     log_max: float
     log10_ratio: float
@@ -146,7 +147,8 @@ def weight_statistics(grid: SpaceTimeGrid, geometry: CarlemanGeometry,
     table = log_weight_table(grid, geometry, scales)
     log_min = float(table.min())
     log_max = float(table.max())
-    return WeightStatistics(log_min, log_max, (log_max - log_min) / np.log(10.0))
+    return WeightStatistics(geometry.m0, log_min, log_max,
+                            (log_max - log_min) / np.log(10.0))
 
 
 def normalized_weight(log_values: np.ndarray) -> np.ndarray:
@@ -224,8 +226,7 @@ def _estimate_terms(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGe
         dyn = boundary_normal_derivative(y, grid, side)
         fluxes.append((0 if side == "left" else grid.nx - 1,
                        (d1 @ dyn) ** 2 + c4 * dyn ** 2))
-    ytt0 = 2.0 * y[1] / grid.dt ** 2          # encoded initial acceleration
-    return _EstimateTerms(ytt0 ** 2,
+    return _EstimateTerms(zero_start_acceleration(y[1], grid.dt) ** 2,
                           c4 * (yt ** 2 + yx ** 2) + ytt ** 2 + yxt ** 2,
                           c4 * y ** 2 + yt ** 2, ly ** 2, tuple(fluxes))
 

@@ -192,9 +192,16 @@ def _config_source(doc, grid, coeffs):
     return f
 
 
-def _observed_sides(doc, grid):
-    """The observed sides of an admissible geometry; raises ValueError otherwise."""
-    return admissible_geometry(_config_geometry(doc), grid).gamma0_sides
+def _forward_run(doc):
+    """The config's forward run: (grid, coefficients, initial data, source or
+    None, observed sides of its admissible geometry, trajectory).  An
+    inadmissible geometry raises ValueError before the solve."""
+    grid = _config_grid(doc)
+    coeffs = _config_coeffs(doc, grid)
+    init = _config_init(doc, grid)
+    f = _config_source(doc, grid, coeffs)
+    sides = admissible_geometry(_config_geometry(doc), grid).gamma0_sides
+    return grid, coeffs, init, f, sides, solve_forward(coeffs, init, f, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +209,7 @@ def _observed_sides(doc, grid):
 # ---------------------------------------------------------------------------
 
 def command_forward(doc: dict, out_dir: str) -> int:
-    grid = _config_grid(doc)
-    coeffs = _config_coeffs(doc, grid)
-    init = _config_init(doc, grid)
-    f = _config_source(doc, grid, coeffs)
-    sides = _observed_sides(doc, grid)
-    traj = solve_forward(coeffs, init, f, grid)
+    grid, coeffs, _, _, sides, traj = _forward_run(doc)
 
     trace_files = {}
     for side in sides:
@@ -311,7 +313,7 @@ def _verify_stability(doc, out_dir, seed):
     rng = np.random.default_rng(seed)
     pairs = [(draw_coefficient_sample(rng, c["box_bound"]).values(grid),
               draw_coefficient_sample(rng, c["box_bound"]).values(grid))
-             for _ in range(ver.get("pairs", 10))]
+             for _ in range(int(ver.get("pairs", 10)))]
     report = stability_two_sided(pairs, init, grid, sides=sides, c=c["c"],
                                  b=c["b"], box_bound=c["box_bound"])
     # one quotient, written under both sides of the two-sided bound
@@ -352,12 +354,7 @@ def _verify_weights(doc, out_dir, seed):
 
 
 def _verify_energy(doc, out_dir, seed):
-    grid = _config_grid(doc)
-    coeffs = _config_coeffs(doc, grid)
-    init = _config_init(doc, grid)
-    f = _config_source(doc, grid, coeffs)
-    sides = _observed_sides(doc, grid)
-    traj = solve_forward(coeffs, init, f, grid)
+    grid, coeffs, init, f, sides, traj = _forward_run(doc)
     f_arr = np.zeros((grid.nt, grid.nx)) if f is None else f
     energy_report = verify_energy_bound(traj, f_arr, coeffs.b)
     laplacian_report = verify_laplacian_bound(traj, init, f_arr, coeffs.b)

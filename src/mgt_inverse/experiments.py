@@ -19,9 +19,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .carleman import (CarlemanGeometry, CarlemanScales, _estimate_sides,
-                       _estimate_terms, _phi_growth, admissible_geometry,
-                       normalized_weight_table, weight_statistics)
+from .carleman import (CarlemanGeometry, CarlemanScales, WeightStatistics,
+                       _estimate_sides, _estimate_terms, _phi_growth,
+                       admissible_geometry, normalized_weight_table,
+                       weight_statistics)
 from .grid import (SpaceTimeGrid, build_grid, sine_sum, time_difference,
                    trapezoid_weights)
 from .observation import extract_observation
@@ -230,11 +231,12 @@ def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
     lambda, then combined as ``carleman_lhs_rhs`` does for one pair; the
     weight range of each scale pair is guarded before any exponentiation.
     """
-    if sample_count < 0:
-        raise ValueError("sample_count must be nonnegative")
+    # written so that NaN and infinities fail before anything converts them
+    if not (sample_count >= 0 and float(sample_count).is_integer()):
+        raise ValueError(f"sample_count must be a nonnegative integer, got {sample_count}")
     geometry = admissible_geometry(geometry, grid)
     rng = np.random.default_rng(seed)
-    samples = [draw_field_sample(rng) for _ in range(sample_count)]
+    samples = [draw_field_sample(rng) for _ in range(int(sample_count))]
     if not samples:
         return CarlemanSweepReport(seed, 0, ())
     scales_list = list(scales_list)
@@ -257,30 +259,18 @@ def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
 # weight dynamic-range tabulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightRatioRow:
-    m0: float
-    log_min: float
-    log_max: float
-    log10_ratio: float
-
-
 def weight_ratio_report(grid: SpaceTimeGrid, geometry: CarlemanGeometry,
-                        scales: CarlemanScales, m0_values) -> Tuple[WeightRatioRow, ...]:
-    """Weight dynamic range, in decades, across an offset sweep.
+                        scales: CarlemanScales, m0_values) -> Tuple[WeightStatistics, ...]:
+    """Weight dynamic range, in decades, across an offset sweep: one
+    :func:`carleman.weight_statistics` per value of m0, in input order.
 
     The additive constant m0 only shifts phi, yet the double exponential
     turns that shift into hundreds of decades of weight range, so the table
     sweeps it rather than fixing one value.  Everything is computed in the
     log domain; ranges far beyond floating-point overflow are still exact.
     """
-    rows = []
-    for m0 in m0_values:
-        geo = replace(geometry, m0=float(m0))
-        stats = weight_statistics(grid, geo, scales)
-        rows.append(WeightRatioRow(float(m0), stats.log_min, stats.log_max,
-                                   stats.log10_ratio))
-    return tuple(rows)
+    return tuple(weight_statistics(grid, replace(geometry, m0=float(m0)), scales)
+                 for m0 in m0_values)
 
 
 def steep_weight_preset():

@@ -67,17 +67,19 @@ are elementwise sums, not BLAS dot products, the triangular solves split no
 sum across BLAS threads, and the factorization runs on one, so its iterates
 do not depend on the BLAS thread count.
 
-The work that M's pattern alone fixes is done once per (grid, c, b, observed
-sides, group width, origin) and cached read-only, shared by every engine on
-that key: M's unweighted rows, each entry's interior node, M's column
-indices in group order, M^T's pattern with the permutation that fills it
-from M's entries, and the band entries with their band positions, from the
-group blocks of the product of M's pattern with unit entries.  The pieces
-P0, Q and P2 at the band entries are built once per pattern key and row
-weights, forming only the group blocks of one product at a time, and the
-last ones built are kept read-only.  An assembly does the work alpha
-changes: it refills M's entries (and M^T's) in place, combines the pieces,
-checks the band for finite values and a positive diagonal, and factors it.
+M's unweighted rows are built once per (grid, c, b, observed sides) and
+cached read-only, so engines of every group width on that key hold one copy.
+The rest of the work that M's pattern alone fixes is done once per (grid, c,
+b, observed sides, group width, origin) and cached read-only, shared by
+every engine on that key: each entry's interior node, M's column indices in
+group order, M^T's pattern with the permutation that fills it from M's
+entries, and the band entries with their band positions, from the group
+blocks of the product of M's pattern with unit entries.  The pieces P0, Q
+and P2 at the band entries are built once per pattern key and row weights,
+forming only the group blocks of one product at a time, and the last ones
+built are kept read-only.  An assembly does the work alpha changes: it
+refills M's entries (and M^T's) in place, combines the pieces, checks the
+band for finite values and a positive diagonal, and factors it.
 
 Every solve is certified by the backward error of the preconditioned
 problem, |R^-T M^T r| / (sqrt(n) |r|) with r = b - M y recomputed from the
@@ -138,8 +140,9 @@ from scipy.linalg import _flapack
 from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from .carleman import CarlemanSetup, admissible_geometry, normalized_weight_table
-from .grid import (SpaceTimeGrid, boundary_normal_derivative, laplacian_matrix,
-                   time_derivative_matrix_zero_start, trapezoid_weights)
+from .grid import (SpaceTimeGrid, apply_laplacian, boundary_normal_derivative,
+                   time_derivative_matrix_zero_start, trapezoid_weights,
+                   zero_start_acceleration)
 from .observation import zero_mu
 from .solver import MGTCoefficients
 
@@ -161,6 +164,9 @@ _GROUP_NODES = 7
 # Xeon), 136 on 13-node ones (0.32 s), 70 on 16 (0.19 s) and 60 on 19
 # (0.21 s): past 16 the wider solves cost more than the iterations saved.
 _SHARED_GROUP_NODES = 16
+
+# Entries kept by the cache of M's unweighted rows and by that of the plans
+_PATTERN_KEYS = 4
 
 # Relative shift of the blocks' diagonal before factoring: without it the
 # steepest weights (s = 4) leave a group block numerically indefinite.
@@ -284,13 +290,10 @@ class TrajectoryVariable:
 
 
 def initial_second_derivative(y_star: TrajectoryVariable, dt: float) -> np.ndarray:
-    """Recovered initial acceleration 2 y^1 / dt^2, zero at the boundary.
-
-    Exact for fields quadratic in time: with y^0 = 0 and the ghost level
-    equal to y^1 the centered second difference collapses to this form.
-    """
+    """Recovered initial acceleration, :func:`grid.zero_start_acceleration`
+    at the interior nodes, zero at the boundary."""
     out = np.zeros(y_star.grid.nx)
-    out[1:-1] = 2.0 * y_star.values[0] / dt ** 2
+    out[1:-1] = zero_start_acceleration(y_star.values[0], dt)
     return out
 
 
@@ -312,6 +315,7 @@ def _as_mu_list(mu, sides: Sequence[str], nt: int, dt: float) -> list:
     return mu
 
 
+@functools.lru_cache(maxsize=_PATTERN_KEYS)
 def _unweighted_rows(grid: SpaceTimeGrid, c: float, b: float, sides: tuple):
     """Read-only unweighted rows of M: the operator at every level and interior
     node (time-major), then per observed side the trace at every level and its
@@ -320,14 +324,17 @@ def _unweighted_rows(grid: SpaceTimeGrid, c: float, b: float, sides: tuple):
     weights times fixed + alpha_rows diag(alpha).  Both are stored on one
     shared pattern, the union of their own, so they share ``indices`` and
     ``indptr`` and M's entries are their data combined entry by entry.
-    Built only by :func:`_pattern_plan`, whose cache holds them.
+    The stencils are the ``grid`` functions applied to the identity.  Cached
+    per key, so the plans of every group width on it hold one copy.
     """
     nt, nt1, m = grid.nt, grid.nt - 1, grid.nx - 2
     embed = sp.csr_matrix((np.ones(nt1), (np.arange(1, nt), np.arange(nt1))),
                           shape=(nt, nt1))
     d1e, d2e, d3e = (sp.csr_matrix(time_derivative_matrix_zero_start(nt, grid.dt, k))
                      @ embed for k in (1, 2, 3))
-    lap_int = sp.csr_matrix(laplacian_matrix(grid)[1:-1, 1:-1])
+    # the stencil applied to each unit field gives the Laplacian's transpose,
+    # equal to it on the interior nodes
+    lap_int = sp.csr_matrix(apply_laplacian(np.eye(grid.nx), grid)[1:-1, 1:-1])
     eye_m = sp.identity(m, format="csr")
     trace_rows = []
     for side in sides:
@@ -425,7 +432,7 @@ def _upper_entries(block: sp.coo_matrix, kd: int) -> tuple:
     return block.row[upper] * kd + block.col[upper], block.data[upper]
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=_PATTERN_KEYS)
 def _pattern_plan(grid: SpaceTimeGrid, c: float, b: float, sides: tuple,
                   group_nodes: int, from_right: bool) -> _PatternPlan:
     """The pattern work of an engine, done once per key; see _PatternPlan.
@@ -876,14 +883,17 @@ class CarlemanLeastSquares:
         error being that of the preconditioned problem, recomputed from the
         returned solution.  LSMR stops at its first iterate whose backward
         error is at most ``tol``; if none is reached within ``max_iterations``
-        (by default n) iterations, the solve raises.  Data holding a NaN or an
-        infinity are rejected before LSMR starts.
+        (by default n) iterations, the solve raises.  A ``tol`` that is not
+        positive and finite, which no iterate or every one would meet, and
+        data holding a NaN or an infinity are rejected before LSMR starts.
 
         LSMR runs in group order throughout: its vectors, the products and the
         triangular solves.  Its norms are elementwise sums, so the solution
         does not depend on the BLAS thread count; y is put back in time-major
         order once.
         """
+        if not (tol > 0 and math.isfinite(tol)):
+            raise ValueError(f"the solver tolerance must be positive and finite, got {tol}")
         if not np.all(np.isfinite(b)):
             raise MinimizationError("the weighted data hold nan or inf entries; "
                                     "LSMR was not started")

@@ -79,16 +79,8 @@ def sine_sum(grid: SpaceTimeGrid, amplitudes, offset: float = 0.0) -> np.ndarray
 # ---------------------------------------------------------------------------
 # spatial stencils
 # ---------------------------------------------------------------------------
-
-def laplacian_matrix(grid: SpaceTimeGrid) -> sp.csr_matrix:
-    """Second-order centered 1-D Laplacian; boundary rows are zero."""
-    main = np.full(grid.nx, -2.0 / grid.h ** 2)
-    off = np.full(grid.nx - 1, 1.0 / grid.h ** 2)
-    lap = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    lap[0, :] = 0.0   # boundary rows carry no stencil; output is zero there
-    lap[-1, :] = 0.0
-    return lap.tocsr()
-
+# Each stencil is one function of a field; its matrix, where one is needed, is
+# that function applied to the identity (``functional`` builds M's rows so).
 
 def apply_laplacian(field: np.ndarray, grid: SpaceTimeGrid) -> np.ndarray:
     """Centered second difference in x of an (nx,) or (nt, nx) field; zero at the ends."""
@@ -195,6 +187,14 @@ def time_derivative_matrix_zero_start(nt: int, dt: float, order: int) -> sp.csr_
         base[0, 0] = -2.0 / dt ** 2
         base[0, 1] = 2.0 / dt ** 2
     return base.tocsr()
+
+
+def zero_start_acceleration(first_level, dt: float):
+    """y_tt(0) of a series with y(0) = y_t(0) = 0, from its first level after
+    zero: 2 y^1 / dt^2, the zero-start second-derivative row at level 0 with
+    the ghost level equal to y^1 and y^0 = 0.  Exact for fields quadratic in
+    time."""
+    return 2.0 * first_level / dt ** 2
 
 
 def time_difference(samples: np.ndarray, dt: float, order: int) -> np.ndarray:

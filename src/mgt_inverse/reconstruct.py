@@ -72,13 +72,14 @@ class ReconstructionConfig:
         if self.init.u0.shape != (self.grid.nx,):
             raise ValueError(
                 f"initial data has shape {self.init.u0.shape}, expected ({self.grid.nx},)")
-        if not self.max_iterations >= 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
-        if not self.stop_tol > 0:
-            raise ValueError(f"stop_tol must be positive, got {self.stop_tol}")
+        # written so that NaN and infinities fail before anything converts them
+        if not (self.max_iterations >= 1 and float(self.max_iterations).is_integer()):
+            raise ValueError(
+                f"max_iterations must be a positive integer, got {self.max_iterations}")
+        if not (self.stop_tol > 0 and math.isfinite(self.stop_tol)):
+            raise ValueError(f"stop_tol must be positive and finite, got {self.stop_tol}")
         if not self.noise_level >= 0:
             raise ValueError(f"noise level must be nonnegative, got {self.noise_level}")
-        # written so that NaN and infinities fail before anything converts them
         if not (self.data_refinement >= 1 and float(self.data_refinement).is_integer()):
             raise ValueError(
                 f"data refinement must be a positive integer, got {self.data_refinement}")
@@ -86,8 +87,8 @@ class ReconstructionConfig:
             raise ValueError(
                 f"noise_seed must be a nonnegative integer, got {self.noise_seed!r}")
         check_smooth_window(self.smooth_window)
-        if not self.solver_tol > 0:
-            raise ValueError(f"solver_tol must be positive, got {self.solver_tol}")
+        if not (self.solver_tol > 0 and math.isfinite(self.solver_tol)):
+            raise ValueError(f"solver_tol must be positive and finite, got {self.solver_tol}")
         if self.solver_cap is not None and not (
                 self.solver_cap >= 1 and float(self.solver_cap).is_integer()):
             raise ValueError(
@@ -292,7 +293,7 @@ def run_reconstruction(config: ReconstructionConfig, gamma_true=None,
     qx = trapezoid_weights(grid.nx, grid.h)
     stop_reason = "max_iterations"
     rising = 0
-    for k in range(config.max_iterations):
+    for k in range(int(config.max_iterations)):
         try:
             if engine is None:
                 engine = CarlemanLeastSquares(config.coefficients(gamma), config.carleman, grid)

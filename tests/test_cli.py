@@ -316,6 +316,23 @@ def test_verify_stability_report_has_both_ratio_columns(tmp_path):
     assert report["c_empirical"] > 0.0
 
 
+# the stability suite runs below one transit of the fast front, the weighted
+# estimate needs the longer horizon
+@pytest.mark.parametrize("suite, verify, t_final", [("stability", {"pairs": 2}, 0.9),
+                                                    ("carleman", {"samples": 3}, 1.25)])
+def test_an_integral_count_written_as_a_float_runs_like_the_integer(tmp_path, suite, verify,
+                                                                    t_final):
+    # the schema's "integer" admits 2.0
+    reports = []
+    for k, value in enumerate((verify, {key: float(v) for key, v in verify.items()})):
+        path = make_config(tmp_path, name=f"{k}.json", grid={"t_final": t_final},
+                           verify=value)
+        out = tmp_path / str(k)
+        assert run(["verify", "--config", path, "--suite", suite, "--out", out]) == 0
+        reports.append((out / f"{suite}_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_verify_energy_reports_bounded_ratios(tmp_path):
     path = make_config(tmp_path)
     out = tmp_path / "e"

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgt_inverse import experiments
-from mgt_inverse.carleman import CarlemanGeometry, CarlemanScales, WeightOverflowError
+from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales, WeightOverflowError,
+                                  weight_statistics)
 from mgt_inverse.experiments import (STABILITY_BATCH, PairStability, StabilityReport,
                                      carleman_constant_sweep,
                                      draw_coefficient_sample, draw_field_sample,
@@ -262,8 +263,11 @@ def test_sweep_with_no_samples_is_empty():
     report = carleman_constant_sweep(0, [CarlemanScales(0.5, 1.0)], grid, GEO, coeffs)
     assert report.entries == ()
     assert report.sample_count == 0
-    with pytest.raises(ValueError):
-        carleman_constant_sweep(-1, [], grid, GEO, coeffs)
+    for bad in (-1, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sample_count"):
+            carleman_constant_sweep(bad, [], grid, GEO, coeffs)
+    assert len(carleman_constant_sweep(2.0, [CarlemanScales(0.5, 1.0)], grid, GEO,
+                                       coeffs).entries[0].ratios) == 2
     # no samples still checks the geometry
     with pytest.raises(ValueError, match="^inadmissible observation geometry"):
         carleman_constant_sweep(0, [], grid, CarlemanGeometry(0.5, 0.9, 2.5), coeffs)
@@ -301,6 +305,7 @@ def test_sweep_overflow_guard_trips_per_scale():
 def test_weight_report_reference_row():
     grid = build_grid(0.0, 1.0, 51, 1.25, 101)
     rows = weight_ratio_report(grid, GEO, CarlemanScales(1.0, 1.0), [2.5])
+    assert rows == (weight_statistics(grid, GEO, CarlemanScales(1.0, 1.0)),)
     assert rows[0].log10_ratio == pytest.approx(32.86597645933857, abs=1e-10)
     assert rows[0].m0 == 2.5
     assert rows[0].log_max > rows[0].log_min

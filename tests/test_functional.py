@@ -25,8 +25,7 @@ from mgt_inverse.functional import (_BLOCK_SHIFT, CarlemanLeastSquares,
                                     minimizer_difference_check, v_norm_sq,
                                     weighted_data_norms)
 from mgt_inverse.grid import (boundary_normal_derivative, build_grid,
-                              laplacian_matrix, time_derivative_matrix_zero_start,
-                              trapezoid_weights)
+                              time_derivative_matrix_zero_start, trapezoid_weights)
 from mgt_inverse.observation import MuPair
 from mgt_inverse.solver import MGTCoefficients
 import test_acceptance as acceptance
@@ -121,11 +120,7 @@ def unweighted_graph_norm_sq(y, coeffs, grid, s):
     # independent quadrature of the same residual and traces with weight one
     field = np.pad(y.values, ((1, 0), (1, 1)))
     d1 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 1)
-    d2 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 2)
-    d3 = time_derivative_matrix_zero_start(grid.nt, grid.dt, 3)
-    lap = laplacian_matrix(grid)
-    ly = (d3 @ field + (d2 @ field) * coeffs.alpha
-          - coeffs.c ** 2 * (lap @ field.T).T - coeffs.b * (lap @ (d1 @ field).T).T)
+    ly = apply_operator(field, coeffs, grid, zero_start=True)
     qt = trapezoid_weights(grid.nt, grid.dt)
     total = (1.0 / s) * float((qt[:, None] * grid.h * ly[:, 1:-1] ** 2).sum())
     trace = (-4.0 * field[:, -2] + field[:, -3]) / (2.0 * grid.h)
@@ -754,8 +749,21 @@ def test_minimizer_diagnostics_match_the_standalone_objective():
         assert diag.bound_slack == pytest.approx(slack, rel=1e-12)
 
 
+def test_a_tolerance_that_is_not_positive_and_finite_is_refused():
+    # an infinite one would certify y = 0 after no LSMR iteration
+    grid, coeffs, setup = make_problem(21, 41)
+    mu, g = random_data(grid, 61)
+    for tol in (np.inf, np.nan, 0.0, -1e-6):
+        with pytest.raises(ValueError, match="tolerance"):
+            minimize_J(mu, g, coeffs, setup, grid, solver_tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            minimizer_difference_check(g, 2.0 * g, mu, coeffs, setup, grid, solver_tol=tol)
+
+
 def test_unweighted_rows_are_built_once_per_key_and_read_only():
-    # the rows are part of the pattern plan: one cache holds them
+    # one cache per (grid, c, b, sides), whatever the group width; a plan
+    # cached by an earlier test would read its rows without a miss
+    functional._unweighted_rows.cache_clear()
     functional._pattern_plan.cache_clear()
     functional._shared_engine.cache_clear()
     try:
@@ -765,12 +773,12 @@ def test_unweighted_rows_are_built_once_per_key_and_read_only():
         first = CarlemanLeastSquares(coeffs, setup, grid)
         second = CarlemanLeastSquares(coeffs, setup, grid)
         second.update_gamma(np.clip(coeffs.gamma + 0.2, 0.0, 1.0))
-        assert functional._pattern_plan.cache_info().misses == 1
+        assert functional._unweighted_rows.cache_info().misses == 1
         assert first._plan.fixed is second._plan.fixed
-        # the memoized engine's wider groups are another key
+        # the memoized engine's wider groups are another plan on the same rows
         for target in (None, g, 2.0 * g):
             evaluate_J(y, mu, target, coeffs, setup, grid)
-        assert functional._pattern_plan.cache_info().misses == 2
+        assert functional._unweighted_rows.cache_info().misses == 1
 
         for rows in (first._plan.fixed, first._plan.alpha_rows):
             for array in (rows.data, rows.indices, rows.indptr):
@@ -778,11 +786,36 @@ def test_unweighted_rows_are_built_once_per_key_and_read_only():
                     array[0] = 1
 
         CarlemanLeastSquares(MGTCoefficients(2.0, 1.0, coeffs.gamma, 1.0), setup, grid)
-        assert functional._pattern_plan.cache_info().misses == 3
+        assert functional._unweighted_rows.cache_info().misses == 2
         other_grid, other_coeffs, _ = make_problem(13, 25)
         v_norm_sq(random_variable(other_grid, 59), other_coeffs, setup, other_grid)
-        assert functional._pattern_plan.cache_info().misses == 4
+        assert functional._unweighted_rows.cache_info().misses == 3
     finally:
+        functional._unweighted_rows.cache_clear()
+        functional._pattern_plan.cache_clear()
+
+
+def test_engines_of_every_group_width_share_one_copy_of_the_unweighted_rows():
+    # a seven-node engine, the same engine widened to one group and the
+    # memoized sixteen-node engine: three plans, one build of M's rows
+    functional._unweighted_rows.cache_clear()
+    functional._pattern_plan.cache_clear()
+    functional._shared_engine.cache_clear()
+    try:
+        grid, coeffs, setup, mu, g = _long_solve_problem()
+        seven_plan = CarlemanLeastSquares(coeffs, setup, grid)._plan
+        widened = CarlemanLeastSquares(coeffs, setup, grid)
+        widened.minimize(mu, g, 1e-8)
+        widened.update_gamma(np.clip(coeffs.gamma + 0.1, 0.0, 1.0))
+        memoized = functional._engine(coeffs, setup, grid)
+        plans = (seven_plan, widened._plan, memoized._plan)
+        assert [plan.group_nodes for plan in plans] == [7, grid.nx - 2, 16]
+        assert functional._pattern_plan.cache_info().misses == 3
+        assert functional._unweighted_rows.cache_info().misses == 1
+        for plan in plans[1:]:
+            assert plan.fixed is seven_plan.fixed and plan.alpha_rows is seven_plan.alpha_rows
+    finally:
+        functional._unweighted_rows.cache_clear()
         functional._pattern_plan.cache_clear()
 
 

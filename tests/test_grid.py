@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from mgt_inverse.grid import (apply_laplacian, boundary_normal_derivative, build_grid,
-                              discrete_norms, time_difference)
+                              discrete_norms, time_derivative_matrix_zero_start,
+                              time_difference, zero_start_acceleration)
 
 
 def test_build_grid_spacings():
@@ -195,3 +196,14 @@ def test_stencil_refinement_factor_near_four():
 
     assert 3.5 <= lap_err(101) / lap_err(201) <= 4.5
     assert 3.5 <= dt_err(101) / dt_err(201) <= 4.5
+
+
+def test_zero_start_acceleration_is_the_zero_start_stencil_at_level_zero():
+    dt = 0.05
+    t = dt * np.arange(9)
+    series = np.outer(t ** 2 * (1.0 + t), [0.5, -2.0, 3.0])    # zero value and rate at t = 0
+    d2 = time_derivative_matrix_zero_start(t.size, dt, 2)
+    got = zero_start_acceleration(series[1], dt)
+    assert np.allclose(got, (d2 @ series)[0], rtol=1e-14, atol=0.0)
+    # 2 y(dt) / dt^2 = 2 (1 + dt) times each amplitude
+    assert got == pytest.approx([1.0 + dt, -4.0 - 4.0 * dt, 6.0 + 6.0 * dt], rel=1e-14)

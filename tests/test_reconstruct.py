@@ -81,6 +81,12 @@ def test_config_validation():
             make_config(nx, 61, **{field: math.nan})
     with pytest.raises(ValueError, match="refinement"):
         make_config(nx, 61, data_refinement=0)
+    # an iteration count must be an integer, and an infinite tolerance would
+    # stop "converged" after one step
+    for field, bad in (("max_iterations", 2.5), ("max_iterations", math.inf),
+                       ("stop_tol", math.inf), ("solver_tol", math.inf)):
+        with pytest.raises(ValueError, match=field):
+            make_config(nx, 61, **{field: bad})
     # NaN and the infinities fail the integer fields with their names
     for field, pattern in (("data_refinement", "refinement"), ("solver_cap", "solver_cap"),
                            ("smooth_window", "smooth_window")):
@@ -93,6 +99,11 @@ def test_config_validation():
                               CarlemanScales(0.5, 2.0))
         init = InitialData(np.zeros(nx), np.zeros(nx), np.ones(nx), eta=1.0)
         ReconstructionConfig(grid, 1.0, 1.0, 1.0, init, setup)
+
+
+def test_an_integral_float_iteration_count_runs():
+    config = make_config(31, 61, data_refinement=1, max_iterations=1.0)
+    assert run_reconstruction(config, canonical_gamma(config.grid)).iterations == 1
 
 
 def test_noise_seed_must_be_a_nonnegative_integer():
