@@ -5,12 +5,14 @@ convexified weight phi_lambda = exp(lambda * phi) with
     phi(x, t) = |x - x0|^2 - beta t^2 + M0,
 
 and a quadrature evaluation of both sides of the weighted observability
-estimate.  Weights enter all computations normalized by their global minimum,
-a positive rescaling that cancels in every reported ratio; the practical
-limit on the surviving exponent range is guarded explicitly because
-exp(lambda * phi) sits inside another exponential.  The guard and the
-normalization live in ``normalized_weight``; ``normalized_weight_table``, its
-whole-grid form, also weights the objective in ``functional``.
+estimate: ``carleman_lhs_rhs`` for any field, ``separable_lhs_rhs`` for
+many fields a(t) b(x) at many scale pairs at once.  Weights enter all
+computations normalized by their global minimum, a positive rescaling that
+cancels in every reported ratio; the practical limit on the surviving
+exponent range is guarded explicitly because exp(lambda * phi) sits inside
+another exponential.  The guard and the normalization live in
+``normalized_weight``; ``normalized_weight_table``, its whole-grid form, also
+weights the objective in ``functional``.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import (SpaceTimeGrid, apply_laplacian, boundary_normal_derivative,
-                   interior_weights, time_derivative_matrix_zero_start,
-                   trapezoid_weights, zero_start_acceleration)
+                   edge_normal_derivative, interior_weights,
+                   time_derivative_matrix_zero_start, trapezoid_weights,
+                   zero_start_acceleration)
 from .solver import MGTCoefficients
 
 LOG_RANGE_LIMIT = 700.0   # exp() overflows just above this in double precision
@@ -201,11 +204,14 @@ class _EstimateTerms:
 
 def _estimate_terms(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGeometry,
                     grid: SpaceTimeGrid) -> _EstimateTerms:
-    """Validate ``y`` and evaluate its stencils, once for any number of scales;
+    """Validate ``y`` and evaluate its stencils for :func:`carleman_lhs_rhs`;
     ``geometry`` is an :func:`admissible_geometry`, whose sides it reads."""
     y = np.asarray(y, dtype=float)
     if y.shape != (grid.nt, grid.nx):
         raise ValueError(f"field has shape {y.shape}, expected ({grid.nt}, {grid.nx})")
+    # before the vanishing checks, which a NaN passes: every comparison with it is false
+    if not np.all(np.isfinite(y)):
+        raise ValueError("field must be finite")
     scale = max(np.abs(y).max(), 1e-300)
     if max(np.abs(y[:, 0]).max(), np.abs(y[:, -1]).max()) > 1e-10 * scale:
         raise ValueError("field must vanish at the boundary columns")
@@ -256,12 +262,16 @@ def _estimate_sides(terms: _EstimateTerms, weight: np.ndarray, growth, scales: C
     rhs_boundary = sum(s * lam * float(qt @ (weight[:, col] * flux))
                        for col, flux in terms.fluxes)
 
-    rhs = rhs_interior + rhs_boundary
+    return CarlemanEvaluation(float(lhs), rhs_interior, float(rhs_boundary),
+                              _ratio(lhs, rhs_interior + rhs_boundary))
+
+
+def _ratio(lhs: float, rhs: float) -> float:
+    """lhs / rhs, read as 0 for a field with lhs = rhs = 0 and as inf for
+    one with rhs = 0 alone."""
     if rhs == 0.0:
-        ratio = 0.0 if lhs == 0.0 else float("inf")
-    else:
-        ratio = float(lhs / rhs)
-    return CarlemanEvaluation(float(lhs), rhs_interior, float(rhs_boundary), ratio)
+        return 0.0 if lhs == 0.0 else float("inf")
+    return float(lhs / rhs)
 
 
 def carleman_lhs_rhs(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGeometry,
@@ -282,3 +292,84 @@ def carleman_lhs_rhs(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanG
     weight = normalized_weight_table(grid, geometry, scales)
     return _estimate_sides(terms, weight, _phi_growth(geometry, scales.lam, grid),
                            scales, grid)
+
+
+def separable_lhs_rhs(factors, coeffs: MGTCoefficients, geometry: CarlemanGeometry,
+                      scales_list, grid: SpaceTimeGrid) -> tuple:
+    """Both sides of the weighted estimate for fields y = a(t) b(x), one
+    tuple of evaluations per scale pair with one entry per field.
+
+    ``factors`` holds the (a, b) pairs: a series of nt time levels with
+    a(0) = 0 and a profile of nx nodes that vanishes at both ends.  Every
+    integrand of :func:`carleman_lhs_rhs` is then a short sum of (series) x
+    (profile) products, e.g. y_t = a_t b, y_x = a b_x and
+
+        L y = a_ttt b + a_tt (alpha b) - (c^2 a + b_visc a_t) b_xx,
+
+    and the flux of y is a times b's edge stencil, so each weighted
+    quadrature sum_t q_t sum_x K(t, x) A(t) B(x) is one product of the
+    kernel table K with the profiles of all fields.  The numbers are
+    carleman_lhs_rhs's on the outer products up to rounding, and each scale
+    pair's weight range is guarded as there.
+    """
+    geometry = admissible_geometry(geometry, grid)
+    a = np.array([pair[0] for pair in factors], dtype=float)
+    b = np.array([pair[1] for pair in factors], dtype=float)
+    if a.ndim != 2 or a.shape[1] != grid.nt or b.shape != (len(a), grid.nx):
+        raise ValueError(f"factors have shapes {a.shape} and {b.shape}, expected "
+                         f"(n, {grid.nt}) and (n, {grid.nx}) for n >= 1 fields")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("factors must be finite")
+    if np.any(np.abs(a[:, 0]) > 1e-10 * np.abs(a).max(axis=1)):
+        raise ValueError("time factors must vanish at time level zero")
+    if np.any(np.maximum(np.abs(b[:, 0]), np.abs(b[:, -1])) > 1e-10 * np.abs(b).max(axis=1)):
+        raise ValueError("space factors must vanish at both ends")
+    c4 = coeffs.c ** 4
+
+    # series as columns (nt, n), profiles as rows (n, nx)
+    a = a.T
+    at, att, attt = (time_derivative_matrix_zero_start(grid.nt, grid.dt, order) @ a
+                     for order in (1, 2, 3))
+    energy = c4 * a ** 2 + at ** 2
+    b2 = b ** 2
+    gradient_series = np.hstack([c4 * at ** 2 + att ** 2, energy])
+    gradient_profiles = np.vstack([b2, np.gradient(b, grid.h, axis=1, edge_order=2) ** 2])
+    # (L y)^2 = sum_kl A_k A_l B_k B_l over the three products A_k B_k of L y
+    series = (attt, att, -(coeffs.c ** 2 * a + coeffs.b * at))
+    profiles = (b, coeffs.alpha * b, apply_laplacian(b, grid))
+    pairs = [(k, l) for k in range(3) for l in range(k, 3)]
+    residual_series = np.hstack([(1.0 if k == l else 2.0) * series[k] * series[l]
+                                 for k, l in pairs])
+    residual_profiles = np.vstack([profiles[k] * profiles[l] for k, l in pairs])
+    acceleration = zero_start_acceleration(a[1], grid.dt) ** 2
+    edges = [(0 if side == "left" else grid.nx - 1, edge_normal_derivative(b, grid.h, side) ** 2)
+             for side in geometry.gamma0_sides]
+
+    qx = trapezoid_weights(grid.nx, grid.h)
+    qt = trapezoid_weights(grid.nt, grid.dt)
+
+    def quadrature(kernel, series, profiles):
+        """sum_t q_t sum_x kernel A B of each stacked product, summed per field."""
+        return (qt @ (series * (kernel @ profiles.T))).reshape(-1, len(b)).sum(axis=0)
+
+    growth = {}
+    rows = []
+    for scales in scales_list:
+        lam, s = scales.lam, scales.s
+        weight = normalized_weight_table(grid, geometry, scales)
+        if lam not in growth:
+            growth[lam] = _phi_growth(geometry, lam, grid)
+        phil, phil3 = growth[lam]
+        lhs = (np.sqrt(s) * acceleration * (b2 @ (weight[0] * qx))
+               + s * lam * quadrature(weight * phil * qx, gradient_series, gradient_profiles)
+               + s ** 3 * lam ** 3 * quadrature(weight * phil3 * qx, energy, b2))
+        rhs_interior = quadrature(weight * interior_weights(grid.nx, grid.h),
+                                  residual_series, residual_profiles)
+        rhs_boundary = np.zeros(len(b))
+        for col, edge in edges:
+            rhs_boundary += s * lam * edge * (qt @ (weight[:, col, None] * energy))
+        rows.append(tuple(CarlemanEvaluation(float(lhs[k]), float(rhs_interior[k]),
+                                             float(rhs_boundary[k]),
+                                             _ratio(lhs[k], rhs_interior[k] + rhs_boundary[k]))
+                          for k in range(len(b))))
+    return tuple(rows)

@@ -4,8 +4,9 @@ Three campaigns live here.  ``stability_two_sided`` measures, over a list of
 coefficient pairs, the quotient between the squared H2-in-time trace mismatch
 on the observed boundary and the squared L2 coefficient mismatch; the largest
 and smallest quotients bound the empirical two-sided stability constant.
-``carleman_constant_sweep`` draws random constrained fields and evaluates the
-two sides of the weighted estimate across a list of scale pairs.
+``carleman_constant_sweep`` draws random constrained fields, each a time
+series times a space profile, and evaluates the two sides of the weighted
+estimate from those factors across a list of scale pairs.
 ``weight_ratio_report`` tabulates the dynamic range of the weight across an
 offset sweep.  All randomness flows through explicit seeds so every reported
 constant is reproducible bit for bit.
@@ -20,9 +21,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .carleman import (CarlemanGeometry, CarlemanScales, WeightStatistics,
-                       _estimate_sides, _estimate_terms, _phi_growth,
-                       admissible_geometry, normalized_weight_table,
-                       weight_statistics)
+                       admissible_geometry, separable_lhs_rhs, weight_statistics)
 from .grid import (SpaceTimeGrid, build_grid, sine_sum, time_difference,
                    trapezoid_weights)
 from .observation import extract_observation
@@ -65,26 +64,33 @@ def draw_coefficient_sample(rng: np.random.Generator, box_bound: float) -> Coeff
 
 @dataclass(frozen=True)
 class FieldSample:
-    """Random constrained space-time field: sine sum in x times t^2 smooth(t).
+    """Random constrained space-time field, separable by construction: the
+    time series a(t) = (t/T)^2 (1 + sum_j t_j cos(j pi t / T)) times the
+    sine sum b(x) = sum_m x_m sin(m pi xhat), from ``t_amplitudes`` and
+    ``x_amplitudes``.
 
-    The t^2 factor enforces the zero start value and velocity; the sine sum
-    enforces the zero boundary columns.
+    ``factors`` gives the pair (a, b) on a grid, with a's level zero and b's
+    two ends set to zero: the t^2 factor enforces the zero start value and
+    velocity, the sine sum the zero boundary columns.  ``values`` is their
+    outer product.
     """
 
     x_amplitudes: Tuple[float, ...]
     t_amplitudes: Tuple[float, ...]
 
-    def values(self, grid: SpaceTimeGrid) -> np.ndarray:
+    def factors(self, grid: SpaceTimeGrid) -> Tuple[np.ndarray, np.ndarray]:
         tau = grid.t / grid.t_final
-        space = sine_sum(grid, self.x_amplitudes)
-        shape = np.ones(grid.nt)
+        profile = np.ones(grid.nt)
         for j, b in enumerate(self.t_amplitudes, start=1):
-            shape += b * np.cos(j * np.pi * tau)
-        field = np.outer(tau ** 2 * shape, space)
-        field[:, 0] = 0.0
-        field[:, -1] = 0.0
-        field[0] = 0.0
-        return field
+            profile += b * np.cos(j * np.pi * tau)
+        time = tau ** 2 * profile
+        space = sine_sum(grid, self.x_amplitudes)
+        time[0] = 0.0
+        space[[0, -1]] = 0.0
+        return time, space
+
+    def values(self, grid: SpaceTimeGrid) -> np.ndarray:
+        return np.outer(*self.factors(grid))
 
 
 def draw_field_sample(rng: np.random.Generator) -> FieldSample:
@@ -226,10 +232,12 @@ def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
     The same ``sample_count`` fields (drawn once from ``seed``) are evaluated
     at every scale pair, so entries are comparable across scales; rerunning
     with the same seed on a refined grid evaluates the same underlying
-    functions.  Each field's stencils are evaluated once, each scale pair's
-    weight table is built once and e^(lambda phi) with its cube once per
-    lambda, then combined as ``carleman_lhs_rhs`` does for one pair; the
-    weight range of each scale pair is guarded before any exponentiation.
+    functions.  Every field is a :class:`FieldSample`, a time series times a
+    space profile, so all of them are evaluated at once from their factors
+    by :func:`carleman.separable_lhs_rhs`, which builds each scale pair's
+    weight table once, guarding its range before any exponentiation, and
+    e^(lambda phi) with its cube once per lambda.  The numbers are
+    ``carleman_lhs_rhs``'s on each sample's ``values`` up to rounding.
     """
     # written so that NaN and infinities fail before anything converts them
     if not (sample_count >= 0 and float(sample_count).is_integer()):
@@ -240,13 +248,8 @@ def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
     if not samples:
         return CarlemanSweepReport(seed, 0, ())
     scales_list = list(scales_list)
-    weights = [normalized_weight_table(grid, geometry, scales) for scales in scales_list]
-    growth = {lam: _phi_growth(geometry, lam, grid) for lam in {sc.lam for sc in scales_list}}
-    evals = [[] for _ in scales_list]
-    for sample in samples:
-        terms = _estimate_terms(sample.values(grid), coeffs, geometry, grid)
-        for scales, weight, row in zip(scales_list, weights, evals):
-            row.append(_estimate_sides(terms, weight, growth[scales.lam], scales, grid))
+    evals = separable_lhs_rhs([sample.factors(grid) for sample in samples], coeffs,
+                              geometry, scales_list, grid)
     entries = []
     for scales, row in zip(scales_list, evals):
         ratios = tuple(ev.ratio for ev in row)

@@ -10,7 +10,8 @@ from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
                                   _estimate_terms, _phi_growth, admissible_geometry,
                                   carleman_lhs_rhs,
                                   log_weight, log_weight_table,
-                                  normalized_weight_table, phi, weight_statistics)
+                                  normalized_weight_table, phi, separable_lhs_rhs,
+                                  weight_statistics)
 from mgt_inverse.grid import build_grid
 from mgt_inverse.solver import MGTCoefficients
 from test_solver import apply_operator
@@ -171,6 +172,40 @@ def test_estimate_evaluation_input_validation():
         carleman_lhs_rhs(bad, coeffs, GEO, scales, grid)
     with pytest.raises(ValueError):
         carleman_lhs_rhs(y, coeffs, GEO, CarlemanScales(1.0, 0.0), grid)
+    # a NaN at level 0 would pass the vanishing check, whose comparisons are all false
+    for value in (math.nan, math.inf, -math.inf):
+        for entry in ((grid.nt // 2, grid.nx // 2), (0, grid.nx // 2)):
+            bad = y.copy()
+            bad[entry] = value
+            with pytest.raises(ValueError, match="^field must be finite$"):
+                carleman_lhs_rhs(bad, coeffs, GEO, scales, grid)
+
+
+def test_separable_evaluation_input_validation_and_zero_field():
+    grid = canonical_grid(21, 41)
+    coeffs = constant_coeffs(grid)
+    scales = [CarlemanScales(1.0, 1.0)]
+    a = grid.t ** 2
+    b = np.sin(np.pi * grid.x)
+    b[[0, -1]] = 0.0
+
+    def evaluate(*factors):
+        return separable_lhs_rhs(factors, coeffs, GEO, scales, grid)
+
+    (zero,), = evaluate((np.zeros(grid.nt), np.zeros(grid.nx)))
+    assert zero.lhs == 0.0 and zero.ratio == 0.0
+    with pytest.raises(ValueError, match="shapes"):
+        evaluate()
+    with pytest.raises(ValueError, match="shapes"):
+        evaluate((a[1:], b))
+    for bad_a, bad_b in ((a + 0.1, b), (a, b + 0.1)):
+        with pytest.raises(ValueError, match="must vanish"):
+            evaluate((a, b), (bad_a, bad_b))
+    for value in (math.nan, math.inf):
+        for bad_a, bad_b in ((np.where(grid.t == grid.t[0], value, a), b),
+                             (a, np.where(grid.x == grid.x[3], value, b))):
+            with pytest.raises(ValueError, match="^factors must be finite$"):
+                evaluate((bad_a, bad_b))
 
 
 def test_estimate_ratio_stable_under_refinement():

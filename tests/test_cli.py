@@ -303,6 +303,26 @@ def test_verify_carleman_determinism_and_seed_override(tmp_path):
     assert report["entries"][0]["max_ratio"] > 0.0
 
 
+def test_verify_carleman_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 201x401 OpenBLAS runs the sweep's kernel-times-profiles products on
+    # two threads; each entry stays one dot product over x, so the report
+    # must be the same bytes under one and two threads
+    path = make_config(tmp_path, grid={"nx": 201, "nt": 401})
+    src = os.path.dirname(os.path.dirname(mgt_inverse.__file__))
+    unset = {name: value for name, value in os.environ.items()
+             if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "mgt_inverse.cli", "verify", "--config", str(path),
+                        "--suite", "carleman", "--out", str(out), "--seed", "1"],
+                       capture_output=True, check=True, timeout=120,
+                       env={**unset, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        reports.append({name: (out / name).read_bytes()
+                        for name in ("carleman_report.json", "carleman_report.csv")})
+    assert reports[0] == reports[1]
+
+
 def test_verify_stability_report_has_both_ratio_columns(tmp_path):
     path = make_config(tmp_path, grid={"t_final": 0.9},
                        verify={"pairs": 2, "seed": 4})

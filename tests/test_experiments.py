@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mgt_inverse import experiments
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales, WeightOverflowError,
-                                  weight_statistics)
+                                  carleman_lhs_rhs, weight_statistics)
 from mgt_inverse.experiments import (STABILITY_BATCH, PairStability, StabilityReport,
                                      carleman_constant_sweep,
                                      draw_coefficient_sample, draw_field_sample,
@@ -43,11 +43,14 @@ def test_field_samples_satisfy_constraints():
     rng = np.random.default_rng(3)
     grid = build_grid(0.0, 1.0, 41, 1.25, 81)
     for _ in range(5):
-        field = draw_field_sample(rng).values(grid)
+        sample = draw_field_sample(rng)
+        field = sample.values(grid)
         assert field.shape == (grid.nt, grid.nx)
         assert np.all(field[0] == 0.0)
         assert np.all(field[:, 0] == 0.0) and np.all(field[:, -1] == 0.0)
         assert np.abs(field).max() > 0.0
+        time, space = sample.factors(grid)
+        assert np.array_equal(field, np.outer(time, space))
 
 
 def test_identical_pair_is_degenerate_and_excluded():
@@ -284,6 +287,25 @@ def test_sweep_ratios_are_finite_and_rhs_is_coercive():
         assert entry.max_ratio == max(entry.ratios)
         # nonzero constrained fields cannot annihilate the right-hand side
         assert all(rhs > 0.0 for rhs in entry.rhs_values)
+
+
+@pytest.mark.parametrize("nx, nt, samples", [(41, 81, 8), (201, 401, 3)])
+@pytest.mark.parametrize("geometry", [GEO, CarlemanGeometry(1.1, 0.9, 2.5),
+                                      CarlemanGeometry(-0.1, 0.9, 2.5, ("left", "right"))],
+                         ids=["right", "left", "both"])
+def test_sweep_factor_form_is_the_full_field_estimate(nx, nt, samples, geometry):
+    # sweep_inputs' gamma is not constant, so the alpha b product counts
+    grid, coeffs = sweep_inputs(nx, nt)
+    scales = [CarlemanScales(0.5, 1.0), CarlemanScales(0.5, 2.0), CarlemanScales(0.5, 4.0),
+              CarlemanScales(1.0, 2.0)]
+    report = carleman_constant_sweep(samples, scales, grid, geometry, coeffs, seed=6)
+    rng = np.random.default_rng(6)
+    fields = [draw_field_sample(rng).values(grid) for _ in range(samples)]
+    for entry in report.entries:
+        for field, ratio, rhs in zip(fields, entry.ratios, entry.rhs_values, strict=True):
+            full = carleman_lhs_rhs(field, coeffs, geometry, entry.scales, grid)
+            assert ratio == pytest.approx(full.ratio, rel=1e-10, abs=0.0)
+            assert rhs == pytest.approx(full.rhs_interior + full.rhs_boundary, rel=1e-10, abs=0.0)
 
 
 def test_sweep_is_deterministic_in_the_seed():
