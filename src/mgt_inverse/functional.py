@@ -51,21 +51,24 @@ against 11-13 ms on two threads unpinned; an engine widens at most once and
 then refactors once per outer step.
 
 Each LSMR iteration costs one product with M, one with M^T and the two
-triangular solves, so the engine keeps each in the form LAPACK and the sparse
-kernels run fastest.  At seven-node width the factor L is stored twice, in
-lower band storage and transposed in upper band storage: R^-1 = L^-T and
-R^-T = L^-1 are then each an untransposed banded solve, about half the time
-of LAPACK's transposed one.  A wider engine, the memoized one (below) or a
-widened one, stores L once, (kd + 1) n values (7.8 MB at 51x101 when
-widened), and R^-1 is LAPACK's transposed solve, whose lower speed its few
-iterations per solve do not feel.  M^T is stored as CSR beside M, whose CSC
-view multiplies at about half the speed.  M's columns and
-M^T's rows are permuted once into group order, and LSMR runs in that order
-throughout, so no vector is reordered inside the loop; y goes back to
-time-major order once per solve.  LSMR is the engine's own loop: its norms
-are elementwise sums, not BLAS dot products, the triangular solves split no
-sum across BLAS threads, and the factorization runs on one, so its iterates
-do not depend on the BLAS thread count.
+triangular solves: R^-1 v for the product with M, and R^-T M^T u.  LSMR's
+iterate is carried as y = R^-1 x and its two search directions as their
+images under R^-1, updated from the R^-1 v the iteration already has, so a
+certificate makes no further R^-1 solve.  The engine keeps each operation in
+the form LAPACK and the sparse kernels run fastest.  At seven-node width the
+factor L is stored twice, in lower band storage and transposed in upper band
+storage: R^-1 = L^-T and R^-T = L^-1 are then each an untransposed banded
+solve, about half the time of LAPACK's transposed one.  A wider engine, the
+memoized one (below) or a widened one, stores L once, (kd + 1) n values
+(7.8 MB at 51x101 when widened), and R^-1 is LAPACK's transposed solve,
+whose lower speed its few iterations per solve do not feel.  M^T is stored
+as CSR beside M, whose CSC view multiplies at about half the speed.  M's
+columns and M^T's rows are permuted once into group order, and LSMR runs in
+that order throughout, so no vector is reordered inside the loop; y goes
+back to time-major order once per solve.  LSMR is the engine's own loop: its
+norms are elementwise sums, not BLAS dot products, the triangular solves
+split no sum across BLAS threads, and the factorization runs on one, so its
+iterates do not depend on the BLAS thread count.
 
 M's unweighted rows are built once per (grid, c, b, observed sides) and
 cached read-only, so engines of every group width on that key hold one copy.
@@ -88,7 +91,9 @@ for a block-diagonal R^T R made of M^T M's own blocks.  It is invariant under
 scaling the data and the weights, and it is LSMR's stop rule: LSMR's
 |zetabar_k| is |R^-T M^T r_k|, so whenever |zetabar_k| / (sqrt(n) times its
 estimate of |r_k|) is at most the target, the certificate is recomputed from
-the iterate, and the solve returns at the first iterate that meets it.
+the iterate, and the solve returns at the first iterate that meets it.  A
+certificate costs one product with M, one with M^T and an R^-T solve; the
+minimization reads its M y for the diagnostics instead of forming it again.
 LSMR's own stop tests are not used.  Every solve starts from y = 0 (zero data
 stop LSMR after no iteration); data holding a NaN or an infinity are rejected
 before LSMR starts, and a solve that reaches its iteration cap with a
@@ -118,10 +123,11 @@ engine is factored once for many solves, so it is built on groups of
 ``_SHARED_GROUP_NODES`` = 16 nodes (kd = 66), counted from the observed end,
 with L stored once: criterion 2's 60 solves at 51x201 take 70 LSMR
 iterations, against 395 on seven-node groups.  The products only read the
-engine's arrays, and a solve records only its iteration count, which matters
-only to ``update_gamma``; the engine is never returned and never updated, so
-it keeps its width, and a reused engine gives the bits a fresh one on that
-width would.
+engine's arrays.  A solve records only its iteration count, which matters
+only to ``update_gamma``, and the M y of its certificate, which only the
+minimization that made the solve reads.  The engine is never returned and
+never updated, so it keeps its width, and a reused engine gives the bits a
+fresh one on that width would.
 Gamma is keyed by its bytes at call time: a caller who edits their array in
 place gets a new engine.
 """
@@ -278,6 +284,8 @@ class TrajectoryVariable:
         field = np.asarray(field, dtype=float)
         if field.shape != (grid.nt, grid.nx):
             raise ValueError(f"field has shape {field.shape}, expected ({grid.nt}, {grid.nx})")
+        if not np.all(np.isfinite(field)):
+            raise ValueError("field must be finite")
         scale = max(np.abs(field).max(), 1.0)
         if np.abs(field[0]).max() > 1e-12 * scale:
             raise ValueError("field must vanish at the initial time level")
@@ -682,6 +690,7 @@ class CarlemanLeastSquares:
                         grid.nx - 2))
         self._widen_after = _widen_threshold(grid)
         self._last_iterations = 0
+        self._last_image = None
         self._assemble(coeffs)
 
     def _group(self, group_nodes: int) -> None:
@@ -804,22 +813,28 @@ class CarlemanLeastSquares:
     def _lsmr(self, b: np.ndarray, tol: float, cap: int):
         """LSMR on A = M R^-1 with damp 0, from x = 0, in group order.
 
-        The bidiagonalization and the recurrences are Fong & Saunders'.  Their
-        |zetabar| is |A^T r_k|, and they also update an estimate of |r_k|, so
-        |zetabar| / (sqrt(n) |r_k|) estimates the certificate.  Whenever that
-        estimate is at most ``tol``, the certificate is recomputed from
-        y = R^-1 x, and the loop returns at the first iterate that meets it.
-        LSMR's own stop tests are not used: the least-squares and
-        compatible-system tests rest on a running estimate of |A| that stays
-        far below its value sqrt(n), so they stop too late or too early.
-        Returns (y in group order, iterations, certificate); at ``cap``
-        iterations it returns whatever certificate that iterate has.
+        The bidiagonalization and the recurrences are Fong & Saunders', with
+        their h, hbar and x carried as R^-1 h, R^-1 hbar and y = R^-1 x: the
+        update of h adds v, and each step already solves for R^-1 v to
+        multiply it by M, so the step that makes that solve also finishes the
+        previous step's update of R^-1 h.  A step costs one R^-1 and one R^-T
+        solve.  Their |zetabar| is |A^T r_k|, and they also update an
+        estimate of |r_k|, so |zetabar| / (sqrt(n) |r_k|) estimates the
+        certificate.  Whenever that estimate is at most ``tol``, the
+        certificate is recomputed from y itself, with no R^-1 solve, and the
+        loop returns at the first iterate that meets it; the M y of that
+        certificate is kept as ``_last_image``.  LSMR's own stop tests are
+        not used: the least-squares and compatible-system tests rest on a
+        running estimate of |A| that stays far below its value sqrt(n), so
+        they stop too late or too early.  Returns (y in group order,
+        iterations, certificate); at ``cap`` iterations it returns whatever
+        certificate that iterate has.
         """
         def norm(v):
             return math.sqrt(_sum_of_squares(v))
 
         target = tol * math.sqrt(self._n_unknowns)
-        x = np.zeros(self._n_unknowns)
+        y = np.zeros(self._n_unknowns)
         u = b.copy()
         beta = norm(u)
         if beta > 0:
@@ -828,7 +843,9 @@ class CarlemanLeastSquares:
         alpha = norm(v)
         if alpha > 0:
             v /= alpha
-        h, hbar = v.copy(), np.zeros_like(v)
+        # R^-1 h and R^-1 hbar; h = v + 0 h, so the first step sets hy = R^-1 v
+        hy, hbary = np.zeros_like(v), np.zeros_like(v)
+        hcoef = 0.0
         # the scalars of the update of x, then those of the estimate of |r_k|
         zetabar, alphabar, zeta, sbar = alpha * beta, alpha, 0.0, 0.0
         rho = rhobar = cbar = 1.0
@@ -837,13 +854,19 @@ class CarlemanLeastSquares:
         iteration = 0
         while True:
             if abs(zetabar) <= target * normr or iteration == cap:
-                y = self._right_solve(x, "T")
-                error = self._backward_error(b - self._operator_g @ y)
+                image = self._operator_g @ y
+                error = self._backward_error(b - image)
                 if error <= tol or iteration == cap:
+                    self._last_image = image
                     return y, iteration, error
             iteration += 1
+            # h = v - (thetanew / rho) h, deferred from the previous step to
+            # reuse the product's R^-1 v
+            p = self._right_solve(v, "T")
+            hy *= -hcoef
+            hy += p
             u *= -alpha
-            u += self._operator_g @ self._right_solve(v, "T")
+            u += self._operator_g @ p
             beta = norm(u)
             if beta > 0:
                 u /= beta
@@ -859,11 +882,10 @@ class CarlemanLeastSquares:
             thetabar = sbar * rho
             cbar, sbar, rhobar = _givens(cbar * rho, thetanew)
             zeta, zetabar = cbar * zetabar, -sbar * zetabar
-            hbar *= -(thetabar * rho / (rhoold * rhobarold))
-            hbar += h
-            x += (zeta / (rho * rhobar)) * hbar
-            h *= -(thetanew / rho)
-            h += v
+            hbary *= -(thetabar * rho / (rhoold * rhobarold))
+            hbary += hy
+            y += (zeta / (rho * rhobar)) * hbary
+            hcoef = thetanew / rho
 
             betahat, betadd = c * betadd, -s * betadd
             thetatildeold = thetatilde
@@ -919,7 +941,8 @@ class CarlemanLeastSquares:
         """
         b = self.weighted_data(mu, g)
         vec, iterations, rel = self.solve_normal_equations(b, tol, max_iterations)
-        image = self.operator @ vec
+        # M vec, formed by the certificate of the solve
+        image = self._last_image
         norm_sq = _sum_of_squares(image)
         diagnostics = MinimizerDiagnostics(
             j_value=0.5 * _sum_of_squares(b - image),

@@ -91,12 +91,13 @@ class MGTCoefficients:
 class InitialData:
     """Initial triple (u0, u1, u2) = (u, u_t, u_tt) at t = 0.
 
-    u0 and u1 must vanish at the endpoints; u2 need not.  The mismatch between
-    a nonzero u2 and the Dirichlet condition launches a front from each
-    corner along which u_tt jumps; :func:`solve_forward` carries it in the
-    closed-form corner part instead of resolving it on the grid.  When
-    eta > 0 the acceleration profile must satisfy |u2| >= eta everywhere,
-    which the reconstruction update divides by.
+    All three must be finite.  u0 and u1 must vanish at the endpoints; u2
+    need not.  The mismatch between a nonzero u2 and the Dirichlet condition
+    launches a front from each corner along which u_tt jumps;
+    :func:`solve_forward` carries it in the closed-form corner part instead
+    of resolving it on the grid.  When eta > 0 the acceleration profile must
+    satisfy |u2| >= eta everywhere, which the reconstruction update divides
+    by.
     """
 
     u0: np.ndarray
@@ -112,6 +113,9 @@ class InitialData:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
         if not (self.u0.shape == self.u1.shape == self.u2.shape):
             raise ValueError("u0, u1, u2 must share one shape")
+        for name, arr in (("u0", self.u0), ("u1", self.u1), ("u2", self.u2)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         scale = max(np.abs(self.u0).max(initial=0.0), np.abs(self.u1).max(initial=0.0), 1.0)
         for name, arr in (("u0", self.u0), ("u1", self.u1)):
             if max(abs(arr[0]), abs(arr[-1])) > 1e-9 * scale:

@@ -1,3 +1,4 @@
+import collections
 import ctypes
 import ctypes.util
 import dataclasses
@@ -73,6 +74,14 @@ def test_trajectory_variable_roundtrip_and_validation():
     bad[5, 0] = 1.0
     with pytest.raises(ValueError):
         TrajectoryVariable.from_full_field(bad, grid)
+    # a NaN or an infinity made the scale of the vanishing checks NaN or
+    # infinite, so that both passed
+    for bad_value in (np.nan, np.inf, -np.inf):
+        for index in ((0, 0), (0, 3), (5, 0), (5, 3)):
+            bad = field.copy()
+            bad[index] = bad_value
+            with pytest.raises(ValueError, match="finite"):
+                TrajectoryVariable.from_full_field(bad, grid)
     with pytest.raises(ValueError):
         TrajectoryVariable(grid, np.zeros((3, 3)))
 
@@ -353,6 +362,75 @@ def test_lsmr_loop_follows_scipy_lsmr(iterations):
     image = engine._operator_g
     assert (np.linalg.norm(image @ (y - reference))
             <= 1e-12 * np.linalg.norm(image @ reference))
+
+
+class _CountedProducts:
+    """A sparse matrix that counts its products with vectors in ``counts``."""
+
+    def __init__(self, matrix, counts, key):
+        self._matrix, self._counts, self._key = matrix, counts, key
+
+    def __matmul__(self, vector):
+        self._counts[self._key] += 1
+        return self._matrix @ vector
+
+    def __getattr__(self, name):
+        return getattr(self._matrix, name)
+
+
+def _counting_engine(monkeypatch, engine):
+    """Count the engine's R^-1 solves and its products with M and M^T."""
+    counts = collections.Counter()
+    right_solve = engine._right_solve
+
+    def counted_solve(v, trans):
+        counts["R^-1" if trans == "T" else "R^-T"] += 1
+        return right_solve(v, trans)
+
+    monkeypatch.setattr(engine, "_right_solve", counted_solve)
+    for name, key in (("operator", "M"), ("_operator_g", "M"), ("_operator_t", "M^T")):
+        monkeypatch.setattr(engine, name, _CountedProducts(getattr(engine, name), counts, key))
+    return counts
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0])
+def test_a_solve_makes_one_right_solve_per_iteration(monkeypatch, s):
+    # LSMR carries its iterate as y = R^-1 x and updates it from the R^-1 v
+    # each iteration solves for anyway, so a certificate makes no R^-1 solve
+    grid, coeffs, setup = make_problem(21, 41, s=s)
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    counts = _counting_engine(monkeypatch, engine)
+    mu, g = random_data(grid, 37)
+    b = engine.weighted_data(mu, g)
+    for tol in (1e-6, 1e-10):
+        counts.clear()
+        iterations = engine.solve_normal_equations(b, tol)[1]
+        assert iterations > 0 and counts["R^-1"] == iterations
+    for cap in (0, 1, 7):
+        counts.clear()
+        assert engine._lsmr(b, 0.0, cap)[1] == cap
+        assert counts["R^-1"] == cap
+    # zero data: the certificate of y = 0, no iteration and no R^-1 solve
+    counts.clear()
+    assert engine.solve_normal_equations(np.zeros_like(b), 1e-8)[1] == 0
+    assert counts["R^-1"] == 0
+
+
+def test_minimize_reads_the_image_of_its_certificate(monkeypatch):
+    # the diagnostics take M y from the solve's last certificate: a
+    # minimization makes no product with M beyond those of its solve
+    grid, coeffs, setup = make_problem(21, 41)
+    engine = CarlemanLeastSquares(coeffs, setup, grid)
+    counts = _counting_engine(monkeypatch, engine)
+    for mu, g in (random_data(grid, 41), (None, None)):
+        counts.clear()
+        engine.solve_normal_equations(engine.weighted_data(mu, g), 1e-8)
+        solve_counts = counts.copy()
+        counts.clear()
+        y, diag = engine.minimize(mu, g, 1e-8)
+        assert counts == solve_counts
+        image = engine.operator._matrix @ y.to_vector()
+        assert diag.v_norm_sq == float(np.sum(image * image))
 
 
 def test_non_finite_data_are_rejected_before_lsmr_starts(monkeypatch):

@@ -74,6 +74,17 @@ def test_initial_data_validation():
     with pytest.raises(ValueError):
         InitialData(np.zeros(g.nx), np.zeros(g.nx), np.zeros(g.nx), eta=1.0)
     InitialData(np.zeros(g.nx), np.zeros(g.nx), np.ones(g.nx), eta=1.0)
+    # a NaN made the boundary check's scale NaN, and |u2| >= eta is never
+    # violated by a NaN: both used to construct and fail in the forward solve
+    for bad in (np.nan, np.inf, -np.inf):
+        for index, name in enumerate(("u0", "u1", "u2")):
+            for node in (0, g.nx // 2):
+                profiles = [np.zeros(g.nx), np.zeros(g.nx), np.ones(g.nx)]
+                profiles[index][node] = bad
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    InitialData(*profiles, eta=1.0)
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    InitialData(*profiles)
 
 
 def test_zero_data_gives_zero_trajectory():
