@@ -5,8 +5,9 @@ convexified weight phi_lambda = exp(lambda * phi) with
     phi(x, t) = |x - x0|^2 - beta t^2 + M0,
 
 and a quadrature evaluation of both sides of the weighted observability
-estimate: ``carleman_lhs_rhs`` for any field, ``separable_lhs_rhs`` for
-many fields a(t) b(x) at many scale pairs at once.  Weights enter all
+estimate: ``carleman_lhs_rhs`` for any one field at one scale pair, in one
+pass, ``separable_lhs_rhs`` for many fields a(t) b(x) at many scale pairs at
+once.  Both read lhs / rhs through ``grid.quotient``.  Weights enter all
 computations normalized by their global minimum, a positive rescaling that
 cancels in every reported ratio; the practical limit on the surviving
 exponent range is guarded explicitly because exp(lambda * phi) sits inside
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import (SpaceTimeGrid, apply_laplacian, boundary_normal_derivative,
-                   edge_normal_derivative, interior_weights,
+                   edge_normal_derivative, interior_weights, quotient,
                    time_derivative_matrix_zero_start, trapezoid_weights,
                    zero_start_acceleration)
 from .solver import MGTCoefficients
@@ -187,25 +188,27 @@ class CarlemanEvaluation:
     ratio: float
 
 
-@dataclass(frozen=True)
-class _EstimateTerms:
-    """Scale-independent integrands of the estimate for one field: the
-    squared encoded initial acceleration; the gradient terms
-    c^4 (y_t^2 + y_x^2) + y_tt^2 + y_xt^2 and the value terms c^4 y^2 + y_t^2,
-    weighted with e^(lambda phi) and e^(3 lambda phi); (L y)^2; and per
-    observed side its column and y_nt^2 + c^4 y_n^2."""
-
-    acceleration: np.ndarray
-    gradients: np.ndarray
-    values: np.ndarray
-    residual: np.ndarray
-    fluxes: tuple
+def _phi_growth(geometry: CarlemanGeometry, lam: float, grid: SpaceTimeGrid):
+    """e^(lambda phi) on the grid and its cube, the factors of the estimate's
+    gradient and value terms.  They depend on lambda and the geometry alone,
+    so one pair serves every field and every s."""
+    phil = np.exp(lam * phi(grid.x[None, :], grid.t[:, None], geometry))
+    return phil, phil ** 3
 
 
-def _estimate_terms(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGeometry,
-                    grid: SpaceTimeGrid) -> _EstimateTerms:
-    """Validate ``y`` and evaluate its stencils for :func:`carleman_lhs_rhs`;
-    ``geometry`` is an :func:`admissible_geometry`, whose sides it reads."""
+def carleman_lhs_rhs(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGeometry,
+                     scales: CarlemanScales, grid: SpaceTimeGrid) -> CarlemanEvaluation:
+    """Quadrature of both sides of the weighted estimate for one field, in one pass.
+
+    ``y`` must be finite, vanish on the boundary columns and satisfy the
+    discrete start conditions y(., 0) = y_t(., 0) = 0 (ghost-level time
+    derivatives, as in the constrained trajectory space).  The left side is
+    the s^(1/2) initial-acceleration term plus the weighted energies of y and
+    y_t; the right side is the weighted interior norm of L y plus the
+    observed-boundary fluxes.  lhs / rhs (``grid.quotient``) is the empirical
+    estimate constant; the weight normalization used here cancels in it.
+    """
+    geometry = admissible_geometry(geometry, grid)
     y = np.asarray(y, dtype=float)
     if y.shape != (grid.nt, grid.nx):
         raise ValueError(f"field has shape {y.shape}, expected ({grid.nt}, {grid.nx})")
@@ -217,6 +220,7 @@ def _estimate_terms(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGe
         raise ValueError("field must vanish at the boundary columns")
     if np.abs(y[0]).max() > 1e-10 * scale:
         raise ValueError("field must vanish at time level zero")
+    lam, s = scales.lam, scales.s
     c4 = coeffs.c ** 4
 
     d1, d2, d3 = (time_derivative_matrix_zero_start(grid.nt, grid.dt, order)
@@ -227,71 +231,25 @@ def _estimate_terms(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGe
     yxt = np.gradient(yt, grid.h, axis=1, edge_order=2)
     # L y = y_ttt + alpha y_tt - c^2 y_xx - b y_txx; no Laplacian on the boundary columns
     ly = d3 @ y + ytt * coeffs.alpha - apply_laplacian(coeffs.c ** 2 * y + coeffs.b * yt, grid)
-    fluxes = []
-    for side in geometry.gamma0_sides:
-        dyn = boundary_normal_derivative(y, grid, side)
-        fluxes.append((0 if side == "left" else grid.nx - 1,
-                       (d1 @ dyn) ** 2 + c4 * dyn ** 2))
-    return _EstimateTerms(zero_start_acceleration(y[1], grid.dt) ** 2,
-                          c4 * (yt ** 2 + yx ** 2) + ytt ** 2 + yxt ** 2,
-                          c4 * y ** 2 + yt ** 2, ly ** 2, tuple(fluxes))
+    gradients = c4 * (yt ** 2 + yx ** 2) + ytt ** 2 + yxt ** 2
 
-
-def _phi_growth(geometry: CarlemanGeometry, lam: float, grid: SpaceTimeGrid):
-    """e^(lambda phi) on the grid and its cube, the factors of the estimate's
-    gradient and value terms.  They depend on lambda and the geometry alone,
-    so one pair serves every field and every s."""
-    phil = np.exp(lam * phi(grid.x[None, :], grid.t[:, None], geometry))
-    return phil, phil ** 3
-
-
-def _estimate_sides(terms: _EstimateTerms, weight: np.ndarray, growth, scales: CarlemanScales,
-                    grid: SpaceTimeGrid) -> CarlemanEvaluation:
-    """Weighted quadrature of both sides at one scale pair; ``weight`` is its
-    weight table up to a positive factor, which cancels in the ratio, and
-    ``growth`` is ``_phi_growth`` at its lambda."""
-    lam, s = scales.lam, scales.s
-    phil, phil3 = growth
+    weight = normalized_weight_table(grid, geometry, scales)
+    phil, phil3 = _phi_growth(geometry, lam, grid)
     qx = trapezoid_weights(grid.nx, grid.h)
     qt = trapezoid_weights(grid.nt, grid.dt)
-
-    lhs = (np.sqrt(s) * float(qx @ (weight[0] * terms.acceleration))
-           + s * lam * float(qt @ ((weight * phil * terms.gradients) @ qx))
-           + s ** 3 * lam ** 3 * float(qt @ ((weight * phil3 * terms.values) @ qx)))
-    rhs_interior = float(qt @ ((weight * terms.residual) @ interior_weights(grid.nx, grid.h)))
-    rhs_boundary = sum(s * lam * float(qt @ (weight[:, col] * flux))
-                       for col, flux in terms.fluxes)
+    lhs = (np.sqrt(s) * float(qx @ (weight[0] * zero_start_acceleration(y[1], grid.dt) ** 2))
+           + s * lam * float(qt @ ((weight * phil * gradients) @ qx))
+           + s ** 3 * lam ** 3 * float(qt @ ((weight * phil3 * (c4 * y ** 2 + yt ** 2)) @ qx)))
+    rhs_interior = float(qt @ ((weight * ly ** 2) @ interior_weights(grid.nx, grid.h)))
+    rhs_boundary = 0
+    for side in geometry.gamma0_sides:
+        dyn = boundary_normal_derivative(y, grid, side)
+        flux = (d1 @ dyn) ** 2 + c4 * dyn ** 2
+        col = 0 if side == "left" else grid.nx - 1
+        rhs_boundary += s * lam * float(qt @ (weight[:, col] * flux))
 
     return CarlemanEvaluation(float(lhs), rhs_interior, float(rhs_boundary),
-                              _ratio(lhs, rhs_interior + rhs_boundary))
-
-
-def _ratio(lhs: float, rhs: float) -> float:
-    """lhs / rhs, read as 0 for a field with lhs = rhs = 0 and as inf for
-    one with rhs = 0 alone."""
-    if rhs == 0.0:
-        return 0.0 if lhs == 0.0 else float("inf")
-    return float(lhs / rhs)
-
-
-def carleman_lhs_rhs(y: np.ndarray, coeffs: MGTCoefficients, geometry: CarlemanGeometry,
-                     scales: CarlemanScales, grid: SpaceTimeGrid) -> CarlemanEvaluation:
-    """Quadrature of both sides of the weighted estimate for one field.
-
-    ``y`` must vanish on the boundary columns and satisfy the discrete
-    start conditions y(., 0) = y_t(., 0) = 0; time derivatives use the
-    ghost-level convention of the constrained trajectory space.  The left
-    side collects the s^(1/2) initial-acceleration term plus the weighted
-    interior energies of y and y_t; the right side is the weighted residual
-    norm of L y plus the observed-boundary fluxes.  The reported ratio
-    lhs / rhs is the empirical estimate constant; it is invariant under the
-    weight normalization used internally.
-    """
-    geometry = admissible_geometry(geometry, grid)
-    terms = _estimate_terms(y, coeffs, geometry, grid)
-    weight = normalized_weight_table(grid, geometry, scales)
-    return _estimate_sides(terms, weight, _phi_growth(geometry, scales.lam, grid),
-                           scales, grid)
+                              quotient(lhs, rhs_interior + rhs_boundary))
 
 
 def separable_lhs_rhs(factors, coeffs: MGTCoefficients, geometry: CarlemanGeometry,
@@ -370,6 +328,6 @@ def separable_lhs_rhs(factors, coeffs: MGTCoefficients, geometry: CarlemanGeomet
             rhs_boundary += s * lam * edge * (qt @ (weight[:, col, None] * energy))
         rows.append(tuple(CarlemanEvaluation(float(lhs[k]), float(rhs_interior[k]),
                                              float(rhs_boundary[k]),
-                                             _ratio(lhs[k], rhs_interior[k] + rhs_boundary[k]))
+                                             quotient(lhs[k], rhs_interior[k] + rhs_boundary[k]))
                           for k in range(len(b))))
     return tuple(rows)

@@ -230,6 +230,13 @@ def interior_weights(n: int, spacing: float) -> np.ndarray:
     return w
 
 
+def quotient(lhs: float, rhs: float) -> float:
+    """lhs / rhs, the empirical constant C of a bound lhs <= C rhs; 0/0 reads 0, x/0 inf."""
+    if rhs == 0.0:
+        return 0.0 if lhs == 0.0 else float("inf")
+    return float(lhs / rhs)
+
+
 def discrete_norms(values, grid: SpaceTimeGrid, which: str) -> float:
     """Discrete norms by trapezoidal quadrature.
 

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .grid import (SpaceTimeGrid, apply_laplacian, boundary_normal_derivative,
-                   discrete_norms, time_difference, trapezoid_weights)
+                   discrete_norms, quotient, time_difference, trapezoid_weights)
 from .solver import InitialData, Trajectory
 
 
@@ -30,6 +30,8 @@ class ObservationData:
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
         if self.samples.ndim != 1 or self.samples.size < 5:
             raise ValueError("observation needs at least five time samples")
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError("samples must be finite")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
@@ -157,8 +159,9 @@ def hidden_regularity_check(traj: Trajectory, data: InitialData,
     ``observations`` is a nonempty sequence of :class:`ObservationData`;
     energies over several endpoints add.  The trace energy integrates
     the squared trace and its first time derivative over (0, T); the ratio
-    to the data energy is the empirical constant of the boundary-regularity
-    bound and should not blow up under grid refinement.
+    to the data energy (``grid.quotient``: inf for a nonzero trace over zero
+    data) is the empirical constant of the boundary-regularity bound and
+    should not blow up under grid refinement.
     """
     if not observations:
         raise ValueError("need at least one observation series")
@@ -168,6 +171,6 @@ def hidden_regularity_check(traj: Trajectory, data: InitialData,
             raise ValueError("observation length does not match the grid")
         trace_energy += discrete_norms(obs.samples, traj.grid, "h1_trace") ** 2
     data_energy = _initial_data_energy(data, f, traj.grid)
-    ratio = trace_energy / data_energy if data_energy > 0 else 0.0
-    return HiddenRegularityReport(float(trace_energy), float(data_energy), float(ratio))
+    return HiddenRegularityReport(float(trace_energy), float(data_energy),
+                                  quotient(trace_energy, data_energy))
 

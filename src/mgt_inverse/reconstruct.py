@@ -195,6 +195,14 @@ def _resample(values: np.ndarray, x_from: np.ndarray, x_to: np.ndarray) -> np.nd
             + cubic[piece] * (z2 * z))
 
 
+def _true_coefficient(gamma_true, grid: SpaceTimeGrid) -> np.ndarray:
+    """``gamma_true`` as a finite profile of one value per node, or ValueError."""
+    gamma_true = np.asarray(gamma_true, dtype=float)
+    if gamma_true.shape != (grid.nx,) or not np.all(np.isfinite(gamma_true)):
+        raise ValueError(f"gamma_true must be a finite array of shape ({grid.nx},)")
+    return gamma_true
+
+
 def synthetic_observations(config: ReconstructionConfig, gamma_true) -> list:
     """Boundary data manufactured on a ``data_refinement`` times finer grid.
 
@@ -206,7 +214,7 @@ def synthetic_observations(config: ReconstructionConfig, gamma_true) -> list:
     added when the configured level is positive; one generator seeded with
     ``noise_seed`` draws the noise of every observed side in turn.
     """
-    gamma_true = np.asarray(gamma_true, dtype=float)
+    gamma_true = _true_coefficient(gamma_true, config.grid)
     factor = int(config.data_refinement)
     fine = config.grid.refined(factor)
     if factor == 1:
@@ -265,21 +273,22 @@ def run_reconstruction(config: ReconstructionConfig, gamma_true=None,
     """Iterate from gamma = 0 until the update stalls or the budget runs out.
 
     Without explicit ``data`` the observations are synthesized from
-    ``gamma_true``; supplying ``gamma_true`` (in either mode) turns on the
-    weighted-error bookkeeping.  Stops when the plain L2 change of the iterate
-    falls below stop_tol: "converged" if the increment before the box
-    projection is below stop_tol too, "stalled_at_box" if only the projection
-    held the iterate still.  Otherwise stops after max_iterations, or when the
-    weighted error has risen three times in a row ("diverged").
+    ``gamma_true``, a finite profile of one value per node; supplying it (in
+    either mode) turns on the weighted-error bookkeeping.  Stops when the
+    plain L2 change of the iterate falls below stop_tol: "converged" if the
+    increment before the box projection is below stop_tol too, "stalled_at_box"
+    if only the projection held the iterate still.  Otherwise stops after
+    max_iterations, or when the weighted error has risen three times in a row
+    ("diverged").
     """
     grid = config.grid
-    if data is None:
-        if gamma_true is None:
-            raise ValueError("provide observation data or gamma_true to synthesize it")
-        data = synthetic_observations(config, gamma_true)
     synthetic = gamma_true is not None
     if synthetic:
-        gamma_true = np.asarray(gamma_true, dtype=float)
+        gamma_true = _true_coefficient(gamma_true, grid)
+    if data is None:
+        if not synthetic:
+            raise ValueError("provide observation data or gamma_true to synthesize it")
+        data = synthetic_observations(config, gamma_true)
 
     gamma = np.zeros(grid.nx)
 

@@ -45,7 +45,7 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grid import (EDGE_NODES, SpaceTimeGrid, apply_laplacian, boundary_normal_derivative,
-                   discrete_norms, edge_normal_derivative, trapezoid_weights)
+                   discrete_norms, edge_normal_derivative, quotient, trapezoid_weights)
 
 
 class ForwardSolveError(RuntimeError):
@@ -574,11 +574,7 @@ def verify_energy_bound(traj: Trajectory, f: np.ndarray, b: float) -> EnergyBoun
     grid = traj.grid
     level_e, energies = energy_series(traj, b)
     fsq = discrete_norms(f, grid, "l2_l2") ** 2
-    denom = energies[0] + fsq
-    if denom == 0.0:
-        ratio = 0.0 if energies.max() == 0.0 else np.inf
-    else:
-        ratio = float(energies.max() / denom)
+    ratio = quotient(energies.max(), energies[0] + fsq)
     return EnergyBoundReport(float(energies.max()), float(energies[0]), float(fsq),
                              ratio, bool(ratio > ENERGY_GROWTH_THRESHOLD), level_e, energies)
 
@@ -598,11 +594,7 @@ def verify_laplacian_bound(traj: Trajectory, data: InitialData, f: np.ndarray,
     bound = (discrete_norms(f, grid, "l2_l2") ** 2
              + total_energy(traj, 0, b)
              + discrete_norms(apply_laplacian(data.u0, grid), grid, "l2") ** 2)
-    if bound == 0.0:
-        ratio = 0.0 if lap_sq.max() == 0.0 else np.inf
-    else:
-        ratio = float(lap_sq.max() / bound)
-    return LaplacianBoundReport(float(lap_sq.max()), float(bound), ratio)
+    return LaplacianBoundReport(float(lap_sq.max()), float(bound), quotient(lap_sq.max(), bound))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgt_inverse import carleman
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
-                                  WeightOverflowError, _estimate_sides,
-                                  _estimate_terms, _phi_growth, admissible_geometry,
+                                  WeightOverflowError, admissible_geometry,
                                   carleman_lhs_rhs,
                                   log_weight, log_weight_table,
                                   normalized_weight_table, phi, separable_lhs_rhs,
                                   weight_statistics)
-from mgt_inverse.grid import build_grid
+from mgt_inverse.grid import build_grid, interior_weights, trapezoid_weights
 from mgt_inverse.solver import MGTCoefficients
 from test_solver import apply_operator
 
@@ -238,9 +238,12 @@ def test_estimate_residual_is_the_operator_stencil_squared():
                              box_bound=1.0)
     y = np.random.default_rng(5).normal(size=(grid.nt, grid.nx))
     y[0] = y[:, 0] = y[:, -1] = 0.0
-    terms = _estimate_terms(y, coeffs, GEO, grid)
-    assert np.array_equal(terms.residual,
-                          apply_operator(y, coeffs, grid, zero_start=True) ** 2)
+    scales = CarlemanScales(1.0, 2.0)
+    weight = normalized_weight_table(grid, admissible_geometry(GEO, grid), scales)
+    residual = apply_operator(y, coeffs, grid, zero_start=True) ** 2
+    expected = float(trapezoid_weights(grid.nt, grid.dt)
+                     @ ((weight * residual) @ interior_weights(grid.nx, grid.h)))
+    assert carleman_lhs_rhs(y, coeffs, GEO, scales, grid).rhs_interior == expected
 
 
 @settings(max_examples=15, deadline=None)
@@ -272,11 +275,11 @@ def test_estimate_ratio_is_invariant_under_weight_offset(offset, seed):
     modes = np.array([np.sin((m + 1) * np.pi * grid.x) for m in range(3)])
     powers = np.array([grid.t ** (p + 2) for p in range(3)])   # y = y_t = 0 at t = 0
     y = powers.T @ rng.normal(size=(3, 3)) @ modes
-    geometry = admissible_geometry(GEO, grid)
-    terms = _estimate_terms(y, coeffs, geometry, grid)
-    weight = normalized_weight_table(grid, geometry, scales)
-    growth = _phi_growth(geometry, scales.lam, grid)
-    base = _estimate_sides(terms, weight, growth, scales, grid)
-    assert base.ratio == carleman_lhs_rhs(y, coeffs, GEO, scales, grid).ratio
-    shifted = _estimate_sides(terms, weight * np.exp(offset), growth, scales, grid)
+    base = carleman_lhs_rhs(y, coeffs, GEO, scales, grid)
+    # hypothesis refuses function-scoped fixtures, so no monkeypatch argument
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(carleman, "normalized_weight_table",
+                      lambda *args: normalized_weight_table(*args) * np.exp(offset))
+        shifted = carleman_lhs_rhs(y, coeffs, GEO, scales, grid)
+    assert shifted.lhs == pytest.approx(base.lhs * np.exp(offset), rel=1e-12)
     assert shifted.ratio == pytest.approx(base.ratio, rel=1e-12)

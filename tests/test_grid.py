@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mgt_inverse.carleman import CarlemanGeometry, CarlemanScales, carleman_lhs_rhs
 from mgt_inverse.grid import (apply_laplacian, boundary_normal_derivative, build_grid,
                               discrete_norms, time_derivative_matrix_zero_start,
                               time_difference, zero_start_acceleration)
+from mgt_inverse.observation import extract_observation, hidden_regularity_check
+from mgt_inverse.solver import (InitialData, MGTCoefficients, Trajectory, solve_forward,
+                                verify_energy_bound, verify_laplacian_bound)
 
 
 def test_build_grid_spacings():
@@ -207,3 +211,28 @@ def test_zero_start_acceleration_is_the_zero_start_stencil_at_level_zero():
     assert np.allclose(got, (d2 @ series)[0], rtol=1e-14, atol=0.0)
     # 2 y(dt) / dt^2 = 2 (1 + dt) times each amplitude
     assert got == pytest.approx([1.0 + dt, -4.0 - 4.0 * dt, 6.0 + 6.0 * dt], rel=1e-14)
+
+
+def test_every_empirical_constant_shares_the_zero_denominator_rule():
+    # lhs / rhs reads 0 when both sides vanish and inf when rhs alone does
+    grid = build_grid(0.0, 1.0, 21, 1.25, 41)
+    coeffs = MGTCoefficients(c=1.0, b=1.0, gamma=np.full(grid.nx, 0.5), box_bound=1.0)
+    zero_field = np.zeros((grid.nt, grid.nx))
+    estimate = carleman_lhs_rhs(zero_field, coeffs, CarlemanGeometry(-0.1, 0.9, 2.5),
+                                CarlemanScales(1.0, 2.0), grid)
+    assert (estimate.lhs, estimate.ratio) == (0.0, 0.0)
+
+    zero = np.zeros(grid.nx)
+    data = InitialData(zero, zero, zero)
+    traj = solve_forward(coeffs, data, zero_field, grid)
+    assert verify_energy_bound(traj, zero_field, coeffs.b).ratio == 0.0
+    assert verify_laplacian_bound(traj, data, zero_field, coeffs.b).ratio == 0.0
+    traces = [extract_observation(traj, side) for side in ("left", "right")]
+    assert hidden_regularity_check(traj, data, None, traces).ratio == 0.0
+
+    # a nonzero trace over zero data is unbounded, not 0
+    moving = Trajectory(grid, np.outer(grid.t ** 2, np.sin(np.pi * grid.x)),
+                        zero_field, zero_field)
+    report = hidden_regularity_check(moving, data, None, [extract_observation(moving, "right")])
+    assert report.data_energy == 0.0 and report.trace_energy > 0.0
+    assert report.ratio == math.inf

@@ -66,6 +66,12 @@ def test_observation_validation():
     for dt in (0.0, math.nan):
         with pytest.raises(ValueError, match="^dt must be positive"):
             ObservationData("left", np.zeros(9), dt)
+    for value in (math.nan, math.inf, -math.inf):
+        for index in (0, 4):
+            samples = np.zeros(9)
+            samples[index] = value
+            with pytest.raises(ValueError, match="^samples must be finite$"):
+                ObservationData("left", samples, 0.1)
 
 
 def test_noise_scaling_and_determinism():

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgt_inverse import functional
+from mgt_inverse import functional, reconstruct
 from mgt_inverse.carleman import (CarlemanGeometry, CarlemanScales,
                                   CarlemanSetup, admissible_geometry)
 from mgt_inverse.functional import CarlemanLeastSquares, MinimizationError
@@ -194,6 +194,26 @@ def test_run_stops_immediately_on_zero_coefficient():
     assert report.iterations == 1
     assert np.array_equal(report.history[-1].gamma, np.zeros(config.grid.nx))
     assert report.history[0].weighted_error_sq == 0.0
+
+
+@pytest.mark.parametrize("case", ["nan_with_data", "scalar_with_data", "wrong_length"])
+def test_run_refuses_a_true_coefficient_that_is_not_a_finite_profile(case, monkeypatch):
+    # a NaN would make every weighted error NaN, so the rising-error guard
+    # could never trip; a scalar would be broadcast as a constant profile; a
+    # wrong length would end in NumPy's broadcast error after a forward solve
+    config = make_config(21, 41, max_iterations=3)
+    gamma = canonical_gamma(config.grid)
+    data = synthetic_observations(config, gamma)
+    gamma[7] = math.nan
+    gamma_true, supplied = {"nan_with_data": (gamma, data), "scalar_with_data": (0.5, data),
+                         "wrong_length": (np.full(config.grid.nx - 1, 0.5), None)}[case]
+
+    def no_solve(*args):
+        raise AssertionError("forward solve before gamma_true was checked")
+
+    monkeypatch.setattr(reconstruct, "solve_forward", no_solve)
+    with pytest.raises(ValueError, match="^gamma_true must be a finite array of shape"):
+        run_reconstruction(config, gamma_true, data=supplied)
 
 
 def oracle_reconstruction_step(gamma_k: np.ndarray, gamma_true,
