@@ -18,7 +18,9 @@ weights the objective in ``functional``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+
 import numpy as np
 
 from .grid import (SpaceTimeGrid, apply_laplacian, boundary_normal_derivative,
@@ -51,14 +53,17 @@ class CarlemanGeometry:
 @dataclass(frozen=True)
 class CarlemanScales:
     """Weight parameters: lambda convexifies phi, s scales the exponent; both
-    are strictly positive (NaN is refused), as the estimate assumes."""
+    are strictly positive and finite (NaN is refused), as the estimate
+    assumes."""
 
     lam: float
     s: float
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0 and self.s > 0):
-            raise ValueError(f"scales must be positive, got lam={self.lam}, s={self.s}")
+        if not (self.lam > 0 and self.s > 0 and math.isfinite(self.lam)
+                and math.isfinite(self.s)):
+            raise ValueError(
+                f"scales must be positive and finite, got lam={self.lam}, s={self.s}")
 
 
 @dataclass(frozen=True)
@@ -122,8 +127,12 @@ def phi(x, t, geometry: CarlemanGeometry):
 
 
 def log_weight(x, t, geometry: CarlemanGeometry, scales: CarlemanScales):
-    """Natural-log exponent of the Carleman weight: 2 s exp(lambda phi)."""
-    return 2.0 * scales.s * np.exp(scales.lam * phi(x, t, geometry))
+    """Natural-log exponent of the Carleman weight: 2 s exp(lambda phi).
+
+    An exponent beyond the double range is inf, without a warning:
+    ``normalized_weight`` refuses it by its range guard."""
+    with np.errstate(over="ignore"):
+        return 2.0 * scales.s * np.exp(scales.lam * phi(x, t, geometry))
 
 
 def log_weight_table(grid: SpaceTimeGrid, geometry: CarlemanGeometry,
@@ -159,14 +168,15 @@ def normalized_weight(log_values: np.ndarray) -> np.ndarray:
     """exp(log_values - min log_values): weights normalized by their minimum.
 
     Guarded before exponentiating: a span of exponents above LOG_RANGE_LIMIT
-    would overflow the largest normalized entry.
+    would overflow the largest normalized entry.  A NaN span fails too: it is
+    inf - inf when the exponents themselves overflow.
     """
     log_min, log_max = float(log_values.min()), float(log_values.max())
     span = log_max - log_min
-    if span > LOG_RANGE_LIMIT:
+    if not span <= LOG_RANGE_LIMIT:
         raise WeightOverflowError(
             f"log_weight max {log_max:.6g} exceeds the minimum {log_min:.6g} "
-            f"by {span:.6g} > {LOG_RANGE_LIMIT:g}; lower s or lambda")
+            f"by {span:.6g}, not within {LOG_RANGE_LIMIT:g}; lower s or lambda")
     return np.exp(log_values - log_min)
 
 

@@ -2,8 +2,9 @@
 
 Commands share one JSON configuration document, validated against the schema
 shipped with the package before any computation starts; the non-finite
-constants NaN, Infinity and -Infinity, which ``json`` accepts, are rejected
-while it is parsed.  Reports are written as JSON plus CSV with all floats at
+constants NaN, Infinity and -Infinity, which ``json`` accepts, and number
+literals beyond the double range (1e400), which it reads as inf, are
+rejected while it is parsed.  Reports are written as JSON plus CSV with all floats at
 17 significant digits; a run with the same configuration and seed produces
 byte-identical report files, and the wall-clock timestamp goes to a separate
 metadata file so it cannot break that guarantee.  NaN and infinite values in
@@ -125,10 +126,25 @@ def _reject_constant(name: str):
     raise ConfigError(f"config holds the non-finite constant {name}")
 
 
+def _finite_float(literal: str) -> float:
+    """A number literal as json reads it, refused when it overflows (1e400)."""
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the number {literal}, which overflows to {value}")
+    return value
+
+
+def _float_sized_int(literal: str) -> int:
+    """An integer literal as json reads it, refused when a float cannot hold it."""
+    _finite_float(literal)
+    return int(literal)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float,
+                            parse_int=_float_sized_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -21,7 +21,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .carleman import (CarlemanGeometry, CarlemanScales, WeightStatistics,
-                       admissible_geometry, separable_lhs_rhs, weight_statistics)
+                       admissible_geometry, normalized_weight_table, separable_lhs_rhs,
+                       weight_statistics)
 from .grid import (SpaceTimeGrid, build_grid, sine_sum, time_difference,
                    trapezoid_weights)
 from .observation import extract_observation
@@ -121,8 +122,9 @@ class StabilityReport:
 
 
 # members per forward_traces call: ten pairs, so a campaign's memory does not
-# grow with its pair count.  Twenty members at 201x401 took 77 ms in one
-# batch, 93 ms in batches of 10 and 122 ms in batches of 6 (2-core Xeon).
+# grow with its pair count.  Twenty members at 201x401 took 59 ms in one
+# batch, 70 ms in batches of 10 and 99 ms in batches of 6 (medians of 10
+# interleaved runs on a shared 2-core Xeon).
 STABILITY_BATCH = 20
 
 
@@ -245,9 +247,13 @@ def carleman_constant_sweep(sample_count: int, scales_list, grid: SpaceTimeGrid,
     geometry = admissible_geometry(geometry, grid)
     rng = np.random.default_rng(seed)
     samples = [draw_field_sample(rng) for _ in range(int(sample_count))]
-    if not samples:
-        return CarlemanSweepReport(seed, 0, ())
     scales_list = list(scales_list)
+    if not samples:
+        # no field to weigh, but every scale pair's weight range is guarded
+        # as it is for a sweep with samples
+        for scales in scales_list:
+            normalized_weight_table(grid, geometry, scales)
+        return CarlemanSweepReport(seed, 0, ())
     evals = separable_lhs_rhs([sample.factors(grid) for sample in samples], coeffs,
                               geometry, scales_list, grid)
     entries = []

@@ -21,17 +21,23 @@ the box bound, the initial data and the grid, each with its own gamma.
 :func:`forward_traces` runs many members at once and keeps only the current
 and the next level and the columns that trace extraction reads.  A step of
 one member is about a dozen NumPy calls on arrays of nx values, whose call
-overhead outweighs their arithmetic at these sizes, so the elementwise
-updates act on (k, nx) arrays and pay it once per batch.  Each member keeps
-its own ``dgttrf`` factor and its own ``dgttrs`` solve per level: the
-members' matrices differ in alpha, and in one stacked block-diagonal system
-a member that turned non-finite would spread NaN into the others through
-the shared elimination.  The Laplacian of all members is one ``np.convolve`` over the
-flattened (k, nx) array z = 2 c^2 u + (c^2 dt + 2 b) u_t + kappa P u_tt,
-whose boundary entries are zero: each interior output is the same
-three-term product of the member's own three nodes as when its row is
-convolved alone, so the result is the same bits, and the outputs that
-straddle two members fall on boundary nodes, which are discarded.
+overhead outweighs their arithmetic at these sizes, so the members' rows
+lie end to end in one contiguous row of k nx values per level, and every
+elementwise update acts on that row and pays the overhead once per batch.
+The k step matrices are factored as one block-diagonal tridiagonal system
+of k nx rows: each member's boundary rows are decoupled from its interior,
+so the off-diagonals vanish at every join, and one ``dgttrf`` per batch and
+one in-place ``dgttrs`` per level give each member the numbers of its own
+factor and solve.  The joins stay exact only while every member is finite:
+a member that turns non-finite spreads NaN into the others through
+0 * inf in the shared elimination, so :func:`forward_traces` solves the
+members of a non-finite batch one at a time to name the one that failed.
+The Laplacian of all members is one ``np.convolve`` over the level row of
+z = 2 c^2 u + (c^2 dt + 2 b) u_t + kappa P u_tt, whose boundary entries
+are zero: each interior output is the same three-term product of the
+member's own three nodes as when its row is convolved alone, so the result
+is the same bits, and the outputs that straddle two members fall on
+boundary nodes, where no Laplacian enters.
 """
 
 from __future__ import annotations
@@ -334,64 +340,89 @@ def _corner_split(c: float, b: float, box_bound: float, data: InitialData,
     return None, data.u2
 
 
+def _level_rows(store: np.ndarray) -> np.ndarray:
+    """(L, k nx) view of an (L, k, nx) level store: each level one contiguous
+    row with the members' rows end to end."""
+    rows = store.reshape(store.shape[0], -1)
+    assert rows.flags.c_contiguous and np.may_share_memory(rows, store), \
+        "level stores must be C-contiguous, so that their rows are views"
+    return rows
+
+
 def _march(c: float, b: float, alphas: np.ndarray, u: np.ndarray, ut: np.ndarray,
            utt: np.ndarray, sources, grid: SpaceTimeGrid, edges=None) -> None:
     """Advance the k members of a batch from level 0 to level nt - 1.
 
-    ``alphas`` is (k, nx).  ``u``, ``ut`` and ``utt`` are (L, k, nx) level
-    stores that hold level n in row n % L: L = nt keeps every level, L = 2
-    the current and the next.  Row 0 holds the start, with zero boundary
-    values of u and u_t, which are never written.  ``sources`` yields
-    half (f_n + f_n+1) for each step, broadcastable to (k, nx).  ``edges``,
-    when given, is (nt, k, len(EDGE_NODES)) and receives u's EDGE_NODES
-    columns at every level from 1 on.
+    ``alphas`` is (k, nx).  ``u``, ``ut`` and ``utt`` are C-contiguous
+    (L, k, nx) level stores that hold level n in row n % L: L = nt keeps
+    every level, L = 2 the current and the next.  Row 0 holds the start,
+    with zero boundary values of u and u_t.  ``sources`` yields half
+    (f_n + f_n+1) for each step, broadcastable to the (k nx,) level row.
+    ``edges``, when given, is (nt, k, len(EDGE_NODES)) and receives u's
+    EDGE_NODES columns at every level from 1 on.
+
+    The k step matrices are factored once, as one block-diagonal system of
+    k nx rows, and each level is one in-place ``dgttrs`` on its contiguous
+    row and a few elementwise updates of whole rows, each element in the
+    order of a member stepped alone.  z is formed on whole rows and zeroed
+    at every member's boundary nodes, and the Laplacian's outputs there are
+    set to -0.0 before it is added, so the boundary nodes of u_tt keep their
+    bits.  The updates of u_t and u also write the boundary nodes, which
+    feed no interior node; on return they are +0.0 in every stored level,
+    as are the boundary columns of ``edges`` from level 1 on.
     """
     # (I + half alpha - half kappa Lap P) w+ = (I - half alpha) w
     #     + half Lap (2 c^2 u + (c^2 dt + 2 b) v + kappa P w) + half (f_n + f_n+1),
     # with P the interior projection and Lap the three-point Laplacian with
     # zero boundary rows
     nx, nt = grid.nx, grid.nt
+    k, levels = len(alphas), u.shape[0]
     half = 0.5 * grid.dt
     c2 = c ** 2
     kappa = 0.25 * c2 * grid.dt ** 2 + half * b
     mix = c2 * grid.dt + 2.0 * b
     lap_scale = half / grid.h ** 2
-    off = np.zeros(nx - 1)
-    off[1:-1] = -kappa * lap_scale
-    factors = []
-    for alpha in alphas:
-        diag = 1.0 + half * alpha
-        diag[1:-1] += 2.0 * kappa * lap_scale
-        dl, d, du, du2, ipiv, info = dgttrf(off, diag, off)
-        if info != 0:
-            raise ForwardSolveError(f"step matrix factorization failed: dgttrf info {info}")
-        factors.append((dl, d, du, du2, ipiv))
-    explicit = 1.0 - half * alphas
+    off = np.zeros((k, nx))              # zero at each member's boundary rows and joins
+    off[:, 1:-2] = -kappa * lap_scale
+    off = off.reshape(-1)[:-1]
+    diag = 1.0 + half * alphas
+    diag[:, 1:-1] += 2.0 * kappa * lap_scale
+    *factor, info = dgttrf(off, diag.reshape(-1), off)
+    if info != 0:
+        raise ForwardSolveError(f"step matrix factorization failed: dgttrf info {info}")
+    explicit = (1.0 - half * alphas).reshape(-1)
 
-    k, levels = len(factors), u.shape[0]
-    ui, vi, wi = u[..., 1:-1], ut[..., 1:-1], utt[..., 1:-1]
-    z = np.zeros((k, nx))                # 2 c^2 u + mix v + kappa P w, member by member
-    zi, flat = z[:, 1:-1], z.reshape(-1)
-    step = np.empty((k, nx - 2))
+    uf, vf, wf = _level_rows(u), _level_rows(ut), _level_rows(utt)
+    ends = np.arange(k) * nx
+    ends = np.concatenate([ends, ends + nx - 1])     # every member's boundary nodes
+    z = np.empty(k * nx)                 # 2 c^2 u + mix v + kappa P w
+    mixed, scaled, step = np.empty(k * nx), np.empty(k * nx), np.empty(k * nx)
     lap = lap_scale * np.array([1.0, -2.0, 1.0])
     nodes = np.array(EDGE_NODES)
-    u_new, v_new, w_new, w_new_i = ui[0], vi[0], utt[0], wi[0]
+    u_new, v_new, w_new = uf[0], vf[0], wf[0]
     # a non-finite state propagates to every later level; callers locate it
     with np.errstate(invalid="ignore", over="ignore"):
         for n in range(nt - 1):
-            u_now, v_now, w_now, w_now_i = u_new, v_new, w_new, w_new_i
+            u_now, v_now, w_now = u_new, v_new, w_new
             new = (n + 1) % levels
-            u_new, v_new, w_new, w_new_i = ui[new], vi[new], utt[new], wi[new]
-            np.multiply(2.0 * c2, u_now, out=zi)
-            zi += mix * v_now + kappa * w_now_i
+            u_new, v_new, w_new = uf[new], vf[new], wf[new]
+            np.multiply(2.0 * c2, u_now, out=z)
+            np.multiply(mix, v_now, out=mixed)
+            np.multiply(kappa, w_now, out=scaled)
+            mixed += scaled
+            z += mixed
+            z[ends] = 0.0
             np.multiply(explicit, w_now, out=w_new)
             w_new += next(sources)
-            # z's zero boundary entries part the members in the flat array
-            w_new_i += np.convolve(flat, lap, "same").reshape(k, nx)[:, 1:-1]
-            for factor, row in zip(factors, w_new):
-                row[...] = dgttrs(*factor, row, overwrite_b=True)[0]
+            laplacian = np.convolve(z, lap, "same")
+            # x + (-0.0) is x bit for bit, so the boundary nodes of w+ keep
+            # their values as if only the interior nodes took the Laplacian
+            laplacian[ends] = -0.0
+            w_new += laplacian
+            solved = dgttrs(*factor, w_new, overwrite_b=True)[0]
+            assert solved is w_new, "dgttrs must solve the level row in place"
             # v+ = v + half (w + w+), then u+ = u + half (v + v+)
-            np.add(w_now_i, w_new_i, out=step)
+            np.add(w_now, w_new, out=step)
             step *= half
             np.add(v_now, step, out=v_new)
             np.add(v_now, v_new, out=step)
@@ -399,6 +430,12 @@ def _march(c: float, b: float, alphas: np.ndarray, u: np.ndarray, ut: np.ndarray
             np.add(u_now, step, out=u_new)
             if edges is not None:
                 np.take(u[new], nodes, axis=1, out=edges[n + 1])
+    for store in (u, ut):
+        store[..., 0] = 0.0
+        store[..., -1] = 0.0
+    if edges is not None:
+        edges[1:, :, 0] = 0.0
+        edges[1:, :, -1] = 0.0
 
 
 def _finite(u: np.ndarray, ut: np.ndarray, utt: np.ndarray) -> np.ndarray:
@@ -446,7 +483,7 @@ def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
     # a batch of one member whose level n is row n
     source = 0.5 * grid.dt * (f[:-1] + f[1:])
     _march(coeffs.c, coeffs.b, coeffs.alpha[None], u[:, None], ut[:, None], utt[:, None],
-           iter(source[:, None]), grid)
+           iter(source), grid)
     # a non-finite state persists to every later level, so the last one shows it
     if not _finite(u[-1], ut[-1], utt[-1]):
         bad = ~_finite(u, ut, utt)[1:]
@@ -465,13 +502,23 @@ def solve_forward(coeffs: MGTCoefficients, data: InitialData, f: np.ndarray,
 def _corner_sources(corner: CornerPart, gammas: np.ndarray, half: float):
     """half (f_n + f_n+1) of each step for the members' sources
     f = -corner source - (gamma - reference) utt_average, level by level:
-    the numbers solve_forward forms from its whole-grid source with f None."""
+    the numbers solve_forward forms from its whole-grid source with f None.
+    Each step's values are yielded as one flat (k nx) buffer, which the next
+    step overwrites."""
     offsets = gammas - corner.reference
-    now = (0.0 - corner.source[0]) - offsets * corner.utt_average[0]
-    for source, average in zip(corner.source[1:], corner.utt_average[1:]):
-        new = (0.0 - source) - offsets * average
-        yield half * (now + new)
-        now = new
+    negated = np.empty(offsets.shape[1])
+    now, new, out = np.empty(offsets.shape), np.empty(offsets.shape), np.empty(offsets.shape)
+    flat = out.reshape(-1)
+    for n, (source, average) in enumerate(zip(corner.source, corner.utt_average)):
+        # f = (0.0 - source) - offsets * average, in that order
+        np.subtract(0.0, source, out=negated)
+        np.multiply(offsets, average, out=new)
+        np.subtract(negated, new, out=new)
+        if n:
+            np.add(now, new, out=out)
+            out *= half
+            yield flat
+        now, new = new, now
 
 
 def forward_traces(c: float, b: float, box_bound: float, gammas, init: InitialData,
@@ -481,10 +528,15 @@ def forward_traces(c: float, b: float, box_bound: float, gammas, init: InitialDa
     Member j starts from ``init`` with damping offset ``gammas[j]``; entry
     [j, i] of the (len(gammas), len(sides), nt) result is, bit for bit,
     ``extract_observation(solve_forward(...), sides[i]).samples``.  The
-    members advance together, and only their current and next levels are
-    kept, with u's EDGE_NODES columns at every level: no member's (nt, nx)
-    field is formed.  A member whose state turns non-finite raises the
-    ForwardSolveError that solve_forward raises for it, time step included.
+    members advance together as one stacked system, and only their current
+    and next levels are kept, with u's EDGE_NODES columns at every level: no
+    member's (nt, nx) field is formed.
+
+    In the stacked system a member whose state turns non-finite spreads NaN
+    into the others, so a batch that ends non-finite is solved again member
+    by member with solve_forward, in order, and the first member that fails
+    raises its ForwardSolveError, time step included.  If none fails alone,
+    ForwardSolveError is raised for the batch.
     """
     nx, nt = grid.nx, grid.nt
     members = [MGTCoefficients(c, b, gamma, box_bound) for gamma in gammas]
@@ -500,17 +552,16 @@ def forward_traces(c: float, b: float, box_bound: float, gammas, init: InitialDa
     edges = np.empty((nt, k, len(EDGE_NODES)))
     edges[0] = np.take(init.u0, EDGE_NODES)
     if corner is None:
-        sources = itertools.repeat(np.zeros((k, nx)), nt - 1)
+        sources = itertools.repeat(0.0, nt - 1)
     else:
         sources = _corner_sources(corner, np.array([m.gamma for m in members]), 0.5 * grid.dt)
     _march(c, b, np.array([m.alpha for m in members]), u, ut, utt, sources, grid, edges)
 
-    # the last level shows a non-finite state; solve_forward, which keeps
-    # every level, raises naming the first for the first member that failed
     last = (nt - 1) % 2
-    finite = _finite(u[last], ut[last], utt[last])
-    if not finite.all():
-        solve_forward(members[int(np.argmin(finite))], init, None, grid)
+    if not _finite(u[last], ut[last], utt[last]).all():
+        for member in members:
+            solve_forward(member, init, None, grid)
+        raise ForwardSolveError("non-finite state in a batch whose members are finite alone")
 
     if corner is not None:
         edges += np.take(corner.u, EDGE_NODES, axis=1)[:, None]

@@ -69,6 +69,10 @@ def test_log_weight_values_and_limits():
     for lam, s in ((1.0, 0.0), (0.0, 1.0), (math.nan, 1.0)):
         with pytest.raises(ValueError, match="positive"):
             CarlemanScales(lam, s)
+    # and finite: an infinite scale makes every weight exponent inf
+    for lam, s in ((math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            CarlemanScales(lam, s)
     # lambda -> 0 turns exp(lambda phi) into 1, leaving 2 s
     assert log_weight(0.4, 0.7, GEO, CarlemanScales(1e-12, 3.0)) == pytest.approx(6.0, rel=1e-9)
     with pytest.raises(ValueError):

@@ -116,6 +116,41 @@ def test_non_finite_constants_are_rejected_before_any_output(tmp_path, capsys, o
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, command, literal", [
+    ({"verify": {"scales": [[0.5, "LITERAL"]]}}, ["verify", "--suite", "carleman"], "1e400"),
+    ({"weight": {"m0": "LITERAL"}}, ["forward"], "1e400"),
+    ({"reconstruction": {"noise_level": "LITERAL"}}, ["reconstruct"], "1e400"),
+    ({"verify": {"scales": [[0.5, "LITERAL"]]}}, ["verify", "--suite", "carleman"],
+     "1" + "0" * 400),
+    ({"weight": {"m0": "LITERAL"}}, ["forward"], "1" + "0" * 400),
+], ids=["verify.scales", "m0", "noise_level", "verify.scales-integer", "m0-integer"])
+def test_overflowing_number_literals_are_rejected_before_any_output(tmp_path, capsys,
+                                                                     overrides, command, literal):
+    # 1e400 is no constant json refuses: it parses to inf, and a 401-digit
+    # integer to an int no float holds, unless the loader checks every
+    # number it reads
+    path = make_config(tmp_path, **overrides)
+    path.write_text(path.read_text().replace('"LITERAL"', literal))
+    assert literal in path.read_text()
+    out = tmp_path / "o"
+    assert run([*command, "--config", path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and literal in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verify", [
+    {"scales": [[1000.0, 1.0]]},             # every exponent overflows: the span is nan
+    {"samples": 0, "scales": [[3.0, 400.0]]},
+], ids=["overflowing-exponents", "no-samples"])
+def test_verify_carleman_refuses_a_weight_range_that_overflows(tmp_path, capsys, verify):
+    path = make_config(tmp_path, grid={"nx": 21, "nt": 41}, verify=verify)
+    out = tmp_path / "o"
+    assert run(["verify", "--config", path, "--suite", "carleman", "--out", out]) == 1
+    assert "log_weight max" in capsys.readouterr().err
+    assert not (out / "carleman_report.json").exists()
+
+
 def test_verify_scales_must_be_positive_before_any_output(tmp_path, capsys):
     path = make_config(tmp_path, verify={"scales": [[0.0, 2.0]]})
     out = tmp_path / "o"

@@ -274,6 +274,21 @@ def test_sweep_with_no_samples_is_empty():
     # no samples still checks the geometry
     with pytest.raises(ValueError, match="^inadmissible observation geometry"):
         carleman_constant_sweep(0, [], grid, CarlemanGeometry(0.5, 0.9, 2.5), coeffs)
+    # and every scale pair's weight range, as a sweep with samples does
+    for count in (0, 1):
+        with pytest.raises(WeightOverflowError, match="log_weight max"):
+            carleman_constant_sweep(count, [CarlemanScales(0.5, 1.0), CarlemanScales(3.0, 400.0)],
+                                    grid, GEO, coeffs)
+    assert carleman_constant_sweep(0, [CarlemanScales(0.5, 1.0), CarlemanScales(0.5, 4.0)],
+                                   grid, GEO, coeffs).entries == ()
+
+
+def test_sweep_refuses_weights_whose_exponents_overflow():
+    # lambda = 1000 overflows every exponent to inf, so the span of the
+    # exponents is inf - inf = nan, which must fail the range guard
+    grid, coeffs = sweep_inputs(21, 41)
+    with pytest.raises(WeightOverflowError, match="log_weight max inf"):
+        carleman_constant_sweep(2, [CarlemanScales(1000.0, 1.0)], grid, GEO, coeffs)
 
 
 def test_sweep_ratios_are_finite_and_rhs_is_coercive():

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from mgt_inverse import solver
+from mgt_inverse.experiments import STABILITY_BATCH
 from mgt_inverse.grid import (apply_laplacian, build_grid, discrete_norms,
                               time_derivative_matrix, time_derivative_matrix_zero_start)
 from mgt_inverse.observation import extract_observation
@@ -118,6 +120,32 @@ def test_dirichlet_exact_at_all_levels():
     assert np.abs(traj.ut[:, -1]).max() == 0.0
 
 
+@pytest.mark.parametrize("case", ["corner", "no corner", "source", "signed zeros"])
+def test_boundary_values_are_positive_zero_at_every_level(case):
+    # the stepping updates u and u_t on whole level rows, boundary nodes
+    # included, and then sets those nodes back to +0.0: no -0.0 and no
+    # leftover of the update may reach a trajectory.  u_tt's boundary nodes
+    # step on their own and take no Laplacian, not even a +0.0 that would
+    # turn -0.0 into +0.0.
+    g = canonical_grid(41, 81)
+    co = MGTCoefficients(1.0, 1.0, 0.4 + 0.3 * np.sin(np.pi * g.x), 1.0)
+    sine = np.sin(np.pi * g.x)
+    u2 = {"corner": 1.0 + 0.5 * sine, "no corner": np.sin(2.0 * np.pi * g.x) + 1e-10,
+          "source": 0.3 * sine, "signed zeros": 0.3 * sine}[case]
+    f = manufactured_solution(g, co)[1] - 2.0 if case == "source" else None
+    if case == "signed zeros":
+        u2[[0, -1]] = -0.0
+        f = manufactured_solution(g, co)[1]
+        f[:, [0, -1]] = -0.0
+    traj = solve_forward(co, InitialData(0.2 * sine, -0.5 * sine, u2), f, g)
+    assert bool(traj.flux_correction) == (case == "corner")
+    for field in (traj.u, traj.ut):
+        ends = field[1:, [0, -1]]
+        assert np.all(ends == 0.0) and not np.any(np.signbit(ends))
+    if case == "signed zeros":
+        assert np.all(traj.utt[:, [0, -1]] == 0.0) and np.all(np.signbit(traj.utt[:, [0, -1]]))
+
+
 def test_manufactured_convergence_order():
     errs = []
     for nx, nt in ((26, 51), (51, 101), (101, 201)):
@@ -224,11 +252,14 @@ def test_forward_traces_are_the_observed_traces_of_solve_forward(nx, nt, corner)
     # level 0 reads
     grid = build_grid(0.0, 1.0, nx, 1.25, nt)
     c, b, box_bound = 1.3, 0.7, 2.0
-    # u2 = 1 + ... launches corner fronts; sin(2 pi x) vanishes at the ends
-    u2 = 1.0 + 0.5 * np.sin(np.pi * grid.x) if corner else np.sin(2.0 * np.pi * grid.x)
+    # u2 = 1 + ... launches corner fronts; sin(2 pi x) + 1e-10 is below the
+    # corner part's threshold at the ends, where u_tt then steps on its own
+    u2 = (1.0 + 0.5 * np.sin(np.pi * grid.x) if corner
+          else np.sin(2.0 * np.pi * grid.x) + 1e-10)
     data = InitialData(0.2 * np.sin(np.pi * grid.x), 0.5 * np.sin(np.pi * grid.x), u2)
     rng = np.random.default_rng(nx + corner)
-    for k in (1, 2, 7):
+    # a campaign's batch and an odd count on the finer grid
+    for k in (1, 2, 7) + ((STABILITY_BATCH, 13) if nx >= 41 else ()):
         gammas = [rng.uniform(0.0, box_bound, nx) for _ in range(k)]
         full = [solve_forward(MGTCoefficients(c, b, gamma, box_bound), data, None, grid)
                 for gamma in gammas]
@@ -520,3 +551,34 @@ def test_energy_and_laplacian_ratios_are_invariant_under_data_scaling(k, seed):
                 verify_laplacian_bound(traj, data, scale * f, co.b).ratio)
 
     assert ratios(k) == pytest.approx(ratios(1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("order, step", [
+    ((5.0, 0.0, 0.0), 5),            # the failing member first,
+    ((0.0, 10.0, 0.0), 4),           # in the middle
+    ((0.0, 0.0, 0.0, 5.0), 5),       # and last
+    ((0.0, 5.0, 0.0, 10.0), 5),      # two that fail, the later one sooner
+    ((10.0, 0.0, 5.0), 4),
+])
+def test_a_non_finite_member_is_named_wherever_it_sits_in_the_batch(order, step):
+    # in the stacked system the failing member's inf spreads NaN into the
+    # others, yet the batch raises the step of the first member that fails
+    # on its own, as the members solved one by one would
+    grid = build_grid(0.0, 1.0, 21, 1.25, 41)
+    data = InitialData(np.zeros(grid.nx), 2.4 * 2.0 ** 1018 * np.sin(np.pi * grid.x),
+                       np.zeros(grid.nx))
+    gammas = [np.full(grid.nx, value) for value in order]
+    with pytest.raises(ForwardSolveError, match=f"^non-finite state at time step {step}$"):
+        forward_traces(1.0, 1.0, 10.0, gammas, data, grid, ("left", "right"))
+
+
+def test_a_non_finite_batch_whose_members_pass_alone_is_an_error(monkeypatch):
+    # the stacked system must not report traces of a batch that ended
+    # non-finite, even if no member fails when solved on its own
+    grid = build_grid(0.0, 1.0, 21, 1.25, 41)
+    data = InitialData(np.zeros(grid.nx), 2.4 * 2.0 ** 1018 * np.sin(np.pi * grid.x),
+                       np.zeros(grid.nx))
+    monkeypatch.setattr(solver, "solve_forward", lambda *args: None)
+    with pytest.raises(ForwardSolveError, match="^non-finite state in a batch"):
+        forward_traces(1.0, 1.0, 10.0, [np.zeros(grid.nx), np.full(grid.nx, 5.0)], data, grid,
+                       ("right",))
