@@ -122,8 +122,8 @@ class StabilityReport:
 
 
 # members per forward_traces call: ten pairs, so a campaign's memory does not
-# grow with its pair count.  Twenty members at 201x401 took 59 ms in one
-# batch, 70 ms in batches of 10 and 99 ms in batches of 6 (medians of 10
+# grow with its pair count.  Twenty members at 201x401 took 29 ms in one
+# batch, 34 ms in batches of 10 and 45 ms in batches of 6 (medians of 15
 # interleaved runs on a shared 2-core Xeon).
 STABILITY_BATCH = 20
 

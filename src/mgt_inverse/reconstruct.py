@@ -110,7 +110,11 @@ class IterateRecord:
 
     weighted_error_sq is e_k against the true coefficient (synthetic mode
     only); diagnostics belong to the minimization that produced this iterate,
-    so both are None where they do not apply.
+    so both are None where they do not apply.  The update's reach is the
+    interior nodes that the raw update y*_tt(0) / u2 moved: ``reach_nodes``
+    counts them and ``reach_x`` is the smallest x among them (None when it
+    moved none); ``clamped_fraction`` is the share of interior nodes that
+    the box projection clamped.  All three are None for the start.
     """
 
     iteration: int
@@ -118,6 +122,9 @@ class IterateRecord:
     weighted_error_sq: Optional[float]
     step_change: Optional[float]
     diagnostics: Optional[MinimizerDiagnostics]
+    reach_nodes: Optional[int] = None
+    reach_x: Optional[float] = None
+    clamped_fraction: Optional[float] = None
 
 
 @dataclass
@@ -312,8 +319,13 @@ def run_reconstruction(config: ReconstructionConfig, gamma_true=None,
             raise ReconstructionError(f"iteration {k + 1}: {exc}", records) from exc
         step_change = math.sqrt(float(qx @ (gamma_next - gamma) ** 2))
         e_next = error_of(gamma_next)
+        moved = np.flatnonzero(increment[1:-1]) + 1
+        raw = (gamma + increment)[1:-1]
+        clamped = float(np.mean((raw < 0.0) | (raw > config.box_bound)))
         records.append(IterateRecord(k + 1, gamma_next.copy(), e_next, step_change,
-                                     diagnostics))
+                                     diagnostics, moved.size,
+                                     float(grid.x[moved[0]]) if moved.size else None,
+                                     clamped))
         if synthetic:
             rising = rising + 1 if e_next > records[-2].weighted_error_sq else 0
         gamma = gamma_next

@@ -24,14 +24,22 @@ one member is about a dozen NumPy calls on arrays of nx values, whose call
 overhead outweighs their arithmetic at these sizes, so the members' rows
 lie end to end in one contiguous row of k nx values per level, and every
 elementwise update acts on that row and pays the overhead once per batch.
-The k step matrices are factored as one block-diagonal tridiagonal system
-of k nx rows: each member's boundary rows are decoupled from its interior,
-so the off-diagonals vanish at every join, and one ``dgttrf`` per batch and
-one in-place ``dgttrs`` per level give each member the numbers of its own
-factor and solve.  The joins stay exact only while every member is finite:
-a member that turns non-finite spreads NaN into the others through
-0 * inf in the shared elimination, so :func:`forward_traces` solves the
-members of a non-finite batch one at a time to name the one that failed.
+The step matrix I + half dt alpha - half kappa Lap P is symmetric, and
+with alpha = gamma + c^2 / b > 0 its diagonal is positive and exceeds the
+sum of its off-diagonal magnitudes in every row, so it is symmetric
+positive definite and is factored as L D L^T by LAPACK's ``dpttrf``, with no
+pivoting; ``dpttrs`` then solves each level with one multiplication per row
+on the forward and the backward recurrence, where LU's back substitution
+divides on its chain.  The k step matrices are factored as one
+block-diagonal tridiagonal system of k nx rows: each member's boundary rows
+are decoupled from its interior, so the off-diagonals vanish at every join,
+``dpttrf`` carries a zero e across it and leaves the next d unchanged, and
+one factor per batch and one in-place ``dpttrs`` per level give each member
+the numbers of its own factor and solve.  The joins stay exact only while
+every member is finite: a member that turns non-finite spreads NaN into the
+others through 0 * inf in the shared recurrences, so :func:`forward_traces`
+solves the members of a non-finite batch one at a time to name the one that
+failed.
 The Laplacian of all members is one ``np.convolve`` over the level row of
 z = 2 c^2 u + (c^2 dt + 2 b) u_t + kappa P u_tt, whose boundary entries
 are zero: each interior output is the same three-term product of the
@@ -48,7 +56,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .grid import (EDGE_NODES, SpaceTimeGrid, apply_laplacian, boundary_normal_derivative,
                    discrete_norms, edge_normal_derivative, quotient, trapezoid_weights)
@@ -361,10 +369,16 @@ def _march(c: float, b: float, alphas: np.ndarray, u: np.ndarray, ut: np.ndarray
     ``edges``, when given, is (nt, k, len(EDGE_NODES)) and receives u's
     EDGE_NODES columns at every level from 1 on.
 
-    The k step matrices are factored once, as one block-diagonal system of
-    k nx rows, and each level is one in-place ``dgttrs`` on its contiguous
-    row and a few elementwise updates of whole rows, each element in the
-    order of a member stepped alone.  z is formed on whole rows and zeroed
+    The k step matrices are factored once by ``dpttrf``, as one
+    block-diagonal system of k nx rows.  Each is symmetric, and strictly
+    diagonally dominant with a positive diagonal while alpha > -2 / dt, so
+    positive definite; one that is not raises ForwardSolveError, naming the
+    member, before any level is stepped.  Every join's off-diagonal is zero,
+    so each member's d and e are those of its own factor, bit for bit.  Each
+    level is one in-place ``dpttrs`` on its contiguous row, whose
+    recurrences multiply by the stored e and divide by d off the chain, and
+    a few elementwise updates of whole rows, each element in the order of a
+    member stepped alone.  z is formed on whole rows and zeroed
     at every member's boundary nodes, and the Laplacian's outputs there are
     set to -0.0 before it is added, so the boundary nodes of u_tt keep their
     bits.  The updates of u_t and u also write the boundary nodes, which
@@ -387,9 +401,11 @@ def _march(c: float, b: float, alphas: np.ndarray, u: np.ndarray, ut: np.ndarray
     off = off.reshape(-1)[:-1]
     diag = 1.0 + half * alphas
     diag[:, 1:-1] += 2.0 * kappa * lap_scale
-    *factor, info = dgttrf(off, diag.reshape(-1), off)
+    *factor, info = dpttrf(diag.reshape(-1), off, overwrite_d=True, overwrite_e=True)
     if info != 0:
-        raise ForwardSolveError(f"step matrix factorization failed: dgttrf info {info}")
+        raise ForwardSolveError(
+            f"step matrix of member {(info - 1) // nx} is not positive definite: "
+            f"dpttrf info {info}")
     explicit = (1.0 - half * alphas).reshape(-1)
 
     uf, vf, wf = _level_rows(u), _level_rows(ut), _level_rows(utt)
@@ -419,8 +435,8 @@ def _march(c: float, b: float, alphas: np.ndarray, u: np.ndarray, ut: np.ndarray
             # their values as if only the interior nodes took the Laplacian
             laplacian[ends] = -0.0
             w_new += laplacian
-            solved = dgttrs(*factor, w_new, overwrite_b=True)[0]
-            assert solved is w_new, "dgttrs must solve the level row in place"
+            solved = dpttrs(*factor, w_new, overwrite_b=True)[0]
+            assert solved is w_new, "dpttrs must solve the level row in place"
             # v+ = v + half (w + w+), then u+ = u + half (v + v+)
             np.add(w_now, w_new, out=step)
             step *= half

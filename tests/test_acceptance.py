@@ -262,6 +262,7 @@ def test_criterion_5_contraction_trend(criterion):
     e_first = report.history[0].weighted_error_sq
     e_last = report.history[-1].weighted_error_sq
     final_drop = e_last / e_first
+    first = report.history[1]
 
     entries = run_scale_sweep(config, gamma_true, s_values=(0.5, 1.0, 2.0, 4.0))
     means = [float(np.mean(pre_target_ratios(entry.report))) for entry in entries]
@@ -277,7 +278,9 @@ def test_criterion_5_contraction_trend(criterion):
         f"final/initial weighted error {final_drop:.3e} (need < 1e-2), "
         f"sweep mean ratios up to e_k/e_0 < 1e-2 over s=0.5/1/2/4: "
         f"{[f'{m:.4f}' for m in means]} "
-        f"(need non-increasing within 10%), {elapsed:.0f}s < 900s")
+        f"(need non-increasing within 10%), {elapsed:.0f}s < 900s; "
+        f"first update reaches {first.reach_nodes} interior nodes, x >= {first.reach_x:.2f}, "
+        f"and clamps {100 * first.clamped_fraction:.0f}% of the interior nodes")
     assert elapsed < 900.0
     assert all_contracting, f"contraction ratios {contracting} not all below 1"
     assert final_drop < TARGET_DROP, f"weighted error only dropped to {final_drop:.3e} of start"

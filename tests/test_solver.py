@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from mgt_inverse import solver
 from mgt_inverse.experiments import STABILITY_BATCH
@@ -582,3 +583,90 @@ def test_a_non_finite_batch_whose_members_pass_alone_is_an_error(monkeypatch):
     with pytest.raises(ForwardSolveError, match="^non-finite state in a batch"):
         forward_traces(1.0, 1.0, 10.0, [np.zeros(grid.nx), np.full(grid.nx, 5.0)], data, grid,
                        ("right",))
+
+
+@pytest.mark.parametrize("k", [1, 7, 20])
+def test_the_stacked_factor_is_each_members_own_factor(monkeypatch, k):
+    # dpttrf's e[i] / d[i] and d[i+1] - e[i] e[i] d[i] change nothing across
+    # a join whose e is zero, so each member's slice of the stacked LDL^T
+    # factor is the factor of its own step matrix, bit for bit
+    grid = build_grid(0.0, 1.0, 21, 1.25, 41)
+    nx = grid.nx
+    data = InitialData(np.zeros(nx), 0.5 * np.sin(np.pi * grid.x), 1.0 + grid.x)
+    rng = np.random.default_rng(k)
+    gammas = [rng.uniform(0.0, 2.0, nx) for _ in range(k)]
+    factors, factor_of = [], solver.dpttrf
+
+    def recording(d, e, **options):
+        *factor, info = factor_of(d, e, **options)
+        factors.append(factor)
+        return (*factor, info)
+
+    monkeypatch.setattr(solver, "dpttrf", recording)
+    forward_traces(1.3, 0.7, 2.0, gammas, data, grid, ("right",))
+    for gamma in gammas:
+        forward_traces(1.3, 0.7, 2.0, [gamma], data, grid, ("right",))
+    (d, e), own = factors[0], factors[1:]
+    assert d.shape == (k * nx,) and e.shape == (k * nx - 1,)
+    joins = np.arange(1, k) * nx - 1
+    assert np.all(e[joins] == 0.0)
+    for j, (d_own, e_own) in enumerate(own):
+        assert d[j * nx:(j + 1) * nx].tobytes() == d_own.tobytes()
+        assert e[j * nx:(j + 1) * nx - 1].tobytes() == e_own.tobytes()
+
+
+@pytest.mark.parametrize("node, row", [(0, 0), (-1, 20)])
+def test_a_step_matrix_that_is_not_positive_definite_stops_before_any_level(node, row):
+    # alpha > 0 for every admissible gamma, so only the private loop can be
+    # handed a step matrix whose boundary row 1 + dt alpha / 2 is negative;
+    # dpttrf's info is the failing row counted from 1, the first or the last
+    # of member 3
+    grid = build_grid(0.0, 1.0, 21, 1.25, 41)
+    k, nx = 5, grid.nx
+    alphas = np.ones((k, nx))
+    alphas[3, node] = -3.0 / grid.dt
+    u, ut = np.zeros((2, k, nx)), np.zeros((2, k, nx))
+    utt = np.ones((2, k, nx))
+    sources = iter([0.0])
+    with pytest.raises(ForwardSolveError,
+                       match=f"^step matrix of member 3 is not positive definite: "
+                             f"dpttrf info {3 * nx + row + 1}$"):
+        solver._march(1.0, 1.0, alphas, u, ut, utt, sources, grid)
+    assert next(sources) == 0.0
+    assert np.all(u == 0.0) and np.all(ut == 0.0) and np.all(utt == 1.0)
+
+
+def _pivoted_lu(monkeypatch):
+    """Patch the solver's SPD factor and solve with LU with partial pivoting
+    (dgttrf/dgttrs) on the same symmetric tridiagonal matrix."""
+    monkeypatch.setattr(solver, "dpttrf", lambda d, e, **options: dgttrf(e, d, e))
+    monkeypatch.setattr(solver, "dpttrs", lambda *factor, overwrite_b: dgttrs(
+        *factor, overwrite_b=overwrite_b))
+
+
+@pytest.mark.parametrize("nx, nt", [(21, 41), (201, 401)])
+@pytest.mark.parametrize("case", ["corner", "no corner", "source"])
+def test_the_spd_factor_moves_the_solution_by_rounding_only(monkeypatch, nx, nt, case):
+    # LDL^T and pivoted LU (which never pivots on this diagonally dominant
+    # matrix) round differently, so the fields and traces move in their last
+    # bits.  Largest moves measured here, relative to each array's largest
+    # value: 3.7e-13 on u_tt (201x401 with the source), 2.7e-15 on u_t,
+    # 7.6e-16 on u and 3.4e-15 on the traces
+    grid = build_grid(0.0, 1.0, nx, 1.25, nt)
+    c, b, box_bound = 1.0, 1.0, 1.0
+    gammas = [0.4 + 0.3 * np.sin(np.pi * grid.x), np.full(nx, box_bound), np.zeros(nx)]
+    sine = np.sin(np.pi * grid.x)
+    u2 = {"corner": np.ones(nx), "no corner": 0.3 * sine, "source": np.ones(nx)}[case]
+    data = InitialData(np.zeros(nx), 0.5 * sine, u2)
+    coeffs = MGTCoefficients(c, b, gammas[0], box_bound)
+    f = manufactured_solution(grid, coeffs)[1] if case == "source" else None
+
+    def solve():
+        traj = solve_forward(coeffs, data, f, grid)
+        traces = forward_traces(c, b, box_bound, gammas, data, grid, ("left", "right"))
+        return traj.u, traj.ut, traj.utt, traces
+
+    spd = solve()
+    _pivoted_lu(monkeypatch)
+    for got, want in zip(spd, solve()):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
